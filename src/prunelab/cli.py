@@ -16,14 +16,13 @@ import sys
 from .harness import (
     EXPERIMENT_KINDS,
     ConfigError,
+    default_config,
     load_config,
     run_experiment,
     write_report,
 )
 from .linalg import ConvergenceError
 from .parallel import resolve_workers
-
-_HAS_TRIALS = {"table2", "table3", "order-stats", "balls-bins", "oracle-suite"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.trials is not None:
-        if args.kind not in _HAS_TRIALS:
+        if "trials" not in default_config(args.kind):
             print(f"error: --trials does not apply to {args.kind}", file=sys.stderr)
             return 1
         overrides["trials"] = args.trials

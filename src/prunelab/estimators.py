@@ -14,6 +14,17 @@ draw before measuring.
 
 Norms use the LAPACK SVD; at these matrix sizes and trial counts the
 deterministic power-iteration routine would dominate the runtime budget.
+
+Threading.  Each estimator folds fixed 25-trial blocks in block order, so
+its result does not depend on the worker count, and runs the blocks under
+`single_threaded_blas` at every worker count (see `parallel` for the
+policy): the BLAS thread count a trial runs at never depends on
+PRUNELAB_WORKERS.  On a 2-core host this took the benchmark's table2 +
+table3 pass at 2 workers from 7.8 s to 3.7 s wall and from 14.7 s to 6.2 s
+CPU (medians of 10 runs).  Up to n=512 the SVD gives the same bits at 1 and
+2 BLAS threads, so those rows are unchanged.  Larger rows differ in the last
+bits from runs made on multithreaded BLAS (table2 at n=768: 1.9e-14
+relative, in the std column).
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import ordered_map, trial_blocks
+from .parallel import ordered_map, single_threaded_blas, trial_blocks
 from .pruning import filter_prune_count
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 from .theory import BoundReport
@@ -123,7 +134,8 @@ def estimate_lemma3(
             out[i] = np.linalg.svd(a, compute_uv=False)[0]
         return out
 
-    norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
+    with single_threaded_blas():
+        norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
     srt = np.sort(norms)
     n = max(n1, n2)
     quants = tuple(
@@ -182,7 +194,9 @@ def estimate_latala(
     sq_total = np.zeros((d, d))
     quad_total = np.zeros((d, d))
     all_norms = []
-    for sq, quad, norms in ordered_map(block_stats, trial_blocks(trials), workers):
+    with single_threaded_blas():
+        blocks = ordered_map(block_stats, trial_blocks(trials), workers)
+    for sq, quad, norms in blocks:
         sq_total += sq
         quad_total += quad
         all_norms.append(norms)

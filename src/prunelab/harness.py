@@ -4,16 +4,13 @@ and deterministic CSV/JSON report emission.
 Reports are pure functions of (config, seed): trials draw from per-trial
 streams, aggregation folds in trial order, and floats are rendered with
 shortest round-trip repr, so a rerun with any worker count reproduces the
-report byte for byte.  Wall-clock timings never enter report files (they go
-to stderr).
+report byte for byte.  Wall-clock timings never enter report files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +158,7 @@ def default_config(kind: str) -> dict:
 
 def load_config(kind: str, path=None, overrides: dict | None = None) -> dict:
     """Defaults, overlaid with an optional JSON file, overlaid with explicit
-    overrides.  Unknown keys are rejected."""
+    overrides.  Unknown keys and seeds outside [0, 2^64) are rejected."""
     cfg = default_config(kind)
     layers = []
     if path is not None:
@@ -179,7 +176,19 @@ def load_config(kind: str, path=None, overrides: dict | None = None) -> dict:
             if key not in cfg:
                 raise ConfigError(f"unknown config field {key!r} for kind {kind!r}")
             cfg[key] = value
+    if "seed" in cfg:
+        seed = cfg["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return cfg
+
+
+def _trials(cfg: dict, minimum: int) -> int:
+    """The config's trial count, which must be an integer >= minimum."""
+    trials = cfg["trials"]
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < minimum:
+        raise ConfigError(f"trials must be an integer >= {minimum}, got {trials!r}")
+    return trials
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +257,14 @@ def write_report(report: Report, path, fmt: str = "csv") -> str:
 
 
 def run_table2(cfg: dict, workers: int = 1) -> Report:
+    trials = _trials(cfg, 100)
     base = SeedSpec(cfg["seed"])
     columns = ["n1", "n2", "K", "mean", "std", "q", "c0", "delta0"]
     rows = []
     for i, spec_row in enumerate(cfg["rows"]):
         n1, n2, k_scale = int(spec_row[0]), int(spec_row[1]), float(spec_row[2])
         est = estimate_lemma3(
-            n1, n2, k_scale, cfg["trials"], base.sub(i),
+            n1, n2, k_scale, trials, base.sub(i),
             quantiles=tuple(cfg["quantiles"]), workers=workers,
         )
         for q, c0, d0 in est.quantiles:
@@ -277,6 +287,7 @@ def _table3_label(kind: str, variance_scale: float) -> str:
 
 
 def run_table3(cfg: dict, workers: int = 1) -> Report:
+    trials = _trials(cfg, 100)
     base = SeedSpec(cfg["seed"])
     columns = ["d", "dist", "alpha", "term1", "term2", "term3", "mean_norm", "C"]
     rows = []
@@ -284,7 +295,7 @@ def run_table3(cfg: dict, workers: int = 1) -> Report:
         d, kind, scale = int(spec_row[0]), str(spec_row[1]), float(spec_row[2])
         alpha = None if spec_row[3] is None else float(spec_row[3])
         est = estimate_latala(
-            d, _table3_dist(kind, scale, d), cfg["trials"], base.sub(i),
+            d, _table3_dist(kind, scale, d), trials, base.sub(i),
             prune_alpha=alpha, workers=workers,
         )
         rows.append([d, _table3_label(kind, scale), alpha, est.term1, est.term2, est.term3, est.mean_norm, est.c])
@@ -298,7 +309,7 @@ def run_table3(cfg: dict, workers: int = 1) -> Report:
 
 def run_order_stats(cfg: dict, workers: int = 1) -> Report:
     base = SeedSpec(cfg["seed"])
-    trials = int(cfg["trials"])
+    trials = _trials(cfg, 1)
     a = float(cfg["half_width"])
     cases = [(int(n), int(r), int(p)) for n, r, p in cfg["cases"]]
 
@@ -332,7 +343,7 @@ def run_order_stats(cfg: dict, workers: int = 1) -> Report:
 
 def run_balls_bins(cfg: dict, workers: int = 1) -> Report:
     base = SeedSpec(cfg["seed"])
-    trials = int(cfg["trials"])
+    trials = _trials(cfg, 1)
     cases = [(int(n), int(nb)) for n, nb in cfg["cases"]]
 
     def one(i: int):
@@ -374,23 +385,14 @@ def run_circulant_equiv(cfg: dict, workers: int = 1) -> Report:
         f = rng.standard_normal((d_out, d_in, q, q))
         x = rng.standard_normal((d_in, p, p))
         kpad = circulant.pad_kernel(f, p)
-        t0 = time.perf_counter()
         w = circulant.build_full_map(kpad)
         svd_norm = float(np.linalg.svd(w, compute_uv=False)[0])
-        t_explicit = time.perf_counter() - t0
-        t0 = time.perf_counter()
         dft_norm = circulant.spectral_norm_via_dft(kpad)
-        t_dft = time.perf_counter() - t0
         power_norm = spectral_norm(w, tol=1e-10)
         fwd_err = float(np.max(np.abs(w @ circulant.flatten_maps(x) - circulant.flatten_maps(circulant.conv2d_wrap(x, f)))))
         denom = max(svd_norm, 1e-300)
         rel_dft = abs(dft_norm - svd_norm) / denom
         rel_pow = abs(power_norm - svd_norm) / denom
-        print(
-            f"circulant-equiv[{i}] d'={d_out} d={d_in} p={p} q={q} "
-            f"t_dft={t_dft:.4f}s t_explicit={t_explicit:.4f}s",
-            file=sys.stderr,
-        )
         return [
             i, d_out, d_in, p, q, fwd_err, dft_norm, svd_norm, power_norm,
             rel_dft, rel_pow,
@@ -460,7 +462,7 @@ def run_fcn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
     k_scale = float(cfg["xavier_k"])
     dist = DistributionSpec("uniform", xavier_k=k_scale)
     act = networks.activation(cfg["activation"])
-    trials = int(cfg["trials"])
+    trials = _trials(cfg, 1)
     samples = int(cfg["samples"])
     base = SeedSpec(cfg["seed"])
     widths = [int(d) for d in cfg["widths"]]
@@ -613,7 +615,7 @@ def run_cnn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
                 f"constraint requires 0 < alpha <= {cap:.6f}"
             )
     d_in, d_out = int(cfg["d_in"]), int(cfg["d_out"])
-    trials = int(cfg["trials"])
+    trials = _trials(cfg, 1)
     samples = int(cfg["samples"])
     c1_scale = float(cfg["moment_c1"])
     kind = cfg["weight_kind"]
@@ -821,7 +823,7 @@ def run_bounds(cfg: dict, workers: int = 1) -> Report:
 
 def run_oracle_suite(cfg: dict, workers: int = 1) -> Report:
     base = SeedSpec(cfg["seed"])
-    trials = int(cfg["trials"])
+    trials = _trials(cfg, 1)
     rows = []
 
     def check(name: str, ok: bool, detail: float):

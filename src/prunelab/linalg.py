@@ -178,7 +178,7 @@ def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000) -> float:
             nw = np.linalg.norm(w)
         raise ConvergenceError(
             f"power iteration did not converge in {max_iter} iterations",
-            last_estimate=float(np.sqrt(max(lam, 0.0))),
+            last_estimate=float(np.sqrt(max(lam, 0.0))) * scale,
             last_vector=v,
         )
     # Unreachable for nonzero matrices: some basis vector has A e_i != 0.

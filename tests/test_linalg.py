@@ -158,6 +158,16 @@ class TestSpectralNorm:
         assert info.value.last_estimate >= 0.0
         assert info.value.last_vector is not None
 
+    def test_convergence_error_estimate_in_input_units(self):
+        # near-degenerate top singular values stall the iteration; the entries
+        # are far from 1, so an estimate left in the internal power-of-two
+        # rescaled units would be off by the factor 2^666
+        a = np.diag([3.0, 2.999, 1.0]) * 1e200
+        with pytest.raises(ConvergenceError) as info:
+            spectral_norm(a, max_iter=5)
+        ref = svd_norm(a)
+        assert 0.5 * ref <= info.value.last_estimate <= ref * (1.0 + 1e-12)
+
 
 class TestValidation:
     def test_as_matrix_rejects_nan(self):
