@@ -28,6 +28,8 @@ __all__ = [
     "build_full_map",
     "spectral_norm_via_dft",
     "conv2d_wrap",
+    "kernel_transform",
+    "apply_kernel_transform",
     "flatten_maps",
     "unflatten_maps",
 ]
@@ -137,7 +139,8 @@ def conv2d_wrap(x, f, method: str = "fft") -> np.ndarray:
     x[t, (a + i) % p, (b + j) % p] * f[s, t, i, j] in 0-based indices,
     matching the 1-based definition through :func:`wrap_index`.
 
-    method "fft" uses the circular cross-correlation theorem; "direct"
+    method "fft" uses the circular cross-correlation theorem in two steps,
+    :func:`kernel_transform` and :func:`apply_kernel_transform`; "direct"
     accumulates the q^2 rolled products. Both paths are pinned against the
     explicit matrix route in the tests.
     """
@@ -158,10 +161,27 @@ def conv2d_wrap(x, f, method: str = "fft") -> np.ndarray:
         return out
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
+    return apply_kernel_transform(np.fft.rfft2(x, axes=(-2, -1)), kernel_transform(f, p), p)
+
+
+def kernel_transform(f, p: int) -> np.ndarray:
+    """Kernel-transform step of the FFT path of :func:`conv2d_wrap`: the
+    conjugated rfft2 of each kernel zero-padded to p x p, shape
+    (d_out, d_in, p, p // 2 + 1).  It depends on the filters only, so a
+    caller that convolves many batches computes it once."""
+    f = as_conv_tensor(f)
+    d_out, d_in, q, _ = f.shape
+    if q > p:
+        raise ValueError(f"kernel size {q} exceeds spatial size {p}")
     kpad = np.zeros((d_out, d_in, p, p))
     kpad[:, :, :q, :q] = f
-    xhat = np.fft.rfft2(x, axes=(-2, -1))
-    khat = np.fft.rfft2(kpad, axes=(-2, -1)).conj()
+    return np.fft.rfft2(kpad, axes=(-2, -1)).conj()
+
+
+def apply_kernel_transform(xhat, khat, p: int) -> np.ndarray:
+    """Apply step of the FFT path of :func:`conv2d_wrap`: the (..., d_out,
+    p, p) output maps from xhat, the rfft2 over the last two axes of the
+    (..., d_in, p, p) input maps, and khat = :func:`kernel_transform`."""
     yhat = np.einsum("...tuv,stuv->...suv", xhat, khat, optimize=True)
     return np.fft.irfft2(yhat, s=(p, p), axes=(-2, -1))
 

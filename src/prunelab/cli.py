@@ -44,13 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        if "trials" not in default_config(args.kind):
-            print(f"error: --trials does not apply to {args.kind}", file=sys.stderr)
+    for field in ("seed", "trials"):
+        value = getattr(args, field)
+        if value is None:
+            continue
+        if field not in default_config(args.kind):
+            print(f"error: --{field} does not apply to {args.kind}", file=sys.stderr)
             return 1
-        overrides["trials"] = args.trials
+        overrides[field] = value
     try:
         cfg = load_config(args.kind, args.config, overrides)
         report = run_experiment(args.kind, cfg, resolve_workers())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import circulant, networks, pruning, theory
 from .estimators import QUANTILES, estimate_lemma3, estimate_latala, latala_terms
 from .linalg import spectral_norm
-from .parallel import ordered_map, trial_blocks
+from .parallel import ordered_map, single_threaded_blas, trial_blocks
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 from .theory import TheoremConstants
 
@@ -183,12 +184,35 @@ def load_config(kind: str, path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _trials(cfg: dict, minimum: int) -> int:
-    """The config's trial count, which must be an integer >= minimum."""
-    trials = cfg["trials"]
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < minimum:
-        raise ConfigError(f"trials must be an integer >= {minimum}, got {trials!r}")
-    return trials
+def _is_int_at_least(value, minimum: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= minimum
+
+
+def _count(cfg: dict, key: str, minimum: int) -> int:
+    """The config's integer field `key`, which must be >= minimum."""
+    value = cfg[key]
+    if not _is_int_at_least(value, minimum):
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _count_list(cfg: dict, key: str, minimum: int) -> list:
+    """The config's field `key`, a nonempty list of integers >= minimum."""
+    values = cfg[key]
+    if not isinstance(values, list) or not values or not all(_is_int_at_least(v, minimum) for v in values):
+        raise ConfigError(f"{key} must be a nonempty list of integers >= {minimum}, got {values!r}")
+    return values
+
+
+@contextmanager
+def _theory_inputs(label: str):
+    """Theory formulas evaluated on config values: an input outside a
+    formula's domain (ValueError) or a value out of floating-point range
+    (ArithmeticError) is a config error."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +281,7 @@ def write_report(report: Report, path, fmt: str = "csv") -> str:
 
 
 def run_table2(cfg: dict, workers: int = 1) -> Report:
-    trials = _trials(cfg, 100)
+    trials = _count(cfg, "trials", 100)
     base = SeedSpec(cfg["seed"])
     columns = ["n1", "n2", "K", "mean", "std", "q", "c0", "delta0"]
     rows = []
@@ -287,7 +311,7 @@ def _table3_label(kind: str, variance_scale: float) -> str:
 
 
 def run_table3(cfg: dict, workers: int = 1) -> Report:
-    trials = _trials(cfg, 100)
+    trials = _count(cfg, "trials", 100)
     base = SeedSpec(cfg["seed"])
     columns = ["d", "dist", "alpha", "term1", "term2", "term3", "mean_norm", "C"]
     rows = []
@@ -309,7 +333,7 @@ def run_table3(cfg: dict, workers: int = 1) -> Report:
 
 def run_order_stats(cfg: dict, workers: int = 1) -> Report:
     base = SeedSpec(cfg["seed"])
-    trials = _trials(cfg, 1)
+    trials = _count(cfg, "trials", 1)
     a = float(cfg["half_width"])
     cases = [(int(n), int(r), int(p)) for n, r, p in cfg["cases"]]
 
@@ -343,7 +367,7 @@ def run_order_stats(cfg: dict, workers: int = 1) -> Report:
 
 def run_balls_bins(cfg: dict, workers: int = 1) -> Report:
     base = SeedSpec(cfg["seed"])
-    trials = _trials(cfg, 1)
+    trials = _count(cfg, "trials", 1)
     cases = [(int(n), int(nb)) for n, nb in cfg["cases"]]
 
     def one(i: int):
@@ -419,11 +443,6 @@ def run_circulant_equiv(cfg: dict, workers: int = 1) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _maskset_zero_counts(mask: networks.MaskSet, k: int) -> np.ndarray:
-    m = mask.masks[k]
-    return (m == 0.0).sum()
-
-
 def _bins_event(mask_matrix: np.ndarray, count: int) -> bool:
     zeros = mask_matrix == 0.0
     m, n = mask_matrix.shape
@@ -436,9 +455,8 @@ def _fcn_alpha_check(cfg: dict) -> None:
     alpha = float(cfg["alpha"])
     scheme = cfg["scheme"]
     if scheme in ("random-with-replacement", "random-without-replacement"):
-        l = int(cfg["depth"])
         for d in cfg["widths"]:
-            hidden = (int(d),) * (l - 1)
+            hidden = (d,) * (cfg["depth"] - 1)
             for rep in theory.thm2_alpha_constraints(alpha, hidden):
                 if not rep.satisfied:
                     raise ConfigError(
@@ -454,18 +472,16 @@ def run_fcn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
     if scheme not in ("magnitude-layerwise", "magnitude-global",
                       "random-with-replacement", "random-without-replacement"):
         raise ConfigError(f"scheme {scheme!r} is not an FCN sweep scheme")
+    l = _count(cfg, "depth", 3)
+    widths = _count_list(cfg, "widths", 1)
     _fcn_alpha_check(cfg)
-    l = int(cfg["depth"])
-    if l < 3:
-        raise ConfigError("depth must be >= 3")
     alpha = float(cfg["alpha"])
     k_scale = float(cfg["xavier_k"])
     dist = DistributionSpec("uniform", xavier_k=k_scale)
     act = networks.activation(cfg["activation"])
-    trials = _trials(cfg, 1)
-    samples = int(cfg["samples"])
+    trials = _count(cfg, "trials", 1)
+    samples = _count(cfg, "samples", 1)
     base = SeedSpec(cfg["seed"])
-    widths = [int(d) for d in cfg["widths"]]
     d_in, d_out = int(cfg["d_in"]), int(cfg["d_out"])
     magnitude = scheme.startswith("magnitude")
     # proof-side exponents: the expected difference norm scales as d^(-2 alpha)
@@ -528,7 +544,11 @@ def run_fcn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
             return [one_trial(_d, t) for t in block]
 
         results = []
-        for blk in ordered_map(block_run, trial_blocks(trials), workers):
+        # one BLAS thread per trial at every worker count, see the
+        # threading policy in the parallel module
+        with single_threaded_blas():
+            blocks = ordered_map(block_run, trial_blocks(trials), workers)
+        for blk in blocks:
             results.extend(blk)
         rows = [r for r, _ in results]
         all_rows.extend(rows)
@@ -599,29 +619,32 @@ def run_fcn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
 
 
 def run_cnn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
-    l = int(cfg["depth"])
-    if l < 3:
-        raise ConfigError("depth must be >= 3")
+    l = _count(cfg, "depth", 3)
+    # thm3_alpha_constraint is defined for d >= 3
+    channels = _count_list(cfg, "channels", 3)
     p = int(cfg["spatial"])
     q = int(cfg["kernel"])
     if q >= p:
         raise ConfigError(f"kernel {q} must be below spatial size {p}")
     alpha = float(cfg["alpha"])
-    for d in cfg["channels"]:
-        cap = theory.thm3_alpha_constraint(int(d))
+    for d in channels:
+        cap = theory.thm3_alpha_constraint(d)
         if not 0.0 < alpha <= cap:
             raise ConfigError(
                 f"alpha={alpha} inadmissible for filter pruning at d={d}: "
                 f"constraint requires 0 < alpha <= {cap:.6f}"
             )
     d_in, d_out = int(cfg["d_in"]), int(cfg["d_out"])
-    trials = _trials(cfg, 1)
-    samples = int(cfg["samples"])
+    trials = _count(cfg, "trials", 1)
+    samples = _count(cfg, "samples", 1)
     c1_scale = float(cfg["moment_c1"])
     kind = cfg["weight_kind"]
     beta1, beta2 = float(cfg["beta1"]), float(cfg["beta2"])
     if not 0 < beta2 < alpha / 4.0:
         raise ConfigError(f"beta2 must lie in (0, alpha/4)=(0, {alpha / 4.0:g})")
+    # evaluated before any trial runs, so a bound out of range fails fast
+    with _theory_inputs("thm3_rhs"):
+        rhs_by_d = {d: theory.thm3_rhs(p, d, p, 1.0, l, beta1, beta2, alpha=alpha) for d in channels}
     base = SeedSpec(cfg["seed"])
     explicit_limit = int(cfg["explicit_norm_limit"])
     act = networks.activation("relu")
@@ -687,9 +710,7 @@ def run_cnn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
 
     all_rows = []
     summaries = []
-    for d in cfg["channels"]:
-        d = int(d)
-
+    for d in channels:
         def block_run(block: range, _d=d):
             return [one_trial(_d, t) for t in block]
 
@@ -750,7 +771,6 @@ def run_cnn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
                     "freq_diff_event": float(np.mean([r[base_col + 6] for r in rows])),
                 }
             )
-        rhs = theory.thm3_rhs(p, d, p, 1.0, l, beta1, beta2, alpha=alpha)
         summaries.append(
             {
                 "d": d,
@@ -758,7 +778,7 @@ def run_cnn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
                 "mean_gap": float(gaps.mean()),
                 "gap_q25": float(np.quantile(gaps, 0.25)),
                 "gap_q75": float(np.quantile(gaps, 0.75)),
-                "thm3_rhs": rhs,
+                "thm3_rhs": rhs_by_d[d],
                 "layers": layer_summaries,
             }
         )
@@ -776,7 +796,7 @@ def run_cnn_gap_sweep(cfg: dict, workers: int = 1) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_bounds(cfg: dict, workers: int = 1) -> Report:
+def _bound_rows(cfg: dict) -> list:
     rows = []
     t1 = cfg.get("thm1")
     if t1:
@@ -813,6 +833,12 @@ def run_bounds(cfg: dict, workers: int = 1) -> Report:
         )
         rows.append(["thm3", "probability", prob.value])
         rows.append(["thm3", "non_vacuous", prob.non_vacuous])
+    return rows
+
+
+def run_bounds(cfg: dict, workers: int = 1) -> Report:
+    with _theory_inputs("bounds"):
+        rows = _bound_rows(cfg)
     return Report("bounds", cfg, ["section", "name", "value"], rows)
 
 
@@ -823,7 +849,7 @@ def run_bounds(cfg: dict, workers: int = 1) -> Report:
 
 def run_oracle_suite(cfg: dict, workers: int = 1) -> Report:
     base = SeedSpec(cfg["seed"])
-    trials = _trials(cfg, 1)
+    trials = _count(cfg, "trials", 1)
     rows = []
 
     def check(name: str, ok: bool, detail: float):

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .circulant import conv2d_wrap, flatten_maps, unflatten_maps
+from .circulant import apply_kernel_transform, flatten_maps, kernel_transform, unflatten_maps
+from .circulant import conv2d_wrap  # noqa: F401  perfbench/tracer.py wraps networks.conv2d_wrap
 from .sampling import SeedSpec, sample_unit_cube, sample_unit_sphere
 
 __all__ = [
@@ -213,45 +215,88 @@ def expand_filter_mask(filter_mask: np.ndarray, p: int) -> np.ndarray:
     return np.kron(np.asarray(filter_mask, dtype=np.float64), np.ones((p * p, p * p)))
 
 
-def _fcn_weight(model: FcnModel, mask: MaskSet | None, k: int) -> np.ndarray:
-    w = model.weights[k]
-    return w if mask is None else mask.masks[k] * w
+def _dense_layer(h: np.ndarray, w: np.ndarray, act: Activation | None) -> np.ndarray:
+    """One dense layer on row vectors: act(h W^T), or h W^T for an output
+    layer (act None)."""
+    z = h @ w.T
+    return z if act is None else act.apply(z)
+
+
+def _conv_layer(xhat: np.ndarray, khat: np.ndarray, act: Activation, p: int, last: bool) -> np.ndarray:
+    """One conv layer from the rfft2 of its input maps.  It returns the rfft2
+    of its output maps, which the next conv layer takes, or for the last
+    conv layer the flattened output maps, which the dense layer takes."""
+    maps = act.apply(apply_kernel_transform(xhat, khat, p))
+    return flatten_maps(maps) if last else np.fft.rfft2(maps, axes=(-2, -1))
+
+
+def _layer_steps(model, mask: MaskSet | None = None, target: list | None = None) -> list:
+    """One callable per layer of the model, masked by `mask` when given.
+
+    The masked weights and, for conv layers, the kernel transforms are
+    computed here, once per call.  With `target`, the model's unmasked
+    steps, a layer whose mask is all ones reuses the target's step object:
+    1.0 * w is bitwise w, so both would compute the same bits.
+    """
+    l = model.depth
+    steps = []
+    for k in range(l):
+        m = None if mask is None else mask.masks[k]
+        if target is not None and np.all(m == 1.0):
+            steps.append(target[k])
+        elif isinstance(model, FcnModel):
+            w = model.weights[k] if m is None else m * model.weights[k]
+            steps.append(partial(_dense_layer, w=w, act=model.activations[k] if k < l - 1 else None))
+        elif k < l - 1:
+            f = model.conv_tensors[k] if m is None else model.conv_tensors[k] * m[:, :, None, None]
+            khat = kernel_transform(f, model.p)
+            steps.append(partial(_conv_layer, khat=khat, act=model.act, p=model.p, last=k == l - 2))
+        else:
+            w = model.final_dense if m is None else m * model.final_dense
+            steps.append(partial(_dense_layer, w=w, act=None))
+    return steps
+
+
+def _first_input(model, h: np.ndarray) -> np.ndarray:
+    """What the first layer step takes from a batch of flattened inputs: the
+    batch itself for an FCN, the rfft2 of its feature maps for a CNN."""
+    if isinstance(model, FcnModel):
+        return h
+    return np.fft.rfft2(unflatten_maps(h, model.channels[0], model.p), axes=(-2, -1))
+
+
+def _run(steps: list, h: np.ndarray) -> np.ndarray:
+    for step in steps:
+        h = step(h)
+    return h
+
+
+def _check_mask(model, mask: MaskSet) -> None:
+    kind = "fcn" if isinstance(model, FcnModel) else "cnn"
+    if mask.kind != kind or mask.depth != model.depth:
+        raise ValueError("mask does not match the model")
+
+
+def _forward(model, x, mask: MaskSet | None, dim_name: str) -> np.ndarray:
+    if mask is not None:
+        _check_mask(model, mask)
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    h = a[None, :] if single else a
+    if h.ndim != 2 or h.shape[1] != model.input_dim:
+        raise ValueError(f"input dim {h.shape[-1]} does not match {dim_name}={model.input_dim}")
+    out = _run(_layer_steps(model, mask), _first_input(model, h))
+    return out[0] if single else out
 
 
 def forward_fcn(model: FcnModel, x, mask: MaskSet | None = None) -> np.ndarray:
     """Masked forward pass; x is one input vector or a batch of row vectors."""
-    if mask is not None and (mask.kind != "fcn" or mask.depth != model.depth):
-        raise ValueError("mask does not match the model")
-    a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    h = a[None, :] if single else a
-    if h.ndim != 2 or h.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {h.shape[-1]} does not match d0={model.input_dim}")
-    l = model.depth
-    for k in range(l - 1):
-        h = model.activations[k].apply(h @ _fcn_weight(model, mask, k).T)
-    h = h @ _fcn_weight(model, mask, l - 1).T
-    return h[0] if single else h
+    return _forward(model, x, mask, "d0")
 
 
 def forward_cnn(model: CnnModel, x, mask: MaskSet | None = None) -> np.ndarray:
     """Masked forward pass on flattened inputs of dim d0 * p^2 (or batches)."""
-    if mask is not None and (mask.kind != "cnn" or mask.depth != model.depth):
-        raise ValueError("mask does not match the model")
-    a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    h = a[None, :] if single else a
-    if h.ndim != 2 or h.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {h.shape[-1]} does not match d0*p^2={model.input_dim}")
-    maps = unflatten_maps(h, model.channels[0], model.p)
-    for k, f in enumerate(model.conv_tensors):
-        if mask is not None:
-            f = f * mask.masks[k][:, :, None, None]
-        maps = model.act.apply(conv2d_wrap(maps, f))
-    h = flatten_maps(maps)
-    w = model.final_dense if mask is None else mask.masks[-1] * model.final_dense
-    out = h @ w.T
-    return out[0] if single else out
+    return _forward(model, x, mask, "d0*p^2")
 
 
 def compression_ratio(mask: MaskSet, k: int) -> float:
@@ -271,7 +316,20 @@ def estimate_sup_gap(
     chunk_size: int = 256,
 ) -> float:
     """Sampled lower bound on sup ||f(x) - F(x)||_2 over the unit sphere or
-    unit cube: the max over n sampled points.
+    unit cube, f the model pruned by `mask` and F the target: the max over
+    n sampled points.
+
+    Both networks are evaluated in one pass over chunks of `chunk_size`
+    points.  The masked weights and, for CNNs, the kernel transforms of the
+    target and the pruned conv layers are computed once, before the chunk
+    loop.  The leading layers whose masks are all ones (at least the first,
+    which is never pruned) are the same in both networks: each chunk runs
+    them once, and for a CNN also the rfft2 of their output.  The pruned
+    and then the target layers after them run from those shared
+    activations one after the other, so only one branch's intermediates
+    are alive at a time.  Every FFT, einsum and matmul has the operands it
+    has in `forward_fcn` / `forward_cnn`, so the estimate is bitwise the
+    max over chunks of norm(forward(x, mask) - forward(x)).
 
     Nested runs with the same seed sample prefix-identical points, so the
     estimate is nondecreasing in n.
@@ -280,13 +338,15 @@ def estimate_sup_gap(
         raise ValueError("domain must be 'sphere' or 'cube'")
     if n < 1:
         raise ValueError("need n >= 1")
-    dim = model.input_dim
-    pts = (sample_unit_sphere if domain == "sphere" else sample_unit_cube)(dim, n, seed)
-    fwd = forward_fcn if isinstance(model, FcnModel) else forward_cnn
+    _check_mask(model, mask)
+    target = _layer_steps(model)
+    pruned = _layer_steps(model, mask, target)
+    split = next((k for k in range(model.depth) if pruned[k] is not target[k]), model.depth)
+    pts = (sample_unit_sphere if domain == "sphere" else sample_unit_cube)(model.input_dim, n, seed)
     best = 0.0
     for lo in range(0, n, chunk_size):
-        xs = pts[lo : lo + chunk_size]
-        diff = fwd(model, xs, mask) - fwd(model, xs)
+        shared = _run(target[:split], _first_input(model, pts[lo : lo + chunk_size]))
+        diff = _run(pruned[split:], shared) - _run(target[split:], shared)
         best = max(best, float(np.linalg.norm(diff, axis=1).max()))
     return best
 

@@ -15,6 +15,10 @@ blocks under `single_threaded_blas` at every worker count, so parallelism
 comes only from trial blocks; that table2 run then took 4.8 s at 1 worker
 and 3.0 s at 2.  For n <= 512 the SVD gives the same bits at 1 and 2 BLAS
 threads and is faster at 1 (1.1 vs 2.2 ms at n=128, 37 vs 43 ms at n=512).
+fcn-sweep runs its trial blocks under the same cap: its weight matrices are
+at most a few hundred wide (256 in the default config), where the SVDs and
+forward-pass products give the same bits at 1 and 2 BLAS threads, and one
+BLAS thread per trial thread keeps 2 workers from asking for 4 threads.
 The cap is not applied inside `ordered_map`: from n=768 the SVD's last bits
 depend on the BLAS thread count, so a cap that followed the worker count
 would break byte-identity across worker counts, and such single large calls

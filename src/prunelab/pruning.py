@@ -145,11 +145,25 @@ def mask_random_without_replacement(shapes, counts, seed: SeedSpec) -> MaskSet:
     return MaskSet("fcn", tuple(masks))
 
 
-def _smallest_magnitude_indices(w: np.ndarray, count: int) -> np.ndarray:
-    # stable sort on C-order |entries|: ties break by (row, column), and
-    # exact zeros sort first
-    order = np.argsort(np.abs(w).ravel(order="C"), kind="stable")
-    return order[:count]
+def _smallest_indices(a: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the `count` smallest entries of the 1-d array a, in no
+    particular order: the set that the first `count` entries of a stable
+    argsort give, so ties at the boundary go to the lowest indices.  A
+    partition finds the count-th smallest value without sorting the rest."""
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(a, count - 1)[count - 1]
+    below = np.flatnonzero(a < kth)
+    ties = np.flatnonzero(a == kth)[: count - below.size]
+    return np.concatenate([below, ties])
+
+
+def _magnitudes(w: np.ndarray) -> np.ndarray:
+    # C-order |entries|, so index ties break by (row, column) and exact
+    # zeros come first; a NaN would compare false against every bound
+    if not np.all(np.isfinite(w)):
+        raise ValueError("magnitude pruning needs finite weights")
+    return np.abs(w).ravel(order="C")
 
 
 def mask_magnitude_layerwise(weights, counts) -> MaskSet:
@@ -159,7 +173,7 @@ def mask_magnitude_layerwise(weights, counts) -> MaskSet:
     masks = [np.ones(shapes[0])]
     for w, c in zip(ws[1:-1], counts):
         mask = np.ones(w.size)
-        mask[_smallest_magnitude_indices(w, c)] = 0.0
+        mask[_smallest_indices(_magnitudes(w), c)] = 0.0
         masks.append(mask.reshape(w.shape))
     masks.append(np.ones(shapes[-1]))
     return MaskSet("fcn", tuple(masks))
@@ -178,8 +192,8 @@ def mask_magnitude_global(weights, total_count: int) -> MaskSet:
     total_count = int(total_count)
     if not 0 <= total_count <= total:
         raise ValueError(f"total count {total_count} out of range 0..{total}")
-    flat = np.concatenate([np.abs(w).ravel(order="C") for w in ws[1:-1]])
-    chosen = np.argsort(flat, kind="stable")[:total_count]
+    flat = np.concatenate([_magnitudes(w) for w in ws[1:-1]])
+    chosen = _smallest_indices(flat, total_count)
     masks = [np.ones(ws[0].shape)]
     offset = 0
     for w in ws[1:-1]:

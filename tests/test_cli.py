@@ -3,6 +3,7 @@ import json
 import pytest
 
 from prunelab.cli import main
+from prunelab.harness import default_config
 
 TINY_FCN = {"widths": [16], "samples": 20, "d_in": 4, "d_out": 4}
 
@@ -33,6 +34,7 @@ def _one_line_error(capsys) -> str:
         (["order-stats", "--seed", str(2**64)], "seed must be an integer in [0, 2^64)"),
         (["circulant-equiv", "--trials", "3"], "--trials does not apply to circulant-equiv"),
         (["bounds", "--trials", "3"], "--trials does not apply to bounds"),
+        (["bounds", "--seed", "3"], "--seed does not apply to bounds"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(capsys, argv, needle):
@@ -51,3 +53,37 @@ def test_trials_flag_accepted_for_fcn_sweep(tmp_path, capsys):
     argv = ["fcn-sweep", "--config", _config(tmp_path, TINY_FCN), "--trials", "2", "--out", str(out), "--format", "json"]
     assert main(argv) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["config"]["trials"] == 2
+
+
+# thm3_rhs's bracket p^-b1 (p^-b1 + d^-b2)^(l-2) - p^-(l-1)b1 underflows to
+# 0 at this depth, so the bound evaluates non-positive
+UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
+
+
+@pytest.mark.parametrize(
+    "kind, body, needle",
+    [
+        ("fcn-sweep", {"widths": "abc"}, "widths must be a nonempty list of integers >= 1"),
+        ("fcn-sweep", {"widths": [16, 0]}, "widths must be a nonempty list of integers >= 1"),
+        ("fcn-sweep", {"samples": 0}, "samples must be an integer >= 1"),
+        ("fcn-sweep", {"depth": "4"}, "depth must be an integer >= 3"),
+        ("cnn-sweep", {"channels": [0]}, "channels must be a nonempty list of integers >= 3"),
+        ("cnn-sweep", {"channels": []}, "channels must be a nonempty list of integers >= 3"),
+        ("cnn-sweep", {"samples": 0}, "samples must be an integer >= 1"),
+        (
+            "cnn-sweep",
+            {"depth": UNDERFLOW["l"], "beta1": UNDERFLOW["beta1"], "beta2": UNDERFLOW["beta2"]},
+            "thm3_rhs: bound evaluated non-positive",
+        ),
+        ("cnn-sweep", {"beta1": 1.5}, "thm3_rhs: beta1 must lie in (0, 1)"),
+    ],
+)
+def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):
+    assert main([kind, "--config", _config(tmp_path, body)]) == 1
+    assert needle in _one_line_error(capsys)
+
+
+def test_thm3_rhs_out_of_range_in_bounds_exits_1(tmp_path, capsys):
+    thm3 = default_config("bounds")["thm3"] | UNDERFLOW
+    assert main(["bounds", "--config", _config(tmp_path, {"thm3": thm3})]) == 1
+    assert "bounds: bound evaluated non-positive" in _one_line_error(capsys)

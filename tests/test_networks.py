@@ -21,7 +21,7 @@ from prunelab.networks import (
     model_to_dict,
     save_model,
 )
-from prunelab.sampling import SeedSpec, sample_unit_sphere
+from prunelab.sampling import SeedSpec, sample_unit_cube, sample_unit_sphere
 
 RNG = np.random.default_rng(4242)
 SEED = SeedSpec(13579)
@@ -295,6 +295,94 @@ class TestEstimateSupGap:
         m = small_fcn()
         with pytest.raises(ValueError):
             estimate_sup_gap(m, all_ones_masks(m), "disk", 8, SEED)
+
+
+def pre_change_forward(model, xs, mask):
+    """The forward passes as they were written before the estimator shared
+    layers: masked weights rebuilt per call, each conv through conv2d_wrap."""
+    if isinstance(model, CnnModel):
+        h = flatten_maps(forward_cnn_maps(model, xs, mask))
+        return h @ (model.final_dense if mask is None else mask.masks[-1] * model.final_dense).T
+    h = xs
+    for k, w in enumerate(model.weights):
+        h = h @ (w if mask is None else mask.masks[k] * w).T
+        if k < model.depth - 1:
+            h = model.activations[k].apply(h)
+    return h
+
+
+def pre_change_sup_gap(model, mask, domain, n, seed, chunk_size=256):
+    """Bitwise oracle for estimate_sup_gap: the loop it replaced, with two
+    independent full forward passes per chunk."""
+    pts = (sample_unit_sphere if domain == "sphere" else sample_unit_cube)(model.input_dim, n, seed)
+    best = 0.0
+    for lo in range(0, n, chunk_size):
+        xs = pts[lo : lo + chunk_size]
+        diff = pre_change_forward(model, xs, mask) - pre_change_forward(model, xs, None)
+        best = max(best, float(np.linalg.norm(diff, axis=1).max()))
+    return best
+
+
+def oracle_case(kind, depth, pattern, seed):
+    """A small model and a mask of the given pattern: "random" (random zeros
+    in every internal layer), "ones", "zero-internal" (the first internal
+    layer fully pruned) or "last-internal" (only the last internal layer
+    pruned, so the networks share every layer before it)."""
+    rng = np.random.default_rng(seed)
+    if kind == "fcn":
+        widths = [5, 7, 6, 8, 3][: depth + 1]
+        weights = tuple(rng.standard_normal((widths[k + 1], widths[k])) for k in range(depth))
+        model = FcnModel(weights, (RELU,) * (depth - 1))
+        masks = [np.ones_like(w) for w in weights]
+    else:
+        p, q = 4, 3
+        chans = [2, 3, 4, 3][:depth]
+        tensors = tuple(rng.standard_normal((chans[k + 1], chans[k], q, q)) for k in range(depth - 1))
+        model = CnnModel(tensors, rng.standard_normal((2, chans[-1] * p * p)), RELU, p)
+        masks = [np.ones(f.shape[:2]) for f in tensors] + [np.ones_like(model.final_dense)]
+    def some_zeros(m):
+        keep = rng.random(m.shape) < 0.7
+        keep.flat[rng.integers(m.size)] = False
+        return keep.astype(float)
+
+    if pattern == "random":
+        for k in range(1, depth - 1):
+            masks[k] = some_zeros(masks[k])
+    elif pattern == "zero-internal":
+        masks[1] = np.zeros_like(masks[1])
+    elif pattern == "last-internal":
+        masks[depth - 2] = some_zeros(masks[depth - 2])
+    return model, MaskSet(kind, tuple(masks))
+
+
+class TestSupGapOracle:
+    @pytest.mark.parametrize("n", [1, 256, 300])
+    @pytest.mark.parametrize("pattern", ["random", "ones", "zero-internal", "last-internal"])
+    @pytest.mark.parametrize("depth", [3, 4])
+    @pytest.mark.parametrize("kind, domain", [("fcn", "sphere"), ("cnn", "cube")])
+    def test_bitwise_equal_to_pre_change_loop(self, kind, domain, depth, pattern, n):
+        model, mask = oracle_case(kind, depth, pattern, seed=depth * 10 + n)
+        seed = SEED.sub(depth, n)
+        want = pre_change_sup_gap(model, mask, domain, n, seed)
+        assert estimate_sup_gap(model, mask, domain, n, seed) == want
+        if pattern != "ones":
+            assert want > 0.0
+
+    @pytest.mark.parametrize("pattern", ["random", "ones", "zero-internal", "last-internal"])
+    @pytest.mark.parametrize("depth", [3, 4])
+    @pytest.mark.parametrize("kind", ["fcn", "cnn"])
+    def test_forward_bitwise_equal_to_pre_change_passes(self, kind, depth, pattern):
+        model, mask = oracle_case(kind, depth, pattern, seed=depth)
+        xs = np.random.default_rng(depth).standard_normal((7, model.input_dim))
+        fwd = forward_fcn if kind == "fcn" else forward_cnn
+        np.testing.assert_array_equal(fwd(model, xs, mask), pre_change_forward(model, xs, mask))
+        np.testing.assert_array_equal(fwd(model, xs), pre_change_forward(model, xs, None))
+
+    def test_rejects_mask_of_other_kind(self):
+        model, _ = oracle_case("fcn", 3, "ones", seed=0)
+        _, cnn_mask = oracle_case("cnn", 3, "ones", seed=0)
+        with pytest.raises(ValueError, match="mask does not match"):
+            estimate_sup_gap(model, cnn_mask, "sphere", 8, SEED)
 
 
 class TestModelJson:

@@ -2,8 +2,9 @@ import time
 
 import pytest
 
-from prunelab import estimators, parallel
+from prunelab import estimators, networks, parallel
 from prunelab.estimators import estimate_latala, estimate_lemma3
+from prunelab.harness import load_config, run_experiment
 from prunelab.parallel import ordered_map, single_threaded_blas, trial_blocks
 from prunelab.sampling import DistributionSpec, SeedSpec
 
@@ -106,4 +107,24 @@ class TestEstimatorsAcrossWorkers:
         estimate_lemma3(16, 16, 1.0, 100, SeedSpec(5), workers=workers)
         estimate_latala(16, DistributionSpec("uniform", variance=1.0 / 16), 100, SeedSpec(5), workers=workers)
         assert seen == [1] * 200
+        assert get() == 2
+
+
+class TestFcnSweepThreads:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_run_on_one_blas_thread(self, blas_threads, monkeypatch, workers):
+        get, set_ = blas_threads
+        set_(2)
+        seen = []
+        gap = networks.estimate_sup_gap
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return gap(*args, **kwargs)
+
+        monkeypatch.setattr(networks, "estimate_sup_gap", spy)
+        # 26 trials are two trial blocks, one per worker at workers=2
+        cfg = load_config("fcn-sweep", overrides={"widths": [8], "trials": 26, "samples": 4, "d_in": 4, "d_out": 4})
+        run_experiment("fcn-sweep", cfg, workers)
+        assert seen == [1] * 26
         assert get() == 2
