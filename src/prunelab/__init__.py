@@ -18,18 +18,8 @@ from .estimators import (
     delta0_from_quantile,
     estimate_latala,
     estimate_lemma3,
-    verify_latala_bound,
 )
-from .linalg import (
-    ConvergenceError,
-    hadamard,
-    l0_norm,
-    l2_norm,
-    matvec,
-    spectral_norm,
-    unvectorize,
-    vectorize,
-)
+from .linalg import ConvergenceError, spectral_norm
 from .networks import (
     Activation,
     CnnModel,

@@ -37,7 +37,6 @@ import numpy as np
 from .parallel import ordered_map, single_threaded_blas, trial_blocks
 from .pruning import filter_prune_count
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
-from .theory import BoundReport
 
 __all__ = [
     "Lemma3Row",
@@ -46,7 +45,6 @@ __all__ = [
     "estimate_lemma3",
     "estimate_latala",
     "latala_terms",
-    "verify_latala_bound",
     "QUANTILES",
 ]
 
@@ -65,18 +63,6 @@ class Lemma3Row:
     mean: float
     std: float
     quantiles: tuple  # of (q, c0, delta0)
-
-    def c0(self, q: float) -> float:
-        for qq, c0, _ in self.quantiles:
-            if qq == q:
-                return c0
-        raise KeyError(f"quantile {q} not recorded")
-
-    def delta0(self, q: float) -> float:
-        for qq, _, d0 in self.quantiles:
-            if qq == q:
-                return d0
-        raise KeyError(f"quantile {q} not recorded")
 
 
 @dataclass(frozen=True)
@@ -213,18 +199,3 @@ def estimate_latala(
         mean_norm=mean_norm,
         c=mean_norm / (term1 + term2 + term3),
     )
-
-
-def verify_latala_bound(
-    d: int,
-    dist: DistributionSpec,
-    trials: int,
-    seed: SeedSpec,
-    cap: float = 1.0,
-    prune_alpha: float | None = None,
-    workers: int = 1,
-) -> BoundReport:
-    """Check E||A||_2 <= cap * (term1 + term2 + term3) empirically."""
-    row = estimate_latala(d, dist, trials, seed, prune_alpha=prune_alpha, workers=workers)
-    rhs = cap * (row.term1 + row.term2 + row.term3)
-    return BoundReport(name=f"latala_d{d}_{row.dist}", lhs=row.mean_norm, rhs=rhs)

@@ -1,26 +1,15 @@
-"""Dense matrix and vector primitives shared by every other module.
+"""Deterministic spectral norm by power iteration.
 
-Matrices are 2-d float64 numpy arrays stored column-major so that
-``vectorize`` (column stacking) is a zero-copy view.  All constructors
-reject non-finite entries; operations on validated inputs stay finite.
+`spectral_norm` is the power-iteration cross-check that circulant-equiv and
+oracle-suite compare against the LAPACK SVD.  It rejects non-finite entries
+and raises ConvergenceError when it hits its iteration cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ConvergenceError",
-    "as_matrix",
-    "as_vector",
-    "vectorize",
-    "unvectorize",
-    "hadamard",
-    "matvec",
-    "l0_norm",
-    "l2_norm",
-    "spectral_norm",
-]
+__all__ = ["ConvergenceError", "spectral_norm"]
 
 # Fixed fallback start for power iteration when the all-ones vector lies in
 # the null space of the Gram operator.  Drawn once from a pinned PCG64 stream
@@ -39,79 +28,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.last_estimate = last_estimate
         self.last_vector = last_vector
-
-
-def as_matrix(data) -> np.ndarray:
-    """Validate and return a column-major float64 matrix.
-
-    Raises ValueError on wrong dimensionality, empty axes, or
-    non-finite entries.
-    """
-    m = np.asfortranarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"matrix must be 2-d, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def as_vector(data) -> np.ndarray:
-    """Validate and return a float64 vector."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"vector must be 1-d, got ndim={v.ndim}")
-    if v.shape[0] < 1:
-        raise ValueError("vector dimension must be positive")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
-
-
-def vectorize(m) -> np.ndarray:
-    """Column-stack a matrix: [M_11, ..., M_m1, M_12, ..., M_mn].
-
-    On a column-major input this is a zero-copy view.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("vectorize expects a matrix")
-    return m.ravel(order="F")
-
-
-def unvectorize(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`: rebuild the rows x cols matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Element-wise product of two matrices of identical shape."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def matvec(m, v) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"cannot multiply {m.shape} by vector of dim {v.shape}")
-    return m @ v
-
-
-def l0_norm(v) -> int:
-    """Number of nonzero entries."""
-    return int(np.count_nonzero(np.asarray(v)))
-
-
-def l2_norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
 
 
 def _start_vectors(n: int):

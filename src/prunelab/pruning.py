@@ -3,7 +3,8 @@
 Random with replacement, random without replacement, layer-wise magnitude,
 global magnitude (all four for FCN weight matrices), and random filter
 pruning for CNN conv layers.  Every scheme leaves the first and last layers
-untouched.
+untouched.  `build_mask` is the one dispatch from a model and a PruneSpec
+to the scheme's function.
 """
 
 from __future__ import annotations
@@ -28,49 +29,27 @@ __all__ = [
     "build_mask",
 ]
 
-_SCHEMES = (
-    "random-with-replacement",
-    "random-without-replacement",
-    "magnitude-layerwise",
-    "magnitude-global",
-    "filter-random",
-)
+_RANDOM_SCHEMES = ("random-with-replacement", "random-without-replacement", "filter-random")
+_SCHEMES = _RANDOM_SCHEMES + ("magnitude-layerwise", "magnitude-global")
 
 
 @dataclass(frozen=True)
 class PruneSpec:
-    """Scheme selector plus either the exponent alpha or explicit counts.
-
-    alpha lies in (0, 1) for the FCN schemes and (0, 2) for filter-random;
-    counts give the number of pruned entries (or filters) per internal
-    layer, except for magnitude-global where a single total is given.
-    Random schemes require a seed.
-    """
+    """Scheme selector, the pruned-entry (for filter-random, pruned-filter)
+    count of each internal layer, and the seed the random schemes draw from.
+    magnitude-global prunes the sum of the counts over the pooled layers."""
 
     scheme: str
-    alpha: float | None = None
-    counts: tuple | None = None
+    counts: tuple
     seed: SeedSpec | None = None
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if (self.alpha is None) == (self.counts is None):
-            raise ValueError("exactly one of alpha / counts must be given")
-        if self.alpha is not None:
-            hi = 2.0 if self.scheme == "filter-random" else 1.0
-            if not 0.0 < self.alpha < hi:
-                raise ValueError(f"alpha must lie in (0, {hi:g}) for {self.scheme}")
-        if self.counts is not None:
-            object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-            if any(c < 0 for c in self.counts):
-                raise ValueError("counts must be nonnegative")
-        needs_seed = self.scheme in (
-            "random-with-replacement",
-            "random-without-replacement",
-            "filter-random",
-        )
-        if needs_seed and self.seed is None:
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        if any(c < 0 for c in self.counts):
+            raise ValueError("counts must be nonnegative")
+        if self.scheme in _RANDOM_SCHEMES and self.seed is None:
             raise ValueError(f"{self.scheme} requires a seed")
 
 
@@ -115,20 +94,27 @@ def _check_layers(shapes, counts, replace: bool):
     return shapes, counts
 
 
-def mask_random_with_replacement(shapes, counts, seed: SeedSpec) -> MaskSet:
-    """Uniform (row, column) pairs drawn independently `count` times per
-    internal layer; repeated pairs collapse, so at most `count` zeros."""
-    shapes, counts = _check_layers(shapes, counts, replace=True)
+def _with_replacement(shapes, counts, seed: SeedSpec) -> list:
+    """One m x n mask per (shape, count): `count` uniform (row, column) pairs
+    drawn independently from one stream; repeated pairs collapse, so at
+    most `count` zeros."""
     rng = seed.generator()
-    masks = [np.ones(shapes[0])]
-    for (m, n), c in zip(shapes[1:-1], counts):
+    masks = []
+    for (m, n), c in zip(shapes, counts):
         mask = np.ones((m, n))
         rows = rng.integers(0, m, size=c)
         cols = rng.integers(0, n, size=c)
         mask[rows, cols] = 0.0
         masks.append(mask)
-    masks.append(np.ones(shapes[-1]))
-    return MaskSet("fcn", tuple(masks))
+    return masks
+
+
+def mask_random_with_replacement(shapes, counts, seed: SeedSpec) -> MaskSet:
+    """`count` uniform (row, column) pairs drawn with replacement per
+    internal layer, so at most `count` zeros."""
+    shapes, counts = _check_layers(shapes, counts, replace=True)
+    internal = _with_replacement(shapes[1:-1], counts, seed)
+    return MaskSet("fcn", (np.ones(shapes[0]), *internal, np.ones(shapes[-1])))
 
 
 def mask_random_without_replacement(shapes, counts, seed: SeedSpec) -> MaskSet:
@@ -216,54 +202,25 @@ def mask_filter_random(conv_shapes, dense_shape, counts, seed: SeedSpec) -> Mask
     counts = tuple(int(c) for c in counts)
     if len(counts) != len(conv_shapes) - 1:
         raise ValueError(f"expected {len(conv_shapes) - 1} counts for prunable conv layers, got {len(counts)}")
-    rng = seed.generator()
-    masks = [np.ones(conv_shapes[0])]
-    for (m, n), c in zip(conv_shapes[1:], counts):
-        mask = np.ones((m, n))
-        rows = rng.integers(0, m, size=c)
-        cols = rng.integers(0, n, size=c)
-        mask[rows, cols] = 0.0
-        masks.append(mask)
-    masks.append(np.ones(dense_shape))
-    return MaskSet("cnn", tuple(masks))
+    internal = _with_replacement(conv_shapes[1:], counts, seed)
+    return MaskSet("cnn", (np.ones(conv_shapes[0]), *internal, np.ones(dense_shape)))
 
 
 def build_mask(model, spec: PruneSpec) -> MaskSet:
-    """Build a MaskSet for a model from a PruneSpec, deriving per-layer
-    counts from alpha when counts are not explicit."""
-    if isinstance(model, FcnModel):
-        if spec.scheme == "filter-random":
-            raise ValueError("filter-random applies to CNN models")
-        shapes = [w.shape for w in model.weights]
-        if spec.scheme == "magnitude-global":
-            if spec.counts is not None:
-                if len(spec.counts) != 1:
-                    raise ValueError("magnitude-global takes a single total count")
-                total = spec.counts[0]
-            else:
-                total = sum(prune_count(spec.alpha, m * n) for m, n in shapes[1:-1])
-            return mask_magnitude_global(model.weights, total)
-        counts = spec.counts
-        if counts is None:
-            counts = tuple(prune_count(spec.alpha, m * n) for m, n in shapes[1:-1])
-        if spec.scheme == "random-with-replacement":
-            return mask_random_with_replacement(shapes, counts, spec.seed)
-        if spec.scheme == "random-without-replacement":
-            return mask_random_without_replacement(shapes, counts, spec.seed)
-        return mask_magnitude_layerwise(model.weights, counts)
-    if isinstance(model, CnnModel):
-        if spec.scheme != "filter-random":
-            raise ValueError(f"{spec.scheme} applies to FCN models")
+    """The spec's mask for the model: filter-random for a CnnModel, one of
+    the four FCN schemes for an FcnModel."""
+    if not isinstance(model, (FcnModel, CnnModel)):
+        raise TypeError(f"not a model: {type(model)!r}")
+    if isinstance(model, CnnModel) != (spec.scheme == "filter-random"):
+        raise ValueError(f"{spec.scheme} does not apply to a {type(model).__name__}")
+    if spec.scheme == "filter-random":
         conv_shapes = [f.shape[:2] for f in model.conv_tensors]
-        counts = spec.counts
-        if counts is None:
-            counts = []
-            for d_out, d_in in conv_shapes[1:]:
-                if d_out != d_in:
-                    raise ValueError(
-                        "alpha-based filter counts need homogeneous internal channels; pass explicit counts"
-                    )
-                counts.append(filter_prune_count(spec.alpha, d_out))
-            counts = tuple(counts)
-        return mask_filter_random(conv_shapes, model.final_dense.shape, counts, spec.seed)
-    raise TypeError(f"not a model: {type(model)!r}")
+        return mask_filter_random(conv_shapes, model.final_dense.shape, spec.counts, spec.seed)
+    if spec.scheme == "magnitude-layerwise":
+        return mask_magnitude_layerwise(model.weights, spec.counts)
+    if spec.scheme == "magnitude-global":
+        return mask_magnitude_global(model.weights, sum(spec.counts))
+    shapes = [w.shape for w in model.weights]
+    if spec.scheme == "random-with-replacement":
+        return mask_random_with_replacement(shapes, spec.counts, spec.seed)
+    return mask_random_without_replacement(shapes, spec.counts, spec.seed)

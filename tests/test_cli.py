@@ -3,7 +3,7 @@ import json
 import pytest
 
 from prunelab.cli import main
-from prunelab.harness import default_config
+from prunelab.harness import EXPERIMENT_KINDS, default_config
 
 TINY_FCN = {"widths": [16], "samples": 20, "d_in": 4, "d_out": 4}
 
@@ -76,6 +76,21 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
             "thm3_rhs: bound evaluated non-positive",
         ),
         ("cnn-sweep", {"beta1": 1.5}, "thm3_rhs: beta1 must lie in (0, 1)"),
+        # every field of every kind is checked by one schema, not only the sweeps'
+        ("bounds", {"thm3": {"l": 3}}, "thm3.d is missing"),
+        ("cnn-sweep", {"spatial": "abc"}, "spatial must be an integer >= 2, got 'abc'"),
+        ("fcn-sweep", {"alpha": "x"}, "alpha must be a number, got 'x'"),
+        ("fcn-sweep", {"activation": "gelu"}, "activation must be one of relu, tanh, identity, got 'gelu'"),
+        ("table2", {"rows": [[32, 32]]}, "rows must be a nonempty list of [n1, n2, K] rows"),
+        ("table2", {"quantiles": [1.5]}, "quantiles must be a nonempty list of numbers in (0, 1), got [1.5]"),
+        ("table3", {"rows": [[32, "uniform", 1.0, 3.0]]}, "alpha null or in (0, 2), got [[32, 'uniform', 1.0, 3.0]]"),
+        ("order-stats", {"cases": [[4, 9, 1]]}, "integers 1 <= r <= n and p >= 1, got [[4, 9, 1]]"),
+        ("order-stats", {"half_width": "x"}, "half_width must be a number > 0, got 'x'"),
+        ("balls-bins", {"cases": [[4, 0]]}, "cases must be a nonempty list of [bins, balls] pairs of integers >= 1"),
+        ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1, got 0"),
+        ("bounds", {"thm3": default_config("bounds")["thm3"] | {"extra": 1}}, "thm3.extra is not a known field"),
+        ("fcn-sweep", {"extra": 1}, "extra is not a known field"),
+        ("fcn-sweep", {"scheme": "random-with-replacement", "widths": [2]}, "thm2 alpha constraints: hidden widths"),
     ],
 )
 def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):
@@ -87,3 +102,26 @@ def test_thm3_rhs_out_of_range_in_bounds_exits_1(tmp_path, capsys):
     thm3 = default_config("bounds")["thm3"] | UNDERFLOW
     assert main(["bounds", "--config", _config(tmp_path, {"thm3": thm3})]) == 1
     assert "bounds: bound evaluated non-positive" in _one_line_error(capsys)
+
+
+def _fields(cfg: dict, prefix=()):
+    """(path, value) of every field of a default config, descending into the
+    bounds sections."""
+    for key, value in cfg.items():
+        yield prefix + (key,), value
+        if isinstance(value, dict):
+            yield from _fields(value, prefix + (key,))
+
+
+FIELDS = [(kind, path) for kind in EXPERIMENT_KINDS for path, _ in _fields(default_config(kind))]
+
+
+@pytest.mark.parametrize("kind, path", FIELDS, ids=[f"{k}-{'.'.join(p)}" for k, p in FIELDS])
+def test_string_in_any_field_exits_1_with_one_line(tmp_path, capsys, kind, path):
+    body = default_config(kind)
+    target = body
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "x"
+    assert main([kind, "--config", _config(tmp_path, body)]) == 1
+    assert f"{'.'.join(path)} must be " in _one_line_error(capsys)

@@ -1,9 +1,12 @@
-"""Golden sha256 digests of the rendered CSV reports of tiny sweep configs.
+"""Golden sha256 digests of the rendered reports of tiny configs, one or
+more per experiment kind.
 
-The digests were taken from the reports of the code before the gap
-estimator shared layers between the target and the pruned network; every
-report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
-moves a number updates the digest here and says why.
+The sweep digests were taken from the reports of the code before the gap
+estimator shared layers between the target and the pruned network, the
+others (and the JSON digest) from the code before the two sweeps shared
+one loop and the config one schema.  Every report must stay byte-identical at
+PRUNELAB_WORKERS 1 and 2.  A change that moves a number updates the digest
+here and says why.
 """
 
 import hashlib
@@ -44,16 +47,64 @@ CASES = {
          "trials": 26, "samples": 300},
         "8fec6cae3a9d564b747bc80ba29968a723c12f2202fa17a9f5508be191dfe09f",
     ),
+    # integer K: the config block shows 1, the rows 1.0
+    "table2": (
+        "table2",
+        {"rows": [[8, 8, 1], [6, 10, 1.7320508075688772]], "trials": 100},
+        "0ba6ff74339e2b8b96bea5ba51dbc47680758eaaa1dff891648c94ca541b80f3",
+    ),
+    "table3": (
+        "table3",
+        {"rows": [[8, "uniform", 1.0, None], [8, "gaussian", 2, 0.5]], "trials": 100},
+        "9d491867f172af2d09beab874f8911c4d627431103c2cd99f0466cc06d5f4b7f",
+    ),
+    "order-stats": (
+        "order-stats",
+        {"cases": [[4, 1, 1], [16, 8, 2], [64, 64, 1]], "trials": 2000},
+        "a1109f60caa6b87486d6a8b01293b2d1331b712d81ce3333cc48c26251257986",
+    ),
+    "balls-bins": (
+        "balls-bins",
+        {"cases": [[4, 8], [8, 30]], "trials": 2000},
+        "063993b07c5a80175e9df29697e995956b1991bcc9e348b53b66ac5c47ead22f",
+    ),
+    "circulant-equiv": (
+        "circulant-equiv",
+        {"instances": 6},
+        "95e6627ae98f23ebabb6dcd5a0094fd311a001b657166679840c3abad79f4c2b",
+    ),
+    "bounds": ("bounds", {}, "ec8e4811f4eeb53d0303bd0a674849740efa4cb1d6dddd4693bc804d33c710e1"),
+    "oracle-suite": (
+        "oracle-suite",
+        {"trials": 2000},
+        "c4bccf809775e5a8e5e81fd016aabe88b4e2d32e6eaa52c2c5ade7e226f386e3",
+    ),
 }
+
+# (kind, config body, sha256 of the --format json report)
+JSON_CASES = {
+    "cnn": (CASES["cnn"][0], CASES["cnn"][1], "8b8b89c280734f7826065b2507489351f34bddf4f244d178bc7fb4efabd336ed"),
+}
+
+
+def _digest(tmp_path, monkeypatch, workers, kind, body, fmt) -> str:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body), encoding="utf-8")
+    out = tmp_path / f"report.{fmt}"
+    monkeypatch.setenv("PRUNELAB_WORKERS", workers)
+    assert main([kind, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_digest(tmp_path, monkeypatch, case, workers):
     kind, body, digest = CASES[case]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(body), encoding="utf-8")
-    out = tmp_path / "report.csv"
-    monkeypatch.setenv("PRUNELAB_WORKERS", workers)
-    assert main([kind, "--config", str(config), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert _digest(tmp_path, monkeypatch, workers, kind, body, "csv") == digest
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_json_report_digest(tmp_path, monkeypatch, case, workers):
+    kind, body, digest = JSON_CASES[case]
+    assert _digest(tmp_path, monkeypatch, workers, kind, body, "json") == digest

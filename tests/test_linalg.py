@@ -4,18 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from prunelab.linalg import (
-    ConvergenceError,
-    as_matrix,
-    as_vector,
-    hadamard,
-    l0_norm,
-    l2_norm,
-    matvec,
-    spectral_norm,
-    unvectorize,
-    vectorize,
-)
+from prunelab.linalg import ConvergenceError, spectral_norm
 
 RNG = np.random.default_rng(1234)
 
@@ -23,76 +12,6 @@ RNG = np.random.default_rng(1234)
 def svd_norm(a):
     """Independent oracle: largest singular value via full LAPACK SVD."""
     return float(np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)[0])
-
-
-class TestVectorize:
-    def test_column_stacking(self):
-        m = np.array([[1.0, 3.0], [2.0, 4.0]])
-        np.testing.assert_array_equal(vectorize(m), [1.0, 2.0, 3.0, 4.0])
-
-    def test_single_entry(self):
-        np.testing.assert_array_equal(vectorize([[7.0]]), [7.0])
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(vectorize(np.zeros((2, 3))), np.zeros(6))
-
-    def test_round_trip_bit_exact(self):
-        m = as_matrix(RNG.standard_normal((5, 7)))
-        back = unvectorize(vectorize(m), 5, 7)
-        assert np.array_equal(back, m)
-
-    def test_zero_copy_on_fortran_layout(self):
-        m = as_matrix(RNG.standard_normal((6, 4)))
-        assert vectorize(m).base is not None
-
-
-class TestHadamard:
-    def test_small_product(self):
-        np.testing.assert_array_equal(hadamard([[1.0, 2.0]], [[3.0, 4.0]]), [[3.0, 8.0]])
-
-    def test_identity_mask(self):
-        m = RNG.standard_normal((3, 4))
-        np.testing.assert_array_equal(hadamard(m, np.ones((3, 4))), m)
-
-    def test_zero_mask(self):
-        m = RNG.standard_normal((3, 4))
-        np.testing.assert_array_equal(hadamard(m, np.zeros((3, 4))), np.zeros((3, 4)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = RNG.standard_normal(5)
-        np.testing.assert_array_equal(matvec(np.eye(5), v), v)
-
-    def test_zero(self):
-        np.testing.assert_array_equal(matvec(np.zeros((3, 4)), np.ones(4)), np.zeros(3))
-
-    def test_hand_computed(self):
-        np.testing.assert_array_equal(matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.ones((2, 3)), np.ones(2))
-
-
-class TestNorms:
-    def test_three_four_five(self):
-        v = [0.0, 3.0, 0.0, -4.0]
-        assert l0_norm(v) == 2
-        assert l2_norm(v) == pytest.approx(5.0)
-
-    def test_zero_vector(self):
-        assert l0_norm(np.zeros(4)) == 0
-        assert l2_norm(np.zeros(4)) == 0.0
-
-    def test_all_ones(self):
-        v = np.ones(9)
-        assert l0_norm(v) == 9
-        assert l2_norm(v) == pytest.approx(3.0)
 
 
 class TestSpectralNorm:
@@ -169,20 +88,6 @@ class TestSpectralNorm:
         assert 0.5 * ref <= info.value.last_estimate <= ref * (1.0 + 1e-12)
 
 
-class TestValidation:
-    def test_as_matrix_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_matrix([[1.0, np.inf]])
-
-    def test_as_matrix_rejects_1d(self):
-        with pytest.raises(ValueError):
-            as_matrix([1.0, 2.0])
-
-    def test_as_vector_rejects_empty(self):
-        with pytest.raises(ValueError):
-            as_vector([])
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     m=arrays(
@@ -196,16 +101,3 @@ def test_spectral_norm_matches_oracle_property(m):
     want = svd_norm(m)
     assert abs(got - want) <= 1e-10 * max(want, 1.0)
     assert np.isfinite(got)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    m=arrays(
-        np.float64,
-        st.tuples(st.integers(1, 5), st.integers(1, 5)),
-        elements=st.floats(-1e6, 1e6, allow_nan=False),
-    )
-)
-def test_vectorize_round_trips_property(m):
-    r, c = m.shape
-    assert np.array_equal(unvectorize(vectorize(m), r, c), m)

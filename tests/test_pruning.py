@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from prunelab.pruning import mask_magnitude_global, mask_magnitude_layerwise
+from prunelab.networks import CnnModel, FcnModel, activation
+from prunelab.pruning import (
+    PruneSpec,
+    build_mask,
+    mask_filter_random,
+    mask_magnitude_global,
+    mask_magnitude_layerwise,
+    mask_random_with_replacement,
+    mask_random_without_replacement,
+)
+from prunelab.sampling import SeedSpec
 
 
 def argsort_mask(values: np.ndarray, count: int) -> np.ndarray:
@@ -61,3 +71,105 @@ def test_non_finite_weights_rejected(bad):
         mask_magnitude_layerwise([w, v, w], (1,))
     with pytest.raises(ValueError, match="finite"):
         mask_magnitude_global([w, v, w], 1)
+
+
+FCN_SHAPES = [(6, 4), (7, 6), (5, 7), (3, 5)]
+
+
+def fcn_model(rng, shapes=FCN_SHAPES) -> FcnModel:
+    weights = tuple(rng.standard_normal(s) for s in shapes)
+    return FcnModel(weights, (activation("relu"),) * (len(shapes) - 1))
+
+
+def cnn_model(rng) -> CnnModel:
+    tensors = (rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((4, 4, 3, 3)), rng.standard_normal((4, 4, 3, 3)))
+    return CnnModel(tensors, rng.standard_normal((3, 4 * 5 * 5)), activation("relu"), 5)
+
+
+def assert_masks_equal(got, want):
+    assert got.kind == want.kind and len(got.masks) == len(want.masks)
+    for a, b in zip(got.masks, want.masks):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "scheme", ["magnitude-layerwise", "magnitude-global", "random-with-replacement", "random-without-replacement"]
+)
+def test_build_mask_matches_fcn_scheme_function(scheme):
+    model = fcn_model(np.random.default_rng(3))
+    shapes = [w.shape for w in model.weights]
+    counts, seed = (9, 12), SeedSpec(17, 2).sub(1)
+    want = {
+        "magnitude-layerwise": lambda: mask_magnitude_layerwise(model.weights, counts),
+        "magnitude-global": lambda: mask_magnitude_global(model.weights, sum(counts)),
+        "random-with-replacement": lambda: mask_random_with_replacement(shapes, counts, seed),
+        "random-without-replacement": lambda: mask_random_without_replacement(shapes, counts, seed),
+    }[scheme]()
+    assert_masks_equal(build_mask(model, PruneSpec(scheme, counts, seed)), want)
+
+
+def test_build_mask_matches_filter_random():
+    model = cnn_model(np.random.default_rng(4))
+    counts, seed = (5, 3), SeedSpec(17, 2).sub(1)
+    want = mask_filter_random([(4, 2), (4, 4), (4, 4)], (3, 100), counts, seed)
+    assert_masks_equal(build_mask(model, PruneSpec("filter-random", counts, seed)), want)
+
+
+def test_build_mask_rejects_wrong_model_kind():
+    rng = np.random.default_rng(5)
+    seed = SeedSpec(1)
+    with pytest.raises(ValueError, match="does not apply to a FcnModel"):
+        build_mask(fcn_model(rng), PruneSpec("filter-random", (1, 1), seed))
+    for scheme in ("magnitude-layerwise", "random-with-replacement"):
+        with pytest.raises(ValueError, match="does not apply to a CnnModel"):
+            build_mask(cnn_model(rng), PruneSpec(scheme, (1, 1), seed))
+    with pytest.raises(TypeError):
+        build_mask([np.ones((2, 2))] * 3, PruneSpec("magnitude-layerwise", (1,)))
+
+
+def test_prune_spec_checks():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        PruneSpec("magnitude", (1,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        PruneSpec("magnitude-layerwise", (1, -1))
+    with pytest.raises(ValueError, match="requires a seed"):
+        PruneSpec("random-without-replacement", (1,))
+
+
+def zeros_per_layer(mask) -> list:
+    return [int((m == 0.0).sum()) for m in mask.masks]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_mask_zero_counts(seed):
+    shapes = FCN_SHAPES
+    for counts in [(0, 0), (1, 5), (20, 35), (42, 35)]:  # (42, 35): every weight
+        without = mask_random_without_replacement(shapes, counts, SeedSpec(seed))
+        assert zeros_per_layer(without) == [0, *counts, 0]
+        got = zeros_per_layer(mask_random_with_replacement(shapes, counts, SeedSpec(seed)))
+        assert got[0] == got[-1] == 0
+        assert all(z <= c for z, c in zip(got[1:-1], counts))
+        # repeated (row, column) draws collapse: one zero per distinct pair
+        rng = SeedSpec(seed).generator()
+        distinct = [len(set(zip(rng.integers(0, m, size=c), rng.integers(0, n, size=c))))
+                    for (m, n), c in zip(shapes[1:-1], counts)]
+        assert got[1:-1] == distinct
+
+
+@pytest.mark.parametrize(
+    "scheme", ["magnitude-layerwise", "magnitude-global", "random-with-replacement", "random-without-replacement"]
+)
+def test_first_and_last_layers_never_pruned(scheme):
+    model = fcn_model(np.random.default_rng(6))
+    mask = build_mask(model, PruneSpec(scheme, (42, 35), SeedSpec(8)))
+    assert np.all(mask.masks[0] == 1.0) and np.all(mask.masks[-1] == 1.0)
+    cnn = build_mask(cnn_model(np.random.default_rng(7)), PruneSpec("filter-random", (16, 16), SeedSpec(8)))
+    assert np.all(cnn.masks[0] == 1.0) and np.all(cnn.masks[-1] == 1.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_global_equals_layerwise_with_one_internal_layer(kind):
+    rng = np.random.default_rng(9)
+    weights = [draw(kind, s, rng) for s in [(5, 3), (6, 5), (2, 6)]]
+    for count in (0, 1, 13, 30):
+        assert_masks_equal(mask_magnitude_global(weights, count), mask_magnitude_layerwise(weights, (count,)))
