@@ -68,7 +68,8 @@ class Lemma3Row:
 @dataclass(frozen=True)
 class LatalaRow:
     """One estimated configuration: the three moment terms, the observed mean
-    norm, and their ratio C = mean_norm / (term1 + term2 + term3)."""
+    norm, and their ratio C = mean_norm / (term1 + term2 + term3), or 0 when
+    all three terms are 0."""
 
     d: int
     dist: str
@@ -189,6 +190,9 @@ def estimate_latala(
     norms = np.concatenate(all_norms)
     term1, term2, term3 = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(norms.mean())
+    # the terms are all 0 when every entry is pruned in every trial (a 1x1
+    # matrix loses its only entry), and so is the norm
+    denom = term1 + term2 + term3
     return LatalaRow(
         d=d,
         dist=dist.label(),
@@ -197,5 +201,5 @@ def estimate_latala(
         term2=term2,
         term3=term3,
         mean_norm=mean_norm,
-        c=mean_norm / (term1 + term2 + term3),
+        c=mean_norm / denom if denom > 0 else 0.0,
     )

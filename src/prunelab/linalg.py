@@ -7,6 +7,8 @@ and raises ConvergenceError when it hits its iteration cap.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["ConvergenceError", "spectral_norm"]
@@ -15,6 +17,12 @@ __all__ = ["ConvergenceError", "spectral_norm"]
 # the null space of the Gram operator.  Drawn once from a pinned PCG64 stream
 # so the retry is deterministic.
 _RETRY_SEED = 0x5EEDED
+
+
+def _norm(x: np.ndarray) -> float:
+    # what np.linalg.norm computes for a real 1-D vector, sqrt(x . x),
+    # without its per-call dispatch
+    return math.sqrt(x @ x)
 
 
 class ConvergenceError(RuntimeError):
@@ -41,7 +49,7 @@ def _start_vectors(n: int):
     then the standard basis (a nonzero matrix always has a basis vector
     outside the Gram null space)."""
     r = np.random.Generator(np.random.PCG64(_RETRY_SEED)).standard_normal(n)
-    r /= np.linalg.norm(r)
+    r /= _norm(r)
     yield np.ones(n) / np.sqrt(n) + 0.25 * r
     yield r
     for i in range(n):
@@ -80,18 +88,18 @@ def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000) -> float:
     lam = 0.0
     v = None
     for v0 in _start_vectors(n):
-        v = v0 / np.linalg.norm(v0)
+        v = v0 / _norm(v0)
         w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
+        nw = _norm(w)
         if nw == 0.0:
             continue  # start in the null space: try the next deterministic start
         for _ in range(max_iter):
             lam = float(v @ w)
-            if np.linalg.norm(w - lam * v) <= tol * lam:
+            if _norm(w - lam * v) <= tol * lam:
                 return float(np.sqrt(lam)) * scale
             v = w / nw
             w = a.T @ (a @ v)
-            nw = np.linalg.norm(w)
+            nw = _norm(w)
         raise ConvergenceError(
             f"power iteration did not converge in {max_iter} iterations",
             last_estimate=float(np.sqrt(max(lam, 0.0))) * scale,

@@ -125,3 +125,15 @@ def test_string_in_any_field_exits_1_with_one_line(tmp_path, capsys, kind, path)
     target[path[-1]] = "x"
     assert main([kind, "--config", _config(tmp_path, body)]) == 1
     assert f"{'.'.join(path)} must be " in _one_line_error(capsys)
+
+
+def test_table3_fully_pruned_row_exits_0_with_c_zero(tmp_path):
+    # floor(1^(2 - 1.9)) = 1 zeroes the only entry of the 1x1 matrix in every
+    # trial, so the three moment terms and the mean norm are all 0
+    out = tmp_path / "report.json"
+    body = {"rows": [[1, "gaussian", 1.0, 1.9]], "trials": 100}
+    assert main(["table3", "--config", _config(tmp_path, body), "--out", str(out), "--format", "json"]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    (row,) = report["rows"]
+    assert dict(zip(report["columns"], row))["C"] == 0.0
+    assert row[3:7] == [0.0, 0.0, 0.0, 0.0]

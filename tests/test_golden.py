@@ -2,11 +2,12 @@
 more per experiment kind.
 
 The sweep digests were taken from the reports of the code before the gap
-estimator shared layers between the target and the pruned network, the
-others (and the JSON digest) from the code before the two sweeps shared
-one loop and the config one schema.  Every report must stay byte-identical at
-PRUNELAB_WORKERS 1 and 2.  A change that moves a number updates the digest
-here and says why.
+estimator shared layers between the target and the pruned network,
+"order-stats-chunks" from the code before the order-statistic kernel worked
+in cache-sized tiles, and the others (and the JSON digest) from the code
+before the two sweeps shared one loop and the config one schema.  Every
+report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
+moves a number updates the digest here and says why.
 """
 
 import hashlib
@@ -62,6 +63,13 @@ CASES = {
         "order-stats",
         {"cases": [[4, 1, 1], [16, 8, 2], [64, 64, 1]], "trials": 2000},
         "a1109f60caa6b87486d6a8b01293b2d1331b712d81ce3333cc48c26251257986",
+    ),
+    # n = 2048: 2100 trials are two summation chunks (1953 rows + 147) and
+    # many kernel tiles; r = 1 and r = n take the min/max reductions
+    "order-stats-chunks": (
+        "order-stats",
+        {"cases": [[2048, 1, 1], [2048, 700, 2], [2048, 2048, 3]], "trials": 2100},
+        "34ab499cc9ef8dfc4f5e498b3fd5741e86b3cb9267d171d45b53abb9d7d3fd44",
     ),
     "balls-bins": (
         "balls-bins",
