@@ -24,7 +24,13 @@ table3 pass at 2 workers from 7.8 s to 3.7 s wall and from 14.7 s to 6.2 s
 CPU (medians of 10 runs).  Up to n=512 the SVD gives the same bits at 1 and
 2 BLAS threads, so those rows are unchanged.  Larger rows differ in the last
 bits from runs made on multithreaded BLAS (table2 at n=768: 1.9e-14
-relative, in the std column).
+relative, in the std column).  Within a block the norms go through
+`linalg.top_singular_values`, which stacks the trials' matrices so that
+each SVD call returns more than 500 singular values: below that numpy holds
+the interpreter lock for the whole call, and the two workers of an n <= 500
+row took turns instead of running together.  The stacked SVDs give the
+same bits; the benchmark's table2 + table3 pass at 2 workers went from
+4.01 to 3.47 s wall at the same CPU time (medians of 10 alternating pairs).
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import top_singular_values
 from .parallel import ordered_map, single_threaded_blas, trial_blocks
 from .pruning import filter_prune_count
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
@@ -115,11 +122,8 @@ def estimate_lemma3(
     dist = DistributionSpec("uniform", xavier_k=k_scale)
 
     def block_norms(block: range) -> np.ndarray:
-        out = np.empty(len(block))
-        for i, t in enumerate(block):
-            a = draw_matrix(dist, n1, n2, seed.child(t).generator())
-            out[i] = np.linalg.svd(a, compute_uv=False)[0]
-        return out
+        draws = (draw_matrix(dist, n1, n2, seed.child(t).generator()) for t in block)
+        return top_singular_values(draws, n1, n2)
 
     with single_threaded_blas():
         norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
@@ -162,20 +166,23 @@ def estimate_latala(
     n_prune = filter_prune_count(prune_alpha, d) if prune_alpha is not None else 0
 
     def block_stats(block: range):
+        def draws(sq, quad):
+            # the moment sums take each trial in trial order as it is drawn
+            for t in block:
+                rng = seed.child(t).generator()
+                a = draw_matrix(dist, d, d, rng)
+                if n_prune:
+                    rows = rng.integers(0, d, size=n_prune)
+                    cols = rng.integers(0, d, size=n_prune)
+                    a[rows, cols] = 0.0
+                a2 = a * a
+                sq += a2
+                quad += a2 * a2
+                yield a
+
         sq = np.zeros((d, d))
         quad = np.zeros((d, d))
-        norms = np.empty(len(block))
-        for i, t in enumerate(block):
-            rng = seed.child(t).generator()
-            a = draw_matrix(dist, d, d, rng)
-            if n_prune:
-                rows = rng.integers(0, d, size=n_prune)
-                cols = rng.integers(0, d, size=n_prune)
-                a[rows, cols] = 0.0
-            a2 = a * a
-            sq += a2
-            quad += a2 * a2
-            norms[i] = np.linalg.svd(a, compute_uv=False)[0]
+        norms = top_singular_values(draws(sq, quad), d, d)
         return sq, quad, norms
 
     sq_total = np.zeros((d, d))

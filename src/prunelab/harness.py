@@ -23,8 +23,8 @@ import numpy as np
 from . import circulant, networks, pruning, theory
 from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config, parse_config
 from .estimators import estimate_lemma3, estimate_latala, latala_terms
-from .linalg import spectral_norm
-from .parallel import ordered_map, single_threaded_blas, trial_blocks
+from .linalg import spectral_norm, top_singular_values
+from .parallel import BLOCK_SIZE, ordered_map, single_threaded_blas, trial_blocks
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 from .theory import TheoremConstants
 
@@ -287,7 +287,9 @@ def _bins_event(mask_matrix: np.ndarray, count: int) -> bool:
     return bool(row_ok and col_ok)
 
 
-def _gap_sweep(s, widths, workers: int, blas, layer_columns: list, tail_columns: list, one_trial, summarize):
+def _gap_sweep(
+    s, widths, workers: int, blas, block_size: int, layer_columns: list, tail_columns: list, one_trial, summarize
+):
     """The width-by-width loop both gap sweeps run; returns the report's
     columns, its rows and the per-width part of its summary.
 
@@ -295,10 +297,12 @@ def _gap_sweep(s, widths, workers: int, blas, layer_columns: list, tail_columns:
     d/trial/base_seed/stream columns, then per pruned layer its
     `layer_columns`, then `tail_columns` (one of them sup_gap), and its
     payload: per pruned layer, a tuple of arrays and floats.  The trial
-    blocks run inside the `blas` context, each sweep's fixed threading
-    policy (see the parallel module).  Per width the rows keep trial order,
-    each payload component is summed over the trials in trial order, and
-    summarize(d, rows, sums) adds its fields to the sup_gap quantiles.
+    blocks of `block_size` trials run inside the `blas` context, each
+    sweep's fixed threading policy (see the parallel module).  Nothing is
+    folded per block, so the block size moves only the wall time.  Per
+    width the rows keep trial order, each payload component is summed over
+    the trials in trial order, and summarize(d, rows, sums) adds its fields
+    to the sup_gap quantiles.
     """
     columns = ["d", "trial", "base_seed", "stream"]
     columns += [f"{c}_l{k}" for k in range(2, s.depth) for c in layer_columns] + tail_columns
@@ -313,7 +317,7 @@ def _gap_sweep(s, widths, workers: int, blas, layer_columns: list, tail_columns:
     per_width = []
     for d in widths:
         with blas():
-            blocks = ordered_map(partial(block_run, d=d), trial_blocks(s.trials), workers)
+            blocks = ordered_map(partial(block_run, d=d), trial_blocks(s.trials, block_size), workers)
         results = [res for blk in blocks for res in blk]
         rows = [[d, t, s.seed, t] + entries for t, (entries, _) in enumerate(results)]
         sums = [
@@ -375,12 +379,16 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         model = networks.FcnModel(tuple(weights), (act,) * (l - 1))
         counts = tuple(pruning.prune_count(alpha, m * n) for m, n in shapes[1:-1])
         mask = pruning.build_mask(model, pruning.PruneSpec(s.scheme, counts, seed_t.sub(1)))
-        layer_norms = [float(np.linalg.svd(w, compute_uv=False)[0]) for w in weights]
+        internal = range(1, l - 1)  # 0-based internal layer indices
+        diffs = [(1.0 - mask.masks[k]) * weights[k] for k in internal]
+        # the internal d x d weights and their diffs share one grouped SVD
+        square = top_singular_values([weights[k] for k in internal] + diffs, d, d).tolist()
+        first, last = (float(top_singular_values([w], *w.shape)[0]) for w in (weights[0], weights[-1]))
+        layer_norms = [first] + square[: l - 2] + [last]
         row = []
         payload = []
-        for j, k in enumerate(range(1, l - 1)):  # 0-based internal layer index
-            diff = (1.0 - mask.masks[k]) * weights[k]
-            nd = float(np.linalg.svd(diff, compute_uv=False)[0]) if diff.any() else 0.0
+        for j, (k, diff) in enumerate(zip(internal, diffs)):
+            nd = square[l - 2 + j] if diff.any() else 0.0
             bins_ok = _bins_event(mask.masks[k], counts[j])
             diff_ok = nd <= float(d) ** event_expo
             row += [counts[j], layer_norms[k], nd, bins_ok, diff_ok]
@@ -429,9 +437,10 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
 
     layer_columns = ["count", "norm_w", "norm_diff", "bins_event", "diff_event"]
     tail_columns = ["sup_gap", "gap_bound", "gap_event"]
-    # one BLAS thread per trial at every worker count
+    # one BLAS thread per trial at every worker count, and one trial per
+    # block, so that two workers share a sweep of 25 trials
     columns, rows, sweep = _gap_sweep(
-        s, s.widths, workers, single_threaded_blas, layer_columns, tail_columns, one_trial, summarize
+        s, s.widths, workers, single_threaded_blas, 1, layer_columns, tail_columns, one_trial, summarize
     )
     summary = {"scheme": s.scheme, "alpha": alpha, "mean_norm_exponent": mean_expo, "event_exponent": event_expo}
     return columns, rows, summary | sweep
@@ -548,7 +557,9 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
 
     layer_columns = ["count", "norm_w_dft", "norm_diff_dft", "norm_w_explicit", "bins_event", "w_event", "diff_event"]
     # all BLAS threads: the explicit-map SVD is faster on them
-    columns, rows, sweep = _gap_sweep(s, s.channels, workers, nullcontext, layer_columns, ["sup_gap"], one_trial, summarize)
+    columns, rows, sweep = _gap_sweep(
+        s, s.channels, workers, nullcontext, BLOCK_SIZE, layer_columns, ["sup_gap"], one_trial, summarize
+    )
     return columns, rows, {"alpha": alpha} | sweep
 
 

@@ -1,8 +1,10 @@
-"""Deterministic spectral norm by power iteration.
+"""Top singular values: grouped LAPACK SVDs, and a power-iteration check.
 
-`spectral_norm` is the power-iteration cross-check that circulant-equiv and
-oracle-suite compare against the LAPACK SVD.  It rejects non-finite entries
-and raises ConvergenceError when it hits its iteration cap.
+`top_singular_values` is the LAPACK kernel of the Monte Carlo estimators and
+of fcn-sweep.  `spectral_norm` is the power-iteration cross-check that
+circulant-equiv and oracle-suite compare against the LAPACK SVD.  It rejects
+non-finite entries and raises ConvergenceError when it hits its iteration
+cap.
 """
 
 from __future__ import annotations
@@ -11,7 +13,16 @@ import math
 
 import numpy as np
 
-__all__ = ["ConvergenceError", "spectral_norm"]
+__all__ = ["ConvergenceError", "spectral_norm", "top_singular_values"]
+
+# np.linalg.svd holds the interpreter lock for the whole call unless it
+# returns more than this many singular values.  Measured with numpy 2.4 and
+# OpenBLAS 0.3.31 on one BLAS thread of a 2-core x86-64 host: two threads
+# each running the same 256 x 256 SVDs took 2.0-2.2 times as long as one
+# thread alone, and 1.1 times on (2, 256, 256) stacks; stacks of 3 x 166 x
+# 166 and 500 x 1 x 1 held the lock, 3 x 167 x 167 and 501 x 1 x 1 released
+# it.
+_GIL_RELEASE_VALUES = 500
 
 # Fixed fallback start for power iteration when the all-ones vector lies in
 # the null space of the Gram operator.  Drawn once from a pinned PCG64 stream
@@ -23,6 +34,47 @@ def _norm(x: np.ndarray) -> float:
     # what np.linalg.norm computes for a real 1-D vector, sqrt(x . x),
     # without its per-call dispatch
     return math.sqrt(x @ x)
+
+
+def svd_group_size(m: int, n: int) -> int:
+    """The smallest k with k * min(m, n) > _GIL_RELEASE_VALUES: stacks of k
+    m x n matrices run their SVD without the interpreter lock."""
+    return _GIL_RELEASE_VALUES // min(m, n) + 1
+
+
+def top_singular_values(mats, m: int, n: int) -> np.ndarray:
+    """Largest singular value of each m x n matrix that `mats` yields, in
+    order, by LAPACK SVD.
+
+    The matrices are stacked in groups of `svd_group_size(m, n)` (the last
+    group may be smaller) and each group is one `np.linalg.svd` call, so
+    threads running this overlap.  From min(m, n) = 501 on a group is one
+    matrix, passed as it is; below, the stack holds k * m * n <= (500 +
+    min(m, n)) * max(m, n) doubles, 4 MB at 500 x 500.  numpy copies every
+    stacked matrix into its own buffer for the same `gesdd` call as a lone
+    matrix gets, so each value has the bits of
+    `np.linalg.svd(a, compute_uv=False)[0]`.  `mats` is consumed in order,
+    one group ahead of the SVDs at most.
+    """
+    k = svd_group_size(m, n)
+    # a group of one is the matrix itself, with no buffer to copy it into
+    stack = np.empty((k, m, n)) if k > 1 else None
+    out = []
+    filled = 0
+    for a in mats:
+        if a.shape != (m, n):
+            raise ValueError(f"expected {m} x {n} matrices, got shape {a.shape}")
+        if stack is None:
+            out.append(np.linalg.svd(a, compute_uv=False)[:1])
+            continue
+        stack[filled] = a
+        filled += 1
+        if filled == k:
+            out.append(np.linalg.svd(stack, compute_uv=False)[:, 0])
+            filled = 0
+    if filled:
+        out.append(np.linalg.svd(stack[:filled], compute_uv=False)[:, 0])
+    return np.concatenate(out) if out else np.empty(0)
 
 
 class ConvergenceError(RuntimeError):

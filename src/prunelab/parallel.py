@@ -7,15 +7,19 @@ PRUNELAB_WORKERS environment variable and affects wall time only.
 
 Threading policy.  Workers are threads of one process.  They overlap only
 inside numpy kernels that release the interpreter lock, and those kernels
-may run on OpenBLAS, which keeps its own pool of one thread per core.  Two
-workers that each call a multithreaded SVD ask a 2-core host for 4 threads,
-and table2 at the benchmark's sizes took as long at 2 workers as at 1
-(5.9 vs 6.2 s).  The Monte Carlo norm estimators therefore run their trial
-blocks under `single_threaded_blas` at every worker count, so parallelism
-comes only from trial blocks; that table2 run then took 4.8 s at 1 worker
-and 3.0 s at 2.  For n <= 512 the SVD gives the same bits at 1 and 2 BLAS
-threads and is faster at 1 (1.1 vs 2.2 ms at n=128, 37 vs 43 ms at n=512).
-fcn-sweep runs its trial blocks under the same cap: its weight matrices are
+may run on OpenBLAS, which keeps its own pool of one thread per core.
+`np.linalg.svd` releases the lock only when one call returns more than 500
+singular values: a lone SVD of n <= 500 keeps every other worker waiting,
+so the norms go through `linalg.top_singular_values`, which stacks such
+matrices into calls past that count.  Two workers that each call a
+multithreaded SVD ask a 2-core host for 4 threads, and table2 at the
+benchmark's sizes took as long at 2 workers as at 1 (5.9 vs 6.2 s).  The
+Monte Carlo norm estimators therefore run their trial blocks under
+`single_threaded_blas` at every worker count, so parallelism comes only
+from trial blocks; that table2 run then took 4.8 s at 1 worker and 3.0 s at
+2.  For n <= 512 the SVD gives the same bits at 1 and 2 BLAS threads and is
+faster at 1 (1.1 vs 2.2 ms at n=128, 37 vs 43 ms at n=512).  fcn-sweep runs
+its trials under the same cap, one trial per block: its weight matrices are
 at most a few hundred wide (256 in the default config), where the SVDs and
 forward-pass products give the same bits at 1 and 2 BLAS threads, and one
 BLAS thread per trial thread keeps 2 workers from asking for 4 threads.

@@ -213,8 +213,10 @@ def balls_in_bins_check(
     while done < trials:
         b = min(chunk, trials - done)
         throws = rng.integers(0, bins, size=(b, balls))
-        offsets = np.arange(b)[:, None] * bins
-        counts = np.bincount((throws + offsets).ravel(), minlength=b * bins)
+        # trial i counts into bins [i * bins, (i + 1) * bins); in place, so a
+        # chunk allocates no second 2M-entry array
+        throws += np.arange(b)[:, None] * bins
+        counts = np.bincount(throws.ravel(), minlength=b * bins)
         maxload = counts.reshape(b, bins).max(axis=1)
         hits += int(np.count_nonzero(maxload <= threshold))
         done += b

@@ -4,9 +4,10 @@ more per experiment kind.
 The sweep digests were taken from the reports of the code before the gap
 estimator shared layers between the target and the pruned network,
 "order-stats-chunks" from the code before the order-statistic kernel worked
-in cache-sized tiles, and the others (and the JSON digest) from the code
-before the two sweeps shared one loop and the config one schema.  Every
-report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
+in cache-sized tiles, the "-svd-groups" ones from the code before the
+estimators stacked their SVDs, and the others (and the JSON digest) from
+the code before the two sweeps shared one loop and the config one schema.
+Every report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
 moves a number updates the digest here and says why.
 """
 
@@ -58,6 +59,19 @@ CASES = {
         "table3",
         {"rows": [[8, "uniform", 1.0, None], [8, "gaussian", 2, 0.5]], "trials": 100},
         "9d491867f172af2d09beab874f8911c4d627431103c2cd99f0466cc06d5f4b7f",
+    ),
+    # the SVD groups' edges: 3 x 167 x 167 (501 values, the smallest group
+    # that runs without the interpreter lock) and 13 x 501 x 40; 101 trials
+    # leave a last block of one trial
+    "table2-svd-groups": (
+        "table2",
+        {"rows": [[167, 167, 1.0], [501, 40, 1.0]], "trials": 101},
+        "015d88b8f4377ee090dd139f47096986b85be038373b3779dbfd0477762a1d2b",
+    ),
+    "table3-svd-groups": (
+        "table3",
+        {"rows": [[167, "gaussian", 1.0, 0.5]], "trials": 101},
+        "85f9add3cf128dd8b75d23a228892d135485cfa16d9bcbdc254bed79aa08d6d7",
     ),
     "order-stats": (
         "order-stats",

@@ -1,10 +1,15 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from prunelab.linalg import ConvergenceError, spectral_norm
+from prunelab.linalg import ConvergenceError, spectral_norm, svd_group_size, top_singular_values
+from prunelab.parallel import single_threaded_blas
 
 RNG = np.random.default_rng(1234)
 
@@ -101,3 +106,85 @@ def test_spectral_norm_matches_oracle_property(m):
     want = svd_norm(m)
     assert abs(got - want) <= 1e-10 * max(want, 1.0)
     assert np.isfinite(got)
+
+
+class TestTopSingularValues:
+    @pytest.mark.parametrize(
+        "m, n, k",
+        [(1, 1, 501), (3, 400, 167), (400, 3, 167), (166, 166, 4), (167, 167, 3), (250, 250, 3),
+         (251, 251, 2), (500, 500, 2), (501, 501, 1), (501, 40, 13), (1024, 1024, 1)],
+    )
+    def test_group_size_is_the_smallest_past_500_values(self, m, n, k):
+        assert svd_group_size(m, n) == k
+        assert k * min(m, n) > 500 >= (k - 1) * min(m, n)
+
+    @pytest.mark.parametrize(
+        "m, n, count",
+        [(1, 1, 1003), (3, 400, 170), (166, 166, 9), (167, 167, 7), (251, 251, 3), (500, 500, 3), (501, 501, 2)],
+    )
+    def test_bitwise_equal_to_one_call_per_matrix(self, m, n, count):
+        # full groups, then a partial one
+        mats = [RNG.uniform(-1.0, 1.0, (m, n)) for _ in range(count)]
+        want = [np.linalg.svd(a, compute_uv=False)[0] for a in mats]
+        got = top_singular_values(iter(mats), m, n)
+        assert got.shape == (count,)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    def test_empty_and_zero_matrices(self):
+        assert top_singular_values([], 4, 4).shape == (0,)
+        assert top_singular_values([np.zeros((4, 3)), -np.zeros((4, 3))], 4, 3).tolist() == [0.0, 0.0]
+
+    def test_consumes_in_order(self):
+        seen = []
+
+        def mats():
+            for i in range(5):
+                seen.append(i)
+                yield i * np.eye(2)
+
+        assert top_singular_values(mats(), 2, 2).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert seen == list(range(5))
+
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match="4 x 4"):
+            top_singular_values([np.ones((4, 4)), np.ones((1, 4))], 4, 4)
+
+
+def _spinner_coverage(call, margin: float) -> tuple[float, float]:
+    """Share of the milliseconds of call() in which a spinning Python thread
+    ran, and the call's wall time.  The first and last `margin` seconds are
+    left out: a call that holds the interpreter lock can still lose it at
+    its Python-level start and end."""
+    stop = threading.Event()
+    stamps = []
+
+    def spin():
+        while not stop.is_set():
+            stamps.append(time.perf_counter())
+
+    thread = threading.Thread(target=spin)
+    thread.start()
+    try:
+        time.sleep(0.02)
+        t0 = time.perf_counter()
+        call()
+        t1 = time.perf_counter()
+    finally:
+        stop.set()
+        thread.join()
+    lo, hi = t0 + margin, t1 - margin
+    busy = {int((x - lo) * 1000) for x in stamps if lo < x < hi}
+    return len(busy) / max(1, int((hi - lo) * 1000)), t1 - t0
+
+
+def test_a_grouped_call_lets_other_threads_run():
+    # 2 x 480 singular values in one call release the interpreter lock.  A
+    # lone 480 x 480 SVD holds it: there the spinner ran in 0-11% of the
+    # milliseconds (12 runs), against 57-100% for the grouped call.
+    margin = 2 * sys.getswitchinterval()
+    mats = [RNG.uniform(-1.0, 1.0, (480, 480)) for _ in range(svd_group_size(480, 480))]
+    assert len(mats) == 2
+    with single_threaded_blas():
+        coverage, wall = _spinner_coverage(lambda: top_singular_values(mats, 480, 480), margin)
+    assert wall >= 0.02 + 2 * margin
+    assert coverage >= 0.3

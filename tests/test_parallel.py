@@ -2,7 +2,9 @@ import time
 
 import pytest
 
-from prunelab import estimators, networks, parallel
+import math
+
+from prunelab import estimators, harness, networks, parallel
 from prunelab.estimators import estimate_latala, estimate_lemma3
 from prunelab.harness import load_config, run_experiment
 from prunelab.parallel import ordered_map, single_threaded_blas, trial_blocks
@@ -123,8 +125,35 @@ class TestFcnSweepThreads:
             return gap(*args, **kwargs)
 
         monkeypatch.setattr(networks, "estimate_sup_gap", spy)
-        # 26 trials are two trial blocks, one per worker at workers=2
+        # one trial per block, 13 per worker at workers=2
         cfg = load_config("fcn-sweep", overrides={"widths": [8], "trials": 26, "samples": 4, "d_in": 4, "d_out": 4})
         run_experiment("fcn-sweep", cfg, workers)
         assert seen == [1] * 26
         assert get() == 2
+
+
+class TestFcnSweepTrials:
+    CFG = {"widths": [8, 16], "trials": 26, "samples": 4, "d_in": 4, "d_out": 4}
+
+    def test_one_trial_per_block(self, monkeypatch):
+        sizes = []
+        ordered = harness.ordered_map
+
+        def spy(fn, items, workers):
+            items = list(items)
+            sizes.append([len(b) for b in items])
+            return ordered(fn, items, workers)
+
+        monkeypatch.setattr(harness, "ordered_map", spy)
+        run_experiment("fcn-sweep", load_config("fcn-sweep", overrides=self.CFG), 2)
+        assert sizes == [[1] * 26, [1] * 26]
+
+    def test_all_zero_diff_reports_norm_diff_zero(self, monkeypatch):
+        draw = harness.draw_matrix
+        # -0.0 entries where the draw is negative
+        monkeypatch.setattr(harness, "draw_matrix", lambda *args: 0.0 * draw(*args))
+        rep = run_experiment("fcn-sweep", load_config("fcn-sweep", overrides=self.CFG | {"trials": 3}), 1)
+        for col in ("norm_w_l2", "norm_diff_l2", "norm_diff_l3"):
+            values = [r[rep.columns.index(col)] for r in rep.rows]
+            assert values == [0.0] * 6
+            assert all(math.copysign(1.0, v) == 1.0 for v in values)
