@@ -4,13 +4,14 @@ One subcommand per experiment kind; common flags select the config file,
 seed, trial count, output path, and format.  The PRUNELAB_WORKERS
 environment variable sets the worker count and never affects results.
 
-Exit codes: 0 success, 1 config error, 2 oracle or acceptance failure,
-3 numerical non-convergence.
+Exit codes: 0 success, 1 config error or unwritable report path, 2 oracle
+or acceptance failure, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -41,8 +42,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_error(path: str) -> str | None:
+    """Why a report cannot be written to `path`, found before the
+    experiment runs, or None."""
+    if os.path.isdir(path):
+        return f"cannot write report {path}: is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"cannot write report {path}: no directory {parent}"
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        workers = resolve_workers()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.out is not None and (reason := _out_error(args.out)):
+        print(f"error: {reason}", file=sys.stderr)
+        return 1
     overrides = {}
     for field in ("seed", "trials"):
         value = getattr(args, field)
@@ -54,14 +74,18 @@ def main(argv=None) -> int:
         overrides[field] = value
     try:
         cfg = load_config(args.kind, args.config, overrides)
-        report = run_experiment(args.kind, cfg, resolve_workers())
-        text = write_report(report, args.out, args.format)
+        report = run_experiment(args.kind, cfg, workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return 3
+    try:
+        text = write_report(report, args.out, args.format)
+    except OSError as exc:
+        print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+        return 1
     if args.out is None:
         sys.stdout.write(text)
     failed = report.summary.get("all_pass") is False

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import top_singular_values
-from .parallel import ordered_map, single_threaded_blas, trial_blocks
+from .parallel import ordered_imap, ordered_map, single_threaded_blas, trial_blocks
 from .pruning import filter_prune_count
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 
@@ -189,11 +189,11 @@ def estimate_latala(
     quad_total = np.zeros((d, d))
     all_norms = []
     with single_threaded_blas():
-        blocks = ordered_map(block_stats, trial_blocks(trials), workers)
-    for sq, quad, norms in blocks:
-        sq_total += sq
-        quad_total += quad
-        all_norms.append(norms)
+        # each block's sums are added as the block arrives, in block order
+        for sq, quad, norms in ordered_imap(block_stats, trial_blocks(trials), workers):
+            sq_total += sq
+            quad_total += quad
+            all_norms.append(norms)
     norms = np.concatenate(all_norms)
     term1, term2, term3 = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(norms.mean())

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import circulant, networks, pruning, theory
 from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config, parse_config
 from .estimators import estimate_lemma3, estimate_latala, latala_terms
 from .linalg import spectral_norm, top_singular_values
-from .parallel import BLOCK_SIZE, ordered_map, single_threaded_blas, trial_blocks
+from .parallel import BLOCK_SIZE, ordered_imap, ordered_map, single_threaded_blas, trial_blocks
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 from .theory import TheoremConstants
 
@@ -298,11 +297,12 @@ def _gap_sweep(
     `layer_columns`, then `tail_columns` (one of them sup_gap), and its
     payload: per pruned layer, a tuple of arrays and floats.  The trial
     blocks of `block_size` trials run inside the `blas` context, each
-    sweep's fixed threading policy (see the parallel module).  Nothing is
-    folded per block, so the block size moves only the wall time.  Per
-    width the rows keep trial order, each payload component is summed over
-    the trials in trial order, and summarize(d, rows, sums) adds its fields
-    to the sup_gap quantiles.
+    sweep's fixed threading policy (see the parallel module).  Each trial
+    is folded as its block arrives and its payload is then dropped, so
+    memory does not grow with the trial count, and the block size moves
+    only the wall time.  Per width the rows keep trial order, each payload
+    component is summed over the trials in trial order, starting from 0.0,
+    and summarize(d, rows, sums) adds its fields to the sup_gap quantiles.
     """
     columns = ["d", "trial", "base_seed", "stream"]
     columns += [f"{c}_l{k}" for k in range(2, s.depth) for c in layer_columns] + tail_columns
@@ -316,14 +316,20 @@ def _gap_sweep(
     all_rows = []
     per_width = []
     for d in widths:
+        rows = []
+        sums = None
         with blas():
-            blocks = ordered_map(partial(block_run, d=d), trial_blocks(s.trials, block_size), workers)
-        results = [res for blk in blocks for res in blk]
-        rows = [[d, t, s.seed, t] + entries for t, (entries, _) in enumerate(results)]
-        sums = [
-            tuple(reduce(operator.add, comp, 0.0) for comp in zip(*layer))
-            for layer in zip(*(payload for _, payload in results))
-        ]
+            for block in ordered_imap(partial(block_run, d=d), trial_blocks(s.trials, block_size), workers):
+                for entries, payload in block:
+                    t = len(rows)
+                    rows.append([d, t, s.seed, t] + entries)
+                    if sums is None:
+                        sums = [[0.0] * len(layer) for layer in payload]
+                    # 0.0 + c for the first trial, then in place: the
+                    # additions of a left fold from 0.0, in trial order
+                    for acc, layer in zip(sums, payload):
+                        for i, c in enumerate(layer):
+                            acc[i] += c
         all_rows.extend(rows)
         gaps = np.array([r[gap_col] for r in rows])
         per_width.append(
@@ -392,7 +398,8 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
             bins_ok = _bins_event(mask.masks[k], counts[j])
             diff_ok = nd <= float(d) ** event_expo
             row += [counts[j], layer_norms[k], nd, bins_ok, diff_ok]
-            payload.append((diff * diff, (diff * diff) ** 2))
+            sq = diff * diff
+            payload.append((sq, sq * sq))
         gap = networks.estimate_sup_gap(model, mask, "sphere", s.samples, seed_t.sub(2))
         n_caps = [max(1.0, v) for v in layer_norms]
         if magnitude:

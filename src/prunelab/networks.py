@@ -307,19 +307,24 @@ def compression_ratio(mask: MaskSet, k: int) -> float:
     return float(mask.masks[k - 1].mean())
 
 
-def estimate_sup_gap(
-    model,
-    mask: MaskSet,
-    domain: str,
-    n: int,
-    seed: SeedSpec,
-    chunk_size: int = 256,
-) -> float:
+# Points per chunk of the sup-gap estimator.  The chunk size is part of
+# every sup_gap value: OpenBLAS picks its product kernel by the row count
+# (8 rows times a 64 x 64 matrix differed in every row from the same rows
+# of a 512-row product), so a point's activations round differently in
+# chunks of different sizes.  Over 1024 points, a d = 64 FCN gave
+# 0x1.c8b47c293f46bp-15 in chunks of 32 to 256 points and
+# 0x1.c8b47c293f56ep-15 in chunks of 512; a d = 16 CNN gave
+# 0x1.25763207470e3p-7 in chunks of 32 and 64, 0x1.25763207470e2p-7 from
+# 128.  A constant, not a parameter, so no caller can move a report.
+_GAP_CHUNK = 256
+
+
+def estimate_sup_gap(model, mask: MaskSet, domain: str, n: int, seed: SeedSpec) -> float:
     """Sampled lower bound on sup ||f(x) - F(x)||_2 over the unit sphere or
     unit cube, f the model pruned by `mask` and F the target: the max over
     n sampled points.
 
-    Both networks are evaluated in one pass over chunks of `chunk_size`
+    Both networks are evaluated in one pass over chunks of `_GAP_CHUNK`
     points.  The masked weights and, for CNNs, the kernel transforms of the
     target and the pruned conv layers are computed once, before the chunk
     loop.  The leading layers whose masks are all ones (at least the first,
@@ -344,8 +349,8 @@ def estimate_sup_gap(
     split = next((k for k in range(model.depth) if pruned[k] is not target[k]), model.depth)
     pts = (sample_unit_sphere if domain == "sphere" else sample_unit_cube)(model.input_dim, n, seed)
     best = 0.0
-    for lo in range(0, n, chunk_size):
-        shared = _run(target[:split], _first_input(model, pts[lo : lo + chunk_size]))
+    for lo in range(0, n, _GAP_CHUNK):
+        shared = _run(target[:split], _first_input(model, pts[lo : lo + _GAP_CHUNK]))
         diff = _run(pruned[split:], shared) - _run(target[split:], shared)
         best = max(best, float(np.linalg.norm(diff, axis=1).max()))
     return best

@@ -5,6 +5,13 @@ count, and block results are folded in block order, so reports are
 byte-identical for any number of workers.  The worker count comes from the
 PRUNELAB_WORKERS environment variable and affects wall time only.
 
+Callers fold results as they arrive: `ordered_imap` yields each block's
+result in block order as soon as it is ready, and the Monte Carlo loops
+add it to their running sums and drop it, so memory does not grow with the
+trial count.  The sums take the same additions in the same order as a fold
+over the finished list would, so the bits do not depend on when a result
+arrives.
+
 Threading policy.  Workers are threads of one process.  They overlap only
 inside numpy kernels that release the interpreter lock, and those kernels
 may run on OpenBLAS, which keeps its own pool of one thread per core.
@@ -23,11 +30,15 @@ its trials under the same cap, one trial per block: its weight matrices are
 at most a few hundred wide (256 in the default config), where the SVDs and
 forward-pass products give the same bits at 1 and 2 BLAS threads, and one
 BLAS thread per trial thread keeps 2 workers from asking for 4 threads.
-The cap is not applied inside `ordered_map`: from n=768 the SVD's last bits
+The cap is not applied inside `ordered_imap`: from n=768 the SVD's last bits
 depend on the BLAS thread count, so a cap that followed the worker count
 would break byte-identity across worker counts, and such single large calls
 (the 1024 x 1024 explicit-map SVD of cnn-sweep: 286 vs 380 ms) are faster on
-all BLAS threads.
+all BLAS threads.  Numpy's FFT and einsum release the lock: two threads
+of `np.fft.rfft2` on a (256, 64, 8, 8) batch, one BLAS thread, ran at 1.9
+times the speed of one, and the conv einsum on the same shapes at 2.1
+times (medians of 9 pairs in each of two runs), so cnn-sweep's trial
+blocks overlap in all three kernels.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from pathlib import Path
 __all__ = [
     "resolve_workers",
     "ordered_map",
+    "ordered_imap",
     "trial_blocks",
     "single_threaded_blas",
     "BLOCK_SIZE",
@@ -78,15 +90,23 @@ def trial_blocks(trials: int, block_size: int = BLOCK_SIZE) -> list[range]:
     return [range(lo, min(lo + block_size, trials)) for lo in range(0, trials, block_size)]
 
 
-def ordered_map(fn, items, workers: int) -> list:
+def ordered_imap(fn, items, workers: int):
     """Map preserving item order, on `workers` threads when there is more
-    than one item.  It leaves the BLAS thread count alone: callers whose
-    items are small BLAS calls wrap it in `single_threaded_blas`."""
+    than one item, yielding each result as soon as it and every earlier one
+    are ready.  On one worker fn runs only as results are consumed.  It
+    leaves the BLAS thread count alone: callers whose items are small BLAS
+    calls consume it inside `single_threaded_blas`."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+        yield from ex.map(fn, items)
+
+
+def ordered_map(fn, items, workers: int) -> list:
+    """`ordered_imap` collected into a list."""
+    return list(ordered_imap(fn, items, workers))
 
 
 @functools.cache

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prunelab import cli
 from prunelab.cli import main
 from prunelab.harness import EXPERIMENT_KINDS, default_config
 
@@ -137,3 +138,29 @@ def test_table3_fully_pruned_row_exits_0_with_c_zero(tmp_path):
     (row,) = report["rows"]
     assert dict(zip(report["columns"], row))["C"] == 0.0
     assert row[3:7] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_non_integer_workers_env_exits_1_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("PRUNELAB_WORKERS", "abc")
+    assert main(["bounds"]) == 1
+    assert _one_line_error(capsys) == "error: PRUNELAB_WORKERS must be an integer, got 'abc'\n"
+
+
+def _no_run(*args):
+    raise AssertionError("the experiment ran")
+
+
+@pytest.mark.parametrize("out, reason", [("missing/x.csv", "no directory {tmp}/missing"), (".", "is a directory")])
+def test_unwritable_out_exits_1_before_the_experiment_runs(tmp_path, monkeypatch, capsys, out, reason):
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    path = str(tmp_path / out)
+    assert main(["table3", "--out", path]) == 1
+    assert _one_line_error(capsys) == f"error: cannot write report {path}: {reason.format(tmp=tmp_path)}\n"
+
+
+def test_failed_report_write_exits_1_with_one_line(tmp_path, capsys):
+    # the directory exists, so the name passes the early check; open() fails
+    path = str(tmp_path / ("x" * 300))
+    assert main(["bounds", "--out", path]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith(f"error: cannot write report {path}: ") and "too long" in err
