@@ -2,9 +2,10 @@
 
 A conv layer with stride 1 and wrap-around padding is the linear map
 ``vec(Y) = W vec(X)`` where W is built from per-channel-pair doubly block
-circulant blocks.  This module constructs the padded kernel, the blocks,
-the full map, and computes the map's spectral norm frequency-by-frequency
-through the DFT instead of touching the p^2 d x p^2 d matrix.
+circulant blocks.  This module constructs the padded kernel, the blocks
+and the full map, applies the layer to feature maps by FFT, and computes
+the map's spectral norm frequency-by-frequency through the DFT instead of
+touching the p^2 d x p^2 d matrix.
 
 Index conventions (pinned by tests in tests/test_circulant.py):
 
@@ -131,7 +132,7 @@ def spectral_norm_via_dft(k) -> float:
     return float(sv[:, 0].max()) if sv.size else 0.0
 
 
-def conv2d_wrap(x, f, method: str = "fft") -> np.ndarray:
+def conv2d_wrap(x, f) -> np.ndarray:
     """Wrap-around convolution of feature maps.
 
     x has shape (..., d_in, p, p), f is (d_out, d_in, q, q) with q <= p.
@@ -139,10 +140,10 @@ def conv2d_wrap(x, f, method: str = "fft") -> np.ndarray:
     x[t, (a + i) % p, (b + j) % p] * f[s, t, i, j] in 0-based indices,
     matching the 1-based definition through :func:`wrap_index`.
 
-    method "fft" uses the circular cross-correlation theorem in two steps,
-    :func:`kernel_transform` and :func:`apply_kernel_transform`; "direct"
-    accumulates the q^2 rolled products. Both paths are pinned against the
-    explicit matrix route in the tests.
+    Computed by the circular cross-correlation theorem in two steps,
+    :func:`kernel_transform` and :func:`apply_kernel_transform`.  The tests
+    pin it against a direct loop over the q^2 rolled products and against
+    the explicit matrix route.
     """
     x = np.asarray(x, dtype=np.float64)
     f = as_conv_tensor(f)
@@ -152,23 +153,14 @@ def conv2d_wrap(x, f, method: str = "fft") -> np.ndarray:
     p = x.shape[-1]
     if q > p:
         raise ValueError(f"kernel size {q} exceeds spatial size {p}")
-    if method == "direct":
-        out = np.zeros(x.shape[:-3] + (d_out, p, p))
-        for i in range(q):
-            for j in range(q):
-                rolled = np.roll(x, shift=(-i, -j), axis=(-2, -1))
-                out += np.einsum("st,...tab->...sab", f[:, :, i, j], rolled)
-        return out
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     return apply_kernel_transform(np.fft.rfft2(x, axes=(-2, -1)), kernel_transform(f, p), p)
 
 
 def kernel_transform(f, p: int) -> np.ndarray:
-    """Kernel-transform step of the FFT path of :func:`conv2d_wrap`: the
-    conjugated rfft2 of each kernel zero-padded to p x p, shape
-    (d_out, d_in, p, p // 2 + 1).  It depends on the filters only, so a
-    caller that convolves many batches computes it once."""
+    """Kernel-transform step of :func:`conv2d_wrap`: the conjugated rfft2
+    of each kernel zero-padded to p x p, shape (d_out, d_in, p, p // 2 + 1).
+    It depends on the filters only, so a caller that convolves many batches
+    computes it once."""
     f = as_conv_tensor(f)
     d_out, d_in, q, _ = f.shape
     if q > p:
@@ -179,9 +171,9 @@ def kernel_transform(f, p: int) -> np.ndarray:
 
 
 def apply_kernel_transform(xhat, khat, p: int) -> np.ndarray:
-    """Apply step of the FFT path of :func:`conv2d_wrap`: the (..., d_out,
-    p, p) output maps from xhat, the rfft2 over the last two axes of the
-    (..., d_in, p, p) input maps, and khat = :func:`kernel_transform`."""
+    """Apply step of :func:`conv2d_wrap`: the (..., d_out, p, p) output maps
+    from xhat, the rfft2 over the last two axes of the (..., d_in, p, p)
+    input maps, and khat = :func:`kernel_transform`."""
     yhat = np.einsum("...tuv,stuv->...suv", xhat, khat, optimize=True)
     return np.fft.irfft2(yhat, s=(p, p), axes=(-2, -1))
 

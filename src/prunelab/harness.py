@@ -366,7 +366,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
     _fcn_alpha_check(s)
     l, alpha, k_scale = s.depth, s.alpha, s.xavier_k
     dist = DistributionSpec("uniform", xavier_k=k_scale)
-    act = networks.activation(s.activation)
+    act = networks.Activation(s.activation)
     magnitude = s.scheme.startswith("magnitude")
     # proof-side exponents: the expected difference norm scales as d^(-2 alpha)
     # for magnitude pruning and d^(-alpha/2) for random pruning; the Markov
@@ -407,7 +407,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
             gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha) * c0_t ** (l - 1)
         else:
             gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha / 4.0) * math.prod(n_caps)
-        gap_bound *= math.prod(a.lipschitz for a in (act,) * (l - 1))
+        # every supported activation is 1-Lipschitz, so the theorem's Lipschitz product is 1
         row += [gap, gap_bound, gap <= gap_bound]
         return row, payload
 
@@ -469,7 +469,7 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     # evaluated before any trial runs, so a bound out of range fails fast
     with _theory_inputs("thm3_rhs"):
         rhs_by_d = {d: theory.thm3_rhs(p, d, p, 1.0, l, s.beta1, s.beta2, alpha=alpha) for d in s.channels}
-    act = networks.activation("relu")
+    act = networks.Activation("relu")
 
     def one_trial(d: int, seed_t: SeedSpec):
         gw = seed_t.sub(0).generator()
@@ -586,6 +586,8 @@ def _bound_rows(s: SimpleNamespace) -> list:
         rows.append(["thm1", "width_bound", theory.thm1_width_bound(*args)])
     t2 = s.thm2
     if t2:
+        if len(t2.widths) != t2.l - 1:
+            raise ConfigError(f"thm2.widths must list the l - 1 = {t2.l - 1} hidden widths, got {len(t2.widths)}")
         for lim in theory.thm2_alpha_limits(t2.widths):
             rows.append(["thm2", f"alpha_max_rows_layer{lim['layer']}", lim["alpha_max_rows"]])
             rows.append(["thm2", f"alpha_max_cols_layer{lim['layer']}", lim["alpha_max_cols"]])

@@ -8,10 +8,8 @@ layers and end in a dense layer on the C-order-flattened feature map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -21,35 +19,27 @@ from .sampling import SeedSpec, sample_unit_cube, sample_unit_sphere
 
 __all__ = [
     "Activation",
-    "activation",
     "FcnModel",
     "CnnModel",
     "MaskSet",
     "all_ones_masks",
-    "expand_filter_mask",
     "forward_fcn",
     "forward_cnn",
-    "compression_ratio",
     "estimate_sup_gap",
-    "model_to_dict",
-    "model_from_dict",
-    "save_model",
-    "load_model",
 ]
 
 
 @dataclass(frozen=True)
 class Activation:
-    """A named activation with its Lipschitz constant; all kinds fix 0 to 0."""
+    """A named activation: relu, tanh or identity.  Every kind fixes 0 to 0
+    and is 1-Lipschitz, so the gap bounds' product of Lipschitz constants
+    is 1."""
 
     kind: str
-    lipschitz: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("relu", "tanh", "identity"):
             raise ValueError(f"unknown activation {self.kind!r}")
-        if self.lipschitz <= 0:
-            raise ValueError("Lipschitz constant must be positive")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "relu":
@@ -57,10 +47,6 @@ class Activation:
         if self.kind == "tanh":
             return np.tanh(x)
         return x
-
-
-def activation(kind: str) -> Activation:
-    return Activation(kind)
 
 
 def _check_weight(w, name: str) -> np.ndarray:
@@ -94,10 +80,6 @@ class FcnModel:
     @property
     def depth(self) -> int:
         return len(self.weights)
-
-    @property
-    def widths(self) -> tuple:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
     @property
     def input_dim(self) -> int:
@@ -150,14 +132,6 @@ class CnnModel:
         return (self.conv_tensors[0].shape[1],) + tuple(f.shape[0] for f in self.conv_tensors)
 
     @property
-    def kernel_sizes(self) -> tuple:
-        return tuple(f.shape[2] for f in self.conv_tensors)
-
-    @property
-    def spatial_sizes(self) -> tuple:
-        return (self.p,) * self.depth
-
-    @property
     def input_dim(self) -> int:
         return self.channels[0] * self.p * self.p
 
@@ -207,12 +181,6 @@ def all_ones_masks(model) -> MaskSet:
     masks = [np.ones(f.shape[:2]) for f in model.conv_tensors]
     masks.append(np.ones_like(model.final_dense))
     return MaskSet("cnn", tuple(masks))
-
-
-def expand_filter_mask(filter_mask: np.ndarray, p: int) -> np.ndarray:
-    """Blow a filter-level (d_out, d_in) mask up to the elementwise mask of
-    the layer's (p^2 d_out) x (p^2 d_in) linear map."""
-    return np.kron(np.asarray(filter_mask, dtype=np.float64), np.ones((p * p, p * p)))
 
 
 def _dense_layer(h: np.ndarray, w: np.ndarray, act: Activation | None) -> np.ndarray:
@@ -299,14 +267,6 @@ def forward_cnn(model: CnnModel, x, mask: MaskSet | None = None) -> np.ndarray:
     return _forward(model, x, mask, "d0*p^2")
 
 
-def compression_ratio(mask: MaskSet, k: int) -> float:
-    """Surviving-weight fraction of layer k (1-based), computed from the mask
-    under the convention that the unmasked weights have no exact zeros."""
-    if not 1 <= k <= mask.depth:
-        raise ValueError(f"layer index {k} out of range 1..{mask.depth}")
-    return float(mask.masks[k - 1].mean())
-
-
 # Points per chunk of the sup-gap estimator.  The chunk size is part of
 # every sup_gap value: OpenBLAS picks its product kernel by the row count
 # (8 rows times a 64 x 64 matrix differed in every row from the same rows
@@ -337,7 +297,10 @@ def estimate_sup_gap(model, mask: MaskSet, domain: str, n: int, seed: SeedSpec) 
     max over chunks of norm(forward(x, mask) - forward(x)).
 
     Nested runs with the same seed sample prefix-identical points, so the
-    estimate is nondecreasing in n.
+    estimate is exactly nondecreasing in n from any n that is a multiple of
+    `_GAP_CHUNK`: a larger n runs the same chunks first.  From other n it
+    can fall in its last bits, since the points of a partial chunk round
+    differently once the chunk is filled.
     """
     if domain not in ("sphere", "cube"):
         raise ValueError("domain must be 'sphere' or 'cube'")
@@ -354,69 +317,3 @@ def estimate_sup_gap(model, mask: MaskSet, domain: str, n: int, seed: SeedSpec) 
         diff = _run(pruned[split:], shared) - _run(target[split:], shared)
         best = max(best, float(np.linalg.norm(diff, axis=1).max()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Versioned JSON snapshots
-# ---------------------------------------------------------------------------
-
-_FORMAT_VERSION = 1
-
-
-def _array_doc(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
-
-
-def _array_from_doc(doc: dict) -> np.ndarray:
-    return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"], order="C")
-
-
-def model_to_dict(model) -> dict:
-    if isinstance(model, FcnModel):
-        return {
-            "format_version": _FORMAT_VERSION,
-            "kind": "fcn",
-            "widths": list(model.widths),
-            "activations": [a.kind for a in model.activations],
-            "weights": [_array_doc(w) for w in model.weights],
-        }
-    if isinstance(model, CnnModel):
-        return {
-            "format_version": _FORMAT_VERSION,
-            "kind": "cnn",
-            "channels": list(model.channels),
-            "out_dim": model.final_dense.shape[0],
-            "spatial_size": model.p,
-            "kernel_sizes": list(model.kernel_sizes),
-            "activation": model.act.kind,
-            "conv_tensors": [_array_doc(f) for f in model.conv_tensors],
-            "final_dense": _array_doc(model.final_dense),
-        }
-    raise TypeError(f"not a model: {type(model)!r}")
-
-
-def model_from_dict(doc: dict):
-    version = doc.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    if doc["kind"] == "fcn":
-        return FcnModel(
-            weights=tuple(_array_from_doc(w) for w in doc["weights"]),
-            activations=tuple(activation(k) for k in doc["activations"]),
-        )
-    if doc["kind"] == "cnn":
-        return CnnModel(
-            conv_tensors=tuple(_array_from_doc(f) for f in doc["conv_tensors"]),
-            final_dense=_array_from_doc(doc["final_dense"]),
-            act=activation(doc["activation"]),
-            p=int(doc["spatial_size"]),
-        )
-    raise ValueError(f"unknown model kind {doc['kind']!r}")
-
-
-def save_model(model, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8")
-
-
-def load_model(path):
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -72,10 +72,8 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
-def resolve_workers(explicit: int | None = None) -> int:
-    """Explicit argument wins; otherwise PRUNELAB_WORKERS; otherwise 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
+def resolve_workers() -> int:
+    """PRUNELAB_WORKERS, at least 1; 1 when it is not set."""
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return 1

@@ -15,11 +15,7 @@ import numpy as np
 __all__ = [
     "SeedSpec",
     "DistributionSpec",
-    "xavier_uniform",
-    "uniform_variance",
-    "gaussian_variance",
     "draw_matrix",
-    "sample_matrix",
     "sample_unit_sphere",
     "sample_unit_cube",
 ]
@@ -120,18 +116,6 @@ class DistributionSpec:
         return ex2 * mx, ex4 * mx * mx
 
 
-def xavier_uniform(k: float) -> DistributionSpec:
-    return DistributionSpec("uniform", xavier_k=k)
-
-
-def uniform_variance(v: float) -> DistributionSpec:
-    return DistributionSpec("uniform", variance=v)
-
-
-def gaussian_variance(v: float) -> DistributionSpec:
-    return DistributionSpec("gaussian", variance=v)
-
-
 def draw_matrix(dist: DistributionSpec, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an i.i.d. rows x cols matrix from an existing generator."""
     if rows < 1 or cols < 1:
@@ -140,12 +124,6 @@ def draw_matrix(dist: DistributionSpec, rows: int, cols: int, rng: np.random.Gen
         a = dist.bound(rows, cols)
         return rng.uniform(-a, a, size=(rows, cols))
     return rng.normal(0.0, np.sqrt(dist.variance), size=(rows, cols))
-
-
-def sample_matrix(dist: DistributionSpec, rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
-    """Reproducible i.i.d. matrix draw: fixed (dist, dims, seed) gives
-    bit-identical output."""
-    return draw_matrix(dist, rows, cols, seed.generator())
 
 
 def sample_unit_sphere(dim: int, n: int, seed: SeedSpec) -> np.ndarray:

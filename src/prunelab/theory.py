@@ -1,4 +1,5 @@
-"""Closed-form moments, tail bounds, and theorem-side bound calculators.
+"""Closed-form moments, balls-into-bins probabilities, and theorem-side
+bound calculators.
 
 Everything here is a pure function of user-supplied constants.  The width
 bounds and probability expressions only prove existence of their constants,
@@ -11,7 +12,7 @@ Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "ProbabilityValue",
     "order_stat_moment_exact",
     "order_stat_moment",
-    "chernoff_upper",
     "balls_in_bins_exact",
     "BallsBinsResult",
     "balls_in_bins_check",
@@ -41,33 +41,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TheoremConstants:
-    """User-supplied positive constants feeding the bound calculators.
-
-    c0 / delta0 come from the uniform-matrix norm bound, c1 is the universal
-    constant of the independent-entry norm bound (c2 derives from it), and
-    n_bounds / n_deltas are the per-layer operator-norm caps N_k with their
-    failure probabilities delta_k.
-    """
+    """User-supplied positive constants feeding the magnitude-pruning width
+    bound: c0 / delta0 from the uniform-matrix norm bound, and c2 from the
+    independent-entry norm bound."""
 
     c0: float | None = None
     delta0: float | None = None
-    c1: float | None = None
     c2: float | None = None
-    k_scale: float | None = None  # uniform half-width scale K
-    k1: float | None = None  # second-moment constant
-    k2: float | None = None  # fourth-moment constant
-    n_bounds: tuple[float, ...] = field(default_factory=tuple)
-    n_deltas: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        for name in ("c0", "delta0", "c1", "c2", "k_scale", "k1", "k2"):
+        for name in ("c0", "delta0", "c2"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
-        if any(n < 1 for n in self.n_bounds):
-            raise ValueError("operator-norm caps N_k must be >= 1")
-        if any(not 0 <= d <= 1 for d in self.n_deltas):
-            raise ValueError("per-layer probabilities delta_k must lie in [0, 1]")
 
     def require(self, *names: str) -> None:
         missing = [n for n in names if getattr(self, n) is None]
@@ -77,20 +63,15 @@ class TheoremConstants:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One checked inequality: satisfied iff lhs `direction` rhs."""
+    """One checked inequality: satisfied iff lhs <= rhs."""
 
     name: str
     lhs: float
     rhs: float
-    direction: str = "<="
-
-    def __post_init__(self):
-        if self.direction not in ("<=", ">="):
-            raise ValueError("direction must be '<=' or '>='")
 
     @property
     def satisfied(self) -> bool:
-        return self.lhs <= self.rhs if self.direction == "<=" else self.lhs >= self.rhs
+        return self.lhs <= self.rhs
 
 
 @dataclass(frozen=True)
@@ -133,15 +114,8 @@ def order_stat_moment(a: float, n: int, r: int, p: int = 1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Chernoff and balls-into-bins
+# Balls-into-bins
 # ---------------------------------------------------------------------------
-
-
-def chernoff_upper(mu: float, delta: float) -> float:
-    """Upper tail bound exp(-delta^2 mu / (1 + delta)) for sums of 0/1 variables."""
-    if mu <= 0 or delta <= 0:
-        raise ValueError("mu and delta must be positive")
-    return math.exp(-(delta * delta) * mu / (1.0 + delta))
 
 
 def balls_in_bins_exact(bins: int, balls: int, cap: float) -> Fraction:
@@ -191,17 +165,11 @@ class BallsBinsResult:
         return (not self.guarantee_applies) or self.empirical >= self.guarantee_floor
 
 
-def balls_in_bins_check(
-    bins: int,
-    balls: int,
-    trials: int,
-    seed: SeedSpec,
-    exact_limit: float = 1e6,
-) -> BallsBinsResult:
+def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> BallsBinsResult:
     """Monte Carlo frequency of {max load <= 3N/n}, with the guarantee branch
     (N >= n log n implies probability >= 1 - n^(-1/3)) checked and reported.
 
-    Also evaluates the exact probability when bins**balls <= exact_limit.
+    Also evaluates the exact probability when bins**balls <= 10^6.
     """
     if bins < 1 or balls < 1 or trials < 1:
         raise ValueError("bins, balls, trials must be >= 1")
@@ -225,7 +193,7 @@ def balls_in_bins_check(
     applies = balls >= bins * math.log(bins) if bins > 1 else True
     floor = 1.0 - bins ** (-1.0 / 3.0)
     exact = None
-    if bins**balls <= exact_limit:
+    if bins**balls <= 1e6:
         exact = float(balls_in_bins_exact(bins, balls, threshold))
     return BallsBinsResult(
         bins=bins,

@@ -7,6 +7,7 @@ from prunelab.circulant import (
     circ,
     conv2d_wrap,
     flatten_maps,
+    kernel_transform,
     pad_kernel,
     spectral_norm_via_dft,
     unflatten_maps,
@@ -37,6 +38,19 @@ def conv_reference(x, f):
                             )
                 y[s - 1, a - 1, b - 1] = acc
     return y
+
+
+def conv_direct(x, f):
+    """Wrap-around convolution as the sum of the q^2 rolled products
+    f[:, :, i, j] x rolled by (-i, -j), on (..., d_in, p, p) batches."""
+    d_out, d_in, q, _ = f.shape
+    p = x.shape[-1]
+    out = np.zeros(x.shape[:-3] + (d_out, p, p))
+    for i in range(q):
+        for j in range(q):
+            rolled = np.roll(x, shift=(-i, -j), axis=(-2, -1))
+            out += np.einsum("st,...tab->...sab", f[:, :, i, j], rolled)
+    return out
 
 
 class TestWrapIndex:
@@ -168,31 +182,31 @@ class TestBuildFullMap:
 
 
 class TestConv2dWrap:
-    @pytest.mark.parametrize("method", ["fft", "direct"])
-    def test_matches_brute_force(self, method):
+    @pytest.mark.parametrize("conv", [conv2d_wrap, conv_direct], ids=["fft", "direct"])
+    def test_matches_brute_force(self, conv):
         for _ in range(5):
             d_out, d_in = RNG.integers(1, 4, size=2)
             p = int(RNG.integers(2, 7))
             q = int(RNG.integers(1, p + 1))
             f = RNG.standard_normal((d_out, d_in, q, q))
             x = RNG.standard_normal((d_in, p, p))
-            got = conv2d_wrap(x, f, method=method)
+            got = conv(x, f)
             np.testing.assert_allclose(got, conv_reference(x, f), atol=1e-12)
 
     def test_fft_equals_direct_batched(self):
         f = RNG.standard_normal((3, 2, 3, 3))
         x = RNG.standard_normal((10, 2, 6, 6))
-        np.testing.assert_allclose(
-            conv2d_wrap(x, f, method="fft"), conv2d_wrap(x, f, method="direct"), atol=1e-12
-        )
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            conv2d_wrap(np.zeros((1, 2, 2)), np.zeros((1, 1, 1, 1)), method="nope")
+        np.testing.assert_allclose(conv2d_wrap(x, f), conv_direct(x, f), atol=1e-12)
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError):
             conv2d_wrap(np.zeros((2, 3, 3)), np.zeros((1, 1, 1, 1)))
+
+    def test_rejects_kernel_larger_than_maps(self):
+        with pytest.raises(ValueError, match="kernel size 4 exceeds spatial size 3"):
+            conv2d_wrap(np.zeros((1, 3, 3)), np.zeros((1, 1, 4, 4)))
+        with pytest.raises(ValueError, match="kernel size 4 exceeds spatial size 3"):
+            kernel_transform(np.zeros((1, 1, 4, 4)), 3)
 
 
 class TestSpectralNormViaDft:

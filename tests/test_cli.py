@@ -90,6 +90,11 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
         ("balls-bins", {"cases": [[4, 0]]}, "cases must be a nonempty list of [bins, balls] pairs of integers >= 1"),
         ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1, got 0"),
         ("bounds", {"thm3": default_config("bounds")["thm3"] | {"extra": 1}}, "thm3.extra is not a known field"),
+        (
+            "bounds",
+            {"thm2": default_config("bounds")["thm2"] | {"l": 6, "widths": [8, 8]}},
+            "bounds: thm2.widths must list the l - 1 = 5 hidden widths, got 2",
+        ),
         ("fcn-sweep", {"extra": 1}, "extra is not a known field"),
         ("fcn-sweep", {"scheme": "random-with-replacement", "widths": [2]}, "thm2 alpha constraints: hidden widths"),
     ],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prunelab.networks import CnnModel, FcnModel, activation
+from prunelab.networks import Activation, CnnModel, FcnModel
 from prunelab.pruning import (
     PruneSpec,
     build_mask,
@@ -78,12 +78,12 @@ FCN_SHAPES = [(6, 4), (7, 6), (5, 7), (3, 5)]
 
 def fcn_model(rng, shapes=FCN_SHAPES) -> FcnModel:
     weights = tuple(rng.standard_normal(s) for s in shapes)
-    return FcnModel(weights, (activation("relu"),) * (len(shapes) - 1))
+    return FcnModel(weights, (Activation("relu"),) * (len(shapes) - 1))
 
 
 def cnn_model(rng) -> CnnModel:
     tensors = (rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((4, 4, 3, 3)), rng.standard_normal((4, 4, 3, 3)))
-    return CnnModel(tensors, rng.standard_normal((3, 4 * 5 * 5)), activation("relu"), 5)
+    return CnnModel(tensors, rng.standard_normal((3, 4 * 5 * 5)), Activation("relu"), 5)
 
 
 def assert_masks_equal(got, want):

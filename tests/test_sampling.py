@@ -4,12 +4,9 @@ import pytest
 from prunelab.sampling import (
     DistributionSpec,
     SeedSpec,
-    gaussian_variance,
-    sample_matrix,
+    draw_matrix,
     sample_unit_cube,
     sample_unit_sphere,
-    uniform_variance,
-    xavier_uniform,
 )
 
 SEED = SeedSpec(987654321)
@@ -63,41 +60,41 @@ class TestDistributionSpec:
 
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
-            xavier_uniform(0.0)
+            DistributionSpec("uniform", xavier_k=0.0)
         with pytest.raises(ValueError):
-            gaussian_variance(-1.0)
+            DistributionSpec("gaussian", variance=-1.0)
 
     def test_xavier_moment_constants(self):
-        k1, k2 = xavier_uniform(2.0).moment_constants(64, 32)
+        k1, k2 = DistributionSpec("uniform", xavier_k=2.0).moment_constants(64, 32)
         assert k1 == pytest.approx(4.0 / 3.0)
         assert k2 == pytest.approx(16.0 / 5.0)
 
     def test_gaussian_moment_constants(self):
-        k1, k2 = gaussian_variance(0.25).moment_constants(8, 8)
+        k1, k2 = DistributionSpec("gaussian", variance=0.25).moment_constants(8, 8)
         assert k1 == pytest.approx(0.25 * 8)
         assert k2 == pytest.approx(3 * 0.25**2 * 64)
 
 
-class TestSampleMatrix:
+class TestDrawMatrix:
     def test_xavier_support_bound(self):
-        m = sample_matrix(xavier_uniform(1.0), 32, 32, SEED)
+        m = draw_matrix(DistributionSpec("uniform", xavier_k=1.0), 32, 32, SEED.generator())
         assert np.all(np.abs(m) <= 1.0 / np.sqrt(32))
 
     def test_same_seed_bit_identical(self):
-        a = sample_matrix(xavier_uniform(1.0), 20, 30, SEED.child(5))
-        b = sample_matrix(xavier_uniform(1.0), 20, 30, SEED.child(5))
+        a = draw_matrix(DistributionSpec("uniform", xavier_k=1.0), 20, 30, SEED.child(5).generator())
+        b = draw_matrix(DistributionSpec("uniform", xavier_k=1.0), 20, 30, SEED.child(5).generator())
         assert np.array_equal(a, b)
 
     def test_xavier_second_moment(self):
         # variance of U[-a, a] is a^2/3 with a = 1/sqrt(512)
-        m = sample_matrix(xavier_uniform(1.0), 512, 512, SEED)
+        m = draw_matrix(DistributionSpec("uniform", xavier_k=1.0), 512, 512, SEED.generator())
         want = (1.0 / 512.0) / 3.0
         assert np.mean(m * m) == pytest.approx(want, rel=0.05)
 
     def test_moment_bounds_for_general_pruning_assumption(self):
         # E|X|^2 <= K1/max(m,n), E|X|^4 <= K2/max(m,n)^2 with K1=K^2/3, K2=K^4/5
         k = 1.5
-        m = sample_matrix(xavier_uniform(k), 400, 250, SEED.child(9))
+        m = draw_matrix(DistributionSpec("uniform", xavier_k=k), 400, 250, SEED.child(9).generator())
         mx = 400
         assert np.mean(m**2) <= 1.1 * k**2 / 3.0 / mx
         assert np.mean(m**4) <= 1.1 * k**4 / 5.0 / mx**2
@@ -105,14 +102,21 @@ class TestSampleMatrix:
         assert np.mean(m**4) == pytest.approx(k**4 / 5.0 / mx**2, rel=0.1)
 
     def test_uniform_variance_rule(self):
-        m = sample_matrix(uniform_variance(0.01), 300, 300, SEED)
+        m = draw_matrix(DistributionSpec("uniform", variance=0.01), 300, 300, SEED.generator())
         assert np.all(np.abs(m) <= np.sqrt(0.03) + 1e-15)
         assert m.var() == pytest.approx(0.01, rel=0.05)
 
     def test_gaussian_variance_rule(self):
-        m = sample_matrix(gaussian_variance(2.0), 300, 300, SEED)
+        m = draw_matrix(DistributionSpec("gaussian", variance=2.0), 300, 300, SEED.generator())
         assert m.var() == pytest.approx(2.0, rel=0.05)
         assert abs(m.mean()) < 3 * np.sqrt(2.0 / m.size) * 2
+
+
+    def test_rejects_nonpositive_dimensions(self):
+        dist = DistributionSpec("uniform", xavier_k=1.0)
+        for rows, cols in ((0, 4), (4, 0), (-1, 4)):
+            with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+                draw_matrix(dist, rows, cols, SEED.generator())
 
 
 class TestSphere:

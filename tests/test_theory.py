@@ -11,7 +11,6 @@ from prunelab.theory import (
     TheoremConstants,
     balls_in_bins_check,
     balls_in_bins_exact,
-    chernoff_upper,
     order_stat_moment,
     order_stat_moment_exact,
     thm1_width_bound,
@@ -81,23 +80,6 @@ class TestOrderStatMoment:
             order_stat_moment_exact(5, 0, 1)
         with pytest.raises(ValueError):
             order_stat_moment(0.0, 5, 1, 1)
-
-
-class TestChernoff:
-    def test_paper_instantiation(self):
-        # delta = 2, mu = ln n gives n^(-4/3)
-        for n in (10, 64, 1000):
-            assert chernoff_upper(math.log(n), 2.0) == pytest.approx(n ** (-4.0 / 3.0), rel=1e-12)
-
-    def test_small_delta_limit(self):
-        assert chernoff_upper(5.0, 1e-9) == pytest.approx(1.0, abs=1e-8)
-
-    def test_direct_value(self):
-        assert chernoff_upper(3.0, 1.0) == pytest.approx(0.22313016014842982, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            chernoff_upper(0.0, 1.0)
 
 
 def brute_force_max_load_prob(bins: int, balls: int, cap: float) -> Fraction:
@@ -302,12 +284,18 @@ class TestTheoremConstants:
         with pytest.raises(ValueError):
             TheoremConstants(c0=-1.0)
 
-    def test_rejects_small_norm_caps(self):
-        with pytest.raises(ValueError):
-            TheoremConstants(n_bounds=(0.5,))
+    def test_rejects_zero_for_every_constant(self):
+        for name in ("c0", "delta0", "c2"):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                TheoremConstants(**{name: 0.0})
 
-    def test_bound_report_directions(self):
+    def test_require_names_the_missing_constants(self):
+        consts = TheoremConstants(c0=1.0)
+        consts.require("c0")
+        with pytest.raises(ValueError, match="missing constants: delta0, c2"):
+            consts.require("c0", "delta0", "c2")
+
+    def test_bound_report_is_lhs_le_rhs(self):
         assert BoundReport("x", 1.0, 2.0).satisfied
-        assert not BoundReport("x", 1.0, 2.0, ">=").satisfied
-        with pytest.raises(ValueError):
-            BoundReport("x", 0.0, 0.0, "==")
+        assert BoundReport("x", 2.0, 2.0).satisfied
+        assert not BoundReport("x", 2.0, 1.0).satisfied
