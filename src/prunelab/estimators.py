@@ -16,21 +16,9 @@ Norms use the LAPACK SVD; at these matrix sizes and trial counts the
 deterministic power-iteration routine would dominate the runtime budget.
 
 Threading.  Each estimator folds fixed 25-trial blocks in block order, so
-its result does not depend on the worker count, and runs the blocks under
-`single_threaded_blas` at every worker count (see `parallel` for the
-policy): the BLAS thread count a trial runs at never depends on
-PRUNELAB_WORKERS.  On a 2-core host this took the benchmark's table2 +
-table3 pass at 2 workers from 7.8 s to 3.7 s wall and from 14.7 s to 6.2 s
-CPU (medians of 10 runs).  Up to n=512 the SVD gives the same bits at 1 and
-2 BLAS threads, so those rows are unchanged.  Larger rows differ in the last
-bits from runs made on multithreaded BLAS (table2 at n=768: 1.9e-14
-relative, in the std column).  Within a block the norms go through
-`linalg.top_singular_values`, which stacks the trials' matrices so that
-each SVD call returns more than 500 singular values: below that numpy holds
-the interpreter lock for the whole call, and the two workers of an n <= 500
-row took turns instead of running together.  The stacked SVDs give the
-same bits; the benchmark's table2 + table3 pass at 2 workers went from
-4.01 to 3.47 s wall at the same CPU time (medians of 10 alternating pairs).
+its result does not depend on the worker count; the blocks run on one BLAS
+thread, as every mapped task does (see `parallel` for the policy), and
+within a block the norms go through `linalg.top_singular_values`.
 """
 
 from __future__ import annotations
@@ -41,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import top_singular_values
-from .parallel import ordered_imap, ordered_map, single_threaded_blas, trial_blocks
+from .parallel import ordered_imap, ordered_map, trial_blocks
 from .pruning import filter_prune_count
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 
@@ -125,8 +113,7 @@ def estimate_lemma3(
         draws = (draw_matrix(dist, n1, n2, seed.child(t).generator()) for t in block)
         return top_singular_values(draws, n1, n2)
 
-    with single_threaded_blas():
-        norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
+    norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
     srt = np.sort(norms)
     n = max(n1, n2)
     quants = tuple(
@@ -188,12 +175,11 @@ def estimate_latala(
     sq_total = np.zeros((d, d))
     quad_total = np.zeros((d, d))
     all_norms = []
-    with single_threaded_blas():
-        # each block's sums are added as the block arrives, in block order
-        for sq, quad, norms in ordered_imap(block_stats, trial_blocks(trials), workers):
-            sq_total += sq
-            quad_total += quad
-            all_norms.append(norms)
+    # each block's sums are added as the block arrives, in block order
+    for sq, quad, norms in ordered_imap(block_stats, trial_blocks(trials), workers):
+        sq_total += sq
+        quad_total += quad
+        all_norms.append(norms)
     norms = np.concatenate(all_norms)
     term1, term2, term3 = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(norms.mean())

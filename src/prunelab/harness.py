@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
@@ -23,7 +23,7 @@ from . import circulant, networks, pruning, theory
 from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config, parse_config
 from .estimators import estimate_lemma3, estimate_latala, latala_terms
 from .linalg import spectral_norm, top_singular_values
-from .parallel import BLOCK_SIZE, ordered_imap, ordered_map, single_threaded_blas, trial_blocks
+from .parallel import ordered_imap, ordered_map, startup_blas_threads
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 from .theory import TheoremConstants
 
@@ -286,50 +286,44 @@ def _bins_event(mask_matrix: np.ndarray, count: int) -> bool:
     return bool(row_ok and col_ok)
 
 
-def _gap_sweep(
-    s, widths, workers: int, blas, block_size: int, layer_columns: list, tail_columns: list, one_trial, summarize
-):
+def _gap_sweep(s, widths, workers: int, layer_columns: list, tail_columns: list, one_trial, summarize):
     """The width-by-width loop both gap sweeps run; returns the report's
     columns, its rows and the per-width part of its summary.
 
     one_trial(d, seed) returns a trial's row entries after the four
     d/trial/base_seed/stream columns, then per pruned layer its
     `layer_columns`, then `tail_columns` (one of them sup_gap), and its
-    payload: per pruned layer, a tuple of arrays and floats.  The trial
-    blocks of `block_size` trials run inside the `blas` context, each
-    sweep's fixed threading policy (see the parallel module).  Each trial
-    is folded as its block arrives and its payload is then dropped, so
-    memory does not grow with the trial count, and the block size moves
-    only the wall time.  Per width the rows keep trial order, each payload
-    component is summed over the trials in trial order, starting from 0.0,
-    and summarize(d, rows, sums) adds its fields to the sup_gap quantiles.
+    payload: per pruned layer, a tuple of arrays and floats.  Each task is
+    one trial, so two workers share even a short sweep, and each trial is
+    folded as it arrives and its payload then dropped, so memory does not
+    grow with the trial count.  Per width the rows keep trial order, each
+    payload component is summed over the trials in trial order, starting
+    from 0.0, and summarize(d, rows, sums) adds its fields to the sup_gap
+    quantiles.
     """
     columns = ["d", "trial", "base_seed", "stream"]
     columns += [f"{c}_l{k}" for k in range(2, s.depth) for c in layer_columns] + tail_columns
     gap_col = columns.index("sup_gap")
 
-    def block_run(block: range, d: int):
+    def trial_run(t: int, d: int):
         # a trial's streams depend only on (base_seed, trial, d), so any
         # recorded row can be recomputed in isolation
-        return [one_trial(d, SeedSpec(s.seed, t).sub(d)) for t in block]
+        return one_trial(d, SeedSpec(s.seed, t).sub(d))
 
     all_rows = []
     per_width = []
     for d in widths:
         rows = []
         sums = None
-        with blas():
-            for block in ordered_imap(partial(block_run, d=d), trial_blocks(s.trials, block_size), workers):
-                for entries, payload in block:
-                    t = len(rows)
-                    rows.append([d, t, s.seed, t] + entries)
-                    if sums is None:
-                        sums = [[0.0] * len(layer) for layer in payload]
-                    # 0.0 + c for the first trial, then in place: the
-                    # additions of a left fold from 0.0, in trial order
-                    for acc, layer in zip(sums, payload):
-                        for i, c in enumerate(layer):
-                            acc[i] += c
+        for t, (entries, payload) in enumerate(ordered_imap(partial(trial_run, d=d), range(s.trials), workers)):
+            rows.append([d, t, s.seed, t] + entries)
+            if sums is None:
+                sums = [[0.0] * len(layer) for layer in payload]
+            # 0.0 + c for the first trial, then in place: the additions of
+            # a left fold from 0.0, in trial order
+            for acc, layer in zip(sums, payload):
+                for i, c in enumerate(layer):
+                    acc[i] += c
         all_rows.extend(rows)
         gaps = np.array([r[gap_col] for r in rows])
         per_width.append(
@@ -444,11 +438,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
 
     layer_columns = ["count", "norm_w", "norm_diff", "bins_event", "diff_event"]
     tail_columns = ["sup_gap", "gap_bound", "gap_event"]
-    # one BLAS thread per trial at every worker count, and one trial per
-    # block, so that two workers share a sweep of 25 trials
-    columns, rows, sweep = _gap_sweep(
-        s, s.widths, workers, single_threaded_blas, 1, layer_columns, tail_columns, one_trial, summarize
-    )
+    columns, rows, sweep = _gap_sweep(s, s.widths, workers, layer_columns, tail_columns, one_trial, summarize)
     summary = {"scheme": s.scheme, "alpha": alpha, "mean_norm_exponent": mean_expo, "event_exponent": event_expo}
     return columns, rows, summary | sweep
 
@@ -495,7 +485,10 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
             explicit_norm = None
             if p * p * d <= s.explicit_norm_limit:
                 w_full = circulant.build_full_map(kpad)
-                explicit_norm = float(np.linalg.svd(w_full, compute_uv=False)[0])
+                # the one SVD off the one-thread rule: from n=768 its bits
+                # depend on the thread count (see the parallel module)
+                with startup_blas_threads():
+                    explicit_norm = float(np.linalg.svd(w_full, compute_uv=False)[0])
             bins_ok = _bins_event(fmask, counts[j])
             # per-kernel-position slices of the target and difference tensors
             slices = tensors[k].transpose(2, 3, 0, 1).reshape(q * q, d, d)
@@ -563,10 +556,7 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         return {"thm3_rhs": rhs_by_d[d], "layers": layers}
 
     layer_columns = ["count", "norm_w_dft", "norm_diff_dft", "norm_w_explicit", "bins_event", "w_event", "diff_event"]
-    # all BLAS threads: the explicit-map SVD is faster on them
-    columns, rows, sweep = _gap_sweep(
-        s, s.channels, workers, nullcontext, BLOCK_SIZE, layer_columns, ["sup_gap"], one_trial, summarize
-    )
+    columns, rows, sweep = _gap_sweep(s, s.channels, workers, layer_columns, ["sup_gap"], one_trial, summarize)
     return columns, rows, {"alpha": alpha} | sweep
 
 
@@ -588,6 +578,10 @@ def _bound_rows(s: SimpleNamespace) -> list:
     if t2:
         if len(t2.widths) != t2.l - 1:
             raise ConfigError(f"thm2.widths must list the l - 1 = {t2.l - 1} hidden widths, got {len(t2.widths)}")
+        # Theorem 2's probability takes one width for every hidden layer
+        other = next((w for w in t2.widths if w != t2.d), None)
+        if other is not None:
+            raise ConfigError(f"thm2.widths must all equal thm2.d = {t2.d}, got width {other}")
         for lim in theory.thm2_alpha_limits(t2.widths):
             rows.append(["thm2", f"alpha_max_rows_layer{lim['layer']}", lim["alpha_max_rows"]])
             rows.append(["thm2", f"alpha_max_cols_layer{lim['layer']}", lim["alpha_max_cols"]])
@@ -627,13 +621,16 @@ def run_oracle_suite(s: SimpleNamespace, workers: int):
     def sub_run(kind: str, overrides: dict) -> Report:
         return run_experiment(kind, load_config(kind, overrides=overrides | {"seed": s.seed}), workers)
 
-    # power iteration against the LAPACK SVD oracle
+    # power iteration against the LAPACK SVD oracle, mapped like every
+    # other kind's BLAS work so that it runs on one BLAS thread
     rng = SeedSpec(s.seed).sub(0).generator()
-    worst = 0.0
-    for n in (1, 2, 3, 5, 8, 13, 21, 32):
-        a = rng.standard_normal((n, max(1, n - 1)))
+    mats = [rng.standard_normal((n, max(1, n - 1))) for n in (1, 2, 3, 5, 8, 13, 21, 32)]
+
+    def rel_err(a: np.ndarray) -> float:
         ref = float(np.linalg.svd(a, compute_uv=False)[0])
-        worst = max(worst, abs(spectral_norm(a, tol=1e-12) - ref) / max(ref, 1e-300))
+        return abs(spectral_norm(a, tol=1e-12) - ref) / max(ref, 1e-300)
+
+    worst = max([0.0] + ordered_map(rel_err, mats, workers))
     check("spectral_norm_vs_svd", worst <= 1e-10, worst)
 
     # circulant forward + norm equivalence

@@ -10,35 +10,45 @@ result in block order as soon as it is ready, and the Monte Carlo loops
 add it to their running sums and drop it, so memory does not grow with the
 trial count.  The sums take the same additions in the same order as a fold
 over the finished list would, so the bits do not depend on when a result
-arrives.
+arrives.  At most `2 * workers` blocks run or wait ahead of the consumer,
+so a consumer that falls behind holds that many finished results at most.
 
-Threading policy.  Workers are threads of one process.  They overlap only
-inside numpy kernels that release the interpreter lock, and those kernels
-may run on OpenBLAS, which keeps its own pool of one thread per core.
-`np.linalg.svd` releases the lock only when one call returns more than 500
-singular values: a lone SVD of n <= 500 keeps every other worker waiting,
-so the norms go through `linalg.top_singular_values`, which stacks such
-matrices into calls past that count.  Two workers that each call a
-multithreaded SVD ask a 2-core host for 4 threads, and table2 at the
-benchmark's sizes took as long at 2 workers as at 1 (5.9 vs 6.2 s).  The
-Monte Carlo norm estimators therefore run their trial blocks under
-`single_threaded_blas` at every worker count, so parallelism comes only
-from trial blocks; that table2 run then took 4.8 s at 1 worker and 3.0 s at
-2.  For n <= 512 the SVD gives the same bits at 1 and 2 BLAS threads and is
-faster at 1 (1.1 vs 2.2 ms at n=128, 37 vs 43 ms at n=512).  fcn-sweep runs
-its trials under the same cap, one trial per block: its weight matrices are
-at most a few hundred wide (256 in the default config), where the SVDs and
-forward-pass products give the same bits at 1 and 2 BLAS threads, and one
-BLAS thread per trial thread keeps 2 workers from asking for 4 threads.
-The cap is not applied inside `ordered_imap`: from n=768 the SVD's last bits
-depend on the BLAS thread count, so a cap that followed the worker count
-would break byte-identity across worker counts, and such single large calls
-(the 1024 x 1024 explicit-map SVD of cnn-sweep: 286 vs 380 ms) are faster on
-all BLAS threads.  Numpy's FFT and einsum release the lock: two threads
-of `np.fft.rfft2` on a (256, 64, 8, 8) batch, one BLAS thread, ran at 1.9
+Threading policy: every mapped task runs on one BLAS thread.
+`ordered_imap` runs the whole map under `single_threaded_blas`, at every
+worker count, so parallelism comes only from the worker threads, and the
+BLAS thread count a task runs at never depends on PRUNELAB_WORKERS.
+Workers are threads of one process; they overlap only inside numpy kernels
+that release the interpreter lock, and those kernels may run on OpenBLAS,
+which otherwise keeps a pool of one thread per core.  Two workers that each
+call a multithreaded SVD ask a 2-core host for 4 threads: table2 at the
+benchmark's sizes took as long at 2 workers as at 1 (5.9 vs 6.2 s), and
+4.8 s at 1 worker and 3.0 s at 2 on one BLAS thread.  For n <= 512 the
+SVD gives the same bits at 1 and 2 BLAS threads and is faster at 1 (1.1 vs
+2.2 ms at n=128, 37 vs 43 ms at n=512).  cnn-sweep, the last kind to run on
+all BLAS threads, went from 4.16 to 2.97 s of CPU per pass of the
+benchmark's cnn-sweep workload at 1 worker on a 2-core host (medians of
+10 alternating pairs), at 2.15 vs 2.26 s wall: its conv einsum's complex products lost
+their second thread.  Its default config at 2 workers went from 32-34 to
+23-24 s wall.
+`np.linalg.svd` releases the interpreter lock only when one call returns
+more than 500 singular values, so the norms go through
+`linalg.top_singular_values`, which stacks such matrices into calls past
+that count.  Numpy's FFT and einsum release the lock: two threads of
+`np.fft.rfft2` on a (256, 64, 8, 8) batch, one BLAS thread, ran at 1.9
 times the speed of one, and the conv einsum on the same shapes at 2.1
-times (medians of 9 pairs in each of two runs), so cnn-sweep's trial
-blocks overlap in all three kernels.
+times, so cnn-sweep's trials overlap in all three kernels.
+
+The one exception is cnn-sweep's explicit-map SVD, a single 1024 x 1024
+call in the default config.  From n=768 the SVD's last bits depend on the
+BLAS thread count, so it runs inside `startup_blas_threads`, at the count
+OpenBLAS had when this module first looked it up, before any cap: its
+value is then the same at every worker count.  A module lock serialises
+these calls and every change of the count, so only the lock holder changes
+the count while workers run.  The other workers' BLAS calls in that window
+may run at the start-up count too; their SVDs are all far below n=768, and
+the cnn-sweep reports, one with a 1024 x 1024 explicit map among them, are
+byte-identical at 1 and 2 workers.  The exception leaves with the
+explicit-map column.
 """
 
 from __future__ import annotations
@@ -46,9 +56,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 __all__ = [
     "resolve_workers",
@@ -56,6 +69,7 @@ __all__ = [
     "ordered_imap",
     "trial_blocks",
     "single_threaded_blas",
+    "startup_blas_threads",
     "BLOCK_SIZE",
 ]
 
@@ -91,15 +105,28 @@ def trial_blocks(trials: int, block_size: int = BLOCK_SIZE) -> list[range]:
 def ordered_imap(fn, items, workers: int):
     """Map preserving item order, on `workers` threads when there is more
     than one item, yielding each result as soon as it and every earlier one
-    are ready.  On one worker fn runs only as results are consumed.  It
-    leaves the BLAS thread count alone: callers whose items are small BLAS
-    calls consume it inside `single_threaded_blas`."""
+    are ready.  Every call of fn runs on one BLAS thread, inside
+    `single_threaded_blas`, which lasts until the map is consumed or closed.
+    On one worker fn runs only as results are consumed; on more, at most
+    `2 * workers` items are submitted ahead of the consumer."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(fn, items)
+    with single_threaded_blas():
+        if workers <= 1 or len(items) <= 1:
+            yield from map(fn, items)
+            return
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            pending = deque()
+            try:
+                for item in items:
+                    pending.append(ex.submit(fn, item))
+                    if len(pending) > 2 * workers:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            finally:
+                # a raising task or an early close leaves nothing queued
+                for future in pending:
+                    future.cancel()
 
 
 def ordered_map(fn, items, workers: int) -> list:
@@ -107,10 +134,22 @@ def ordered_map(fn, items, workers: int) -> list:
     return list(ordered_imap(fn, items, workers))
 
 
+class _Blas(NamedTuple):
+    get: Callable[[], int]
+    set: Callable[[int], None]
+    startup: int  # the count at the first lookup, before any cap
+
+
+# Held while the thread count is read and set, and for the whole block of
+# `startup_blas_threads`, so only the lock holder changes the count.
+_BLAS_LOCK = threading.Lock()
+
+
 @functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
-    or None when there is none.  Looked up on first use, not at import."""
+def _openblas_threads() -> _Blas | None:
+    """Thread-count functions of the OpenBLAS bundled with numpy and the
+    count it had at this first lookup, or None when there is none.  Looked
+    up on first use, not at import."""
     import numpy
 
     pkg = Path(numpy.__file__).resolve().parent
@@ -129,7 +168,7 @@ def _openblas_threads():
             get.restype = ctypes.c_int
             set_.argtypes = [ctypes.c_int]
             set_.restype = None
-            return get, set_
+            return _Blas(get, set_, get())
     return None
 
 
@@ -138,18 +177,43 @@ def single_threaded_blas():
     """Run the block with numpy's OpenBLAS at one thread and restore the
     previous thread count afterwards, also when the block raises.
 
-    The count is process-wide, so enter this from the thread that starts
-    the workers, not from inside them.  A no-op when numpy carries no
-    OpenBLAS this can find.
+    The count is process-wide: `ordered_imap` enters this from the thread
+    that starts the workers, so no worker changes it but the holder of the
+    module lock.  A no-op when numpy carries no OpenBLAS this can find.
     """
-    funcs = _openblas_threads()
-    if funcs is None:
+    blas = _openblas_threads()
+    if blas is None:
         yield
         return
-    get, set_ = funcs
-    previous = get()
-    set_(1)
+    with _BLAS_LOCK:
+        previous = blas.get()
+        blas.set(1)
     try:
         yield
     finally:
-        set_(previous)
+        with _BLAS_LOCK:
+            blas.set(previous)
+
+
+@contextmanager
+def startup_blas_threads():
+    """Run the block at the thread count numpy's OpenBLAS had at start-up,
+    holding the module lock, and restore the previous count afterwards,
+    also when the block raises.
+
+    The one exception to the one-thread rule: cnn-sweep's explicit-map SVD,
+    whose last bits depend on the thread count from n=768 (see the module
+    docstring).  The block must not change the count itself.  A no-op when
+    numpy carries no OpenBLAS this can find.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    with _BLAS_LOCK:
+        previous = blas.get()
+        blas.set(blas.startup)
+        try:
+            yield
+        finally:
+            blas.set(previous)

@@ -95,6 +95,17 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
             {"thm2": default_config("bounds")["thm2"] | {"l": 6, "widths": [8, 8]}},
             "bounds: thm2.widths must list the l - 1 = 5 hidden widths, got 2",
         ),
+        # Theorem 2's probability takes one width, so the widths must be thm2.d
+        (
+            "bounds",
+            {"thm2": default_config("bounds")["thm2"] | {"widths": [8, 8, 8]}},
+            "bounds: thm2.widths must all equal thm2.d = 1024, got width 8",
+        ),
+        (
+            "bounds",
+            {"thm2": default_config("bounds")["thm2"] | {"widths": [1024, 512, 1024]}},
+            "bounds: thm2.widths must all equal thm2.d = 1024, got width 512",
+        ),
         ("fcn-sweep", {"extra": 1}, "extra is not a known field"),
         ("fcn-sweep", {"scheme": "random-with-replacement", "widths": [2]}, "thm2 alpha constraints: hidden widths"),
     ],

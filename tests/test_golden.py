@@ -41,8 +41,8 @@ CASES = {
         FCN | {"scheme": "random-without-replacement"},
         "54e6e67d3676f5568487d52af4b554d4d490915673974eefdb0f4032992584cb",
     ),
-    # depth 4 has two pruned conv layers; 26 trials are two trial blocks,
-    # one per worker at PRUNELAB_WORKERS=2
+    # depth 4 has two pruned conv layers; 26 one-trial tasks, shared by the
+    # workers at PRUNELAB_WORKERS=2
     "cnn": (
         "cnn-sweep",
         {"depth": 4, "channels": [4, 8], "spatial": 4, "alpha": 0.5, "d_in": 2, "d_out": 3,
