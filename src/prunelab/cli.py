@@ -4,8 +4,8 @@ One subcommand per experiment kind; common flags select the config file,
 seed, trial count, output path, and format.  The PRUNELAB_WORKERS
 environment variable sets the worker count and never affects results.
 
-Exit codes: 0 success, 1 config error or unwritable report path, 2 oracle
-or acceptance failure, 3 numerical non-convergence.
+Exit codes: 0 success, 1 usage or config error or unwritable report path,
+2 oracle or acceptance failure, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -26,8 +26,17 @@ from .linalg import ConvergenceError
 from .parallel import resolve_workers
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a bad flag value, an unknown
+    or missing kind) exit 1 with one line, like a config error, instead of
+    argparse's usage block and exit 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prunelab",
         description="Prune randomly synthesized networks and verify the bound machinery empirically.",
     )
@@ -54,8 +63,8 @@ def _out_error(path: str) -> str | None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         workers = resolve_workers()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

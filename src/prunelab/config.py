@@ -209,7 +209,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "thm1": _section({
             "l": (4, _int(1)), "lipschitz": ([1.0, 1.0, 1.0, 1.0], _list("numbers", _num())),
             "alpha": (0.5, _num()), "eps": (0.1, _num()), "delta": (0.1, _num()),
-            "c0": (1.16, _num()), "c2": (3.03, _num()), "delta0": (0.029, _num()),
+            "c0": (1.16, _num(0)), "c2": (3.03, _num(0)), "delta0": (0.029, _num(0)),
         }),
         "thm2": _section({
             "l": (4, _int(1)), "d": (1024, _int(1)), "widths": ([1024, 1024, 1024], _list("integers >= 1", _int(1))),

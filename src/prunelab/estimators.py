@@ -39,6 +39,7 @@ __all__ = [
     "delta0_from_quantile",
     "estimate_lemma3",
     "estimate_latala",
+    "latala_ratio",
     "latala_terms",
     "QUANTILES",
 ]
@@ -137,6 +138,13 @@ def latala_terms(sq_mean: np.ndarray, quad_mean: np.ndarray) -> tuple[float, flo
     return term1, term2, term3
 
 
+def latala_ratio(mean_norm: float, terms: tuple[float, float, float]) -> float:
+    """C = mean_norm / (term1 + term2 + term3), or 0 when the terms are all 0:
+    then every entry was pruned in every trial, and the norm is 0 too."""
+    denom = sum(terms)
+    return mean_norm / denom if denom > 0 else 0.0
+
+
 def estimate_latala(
     d: int,
     dist: DistributionSpec,
@@ -183,9 +191,6 @@ def estimate_latala(
     norms = np.concatenate(all_norms)
     term1, term2, term3 = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(norms.mean())
-    # the terms are all 0 when every entry is pruned in every trial (a 1x1
-    # matrix loses its only entry), and so is the norm
-    denom = term1 + term2 + term3
     return LatalaRow(
         d=d,
         dist=dist.label(),
@@ -194,5 +199,5 @@ def estimate_latala(
         term2=term2,
         term3=term3,
         mean_norm=mean_norm,
-        c=mean_norm / denom if denom > 0 else 0.0,
+        c=latala_ratio(mean_norm, (term1, term2, term3)),
     )

@@ -21,11 +21,10 @@ import numpy as np
 
 from . import circulant, networks, pruning, theory
 from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config, parse_config
-from .estimators import estimate_lemma3, estimate_latala, latala_terms
+from .estimators import estimate_lemma3, estimate_latala, latala_ratio, latala_terms
 from .linalg import spectral_norm, top_singular_values
 from .parallel import ordered_imap, ordered_map, startup_blas_threads
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
-from .theory import TheoremConstants
 
 __all__ = [
     "ConfigError",
@@ -341,23 +340,20 @@ def _gap_sweep(s, widths, workers: int, layer_columns: list, tail_columns: list,
     return columns, all_rows, {"per_width": per_width, "median_gap_strictly_decreasing": decreasing}
 
 
-def _fcn_alpha_check(s: SimpleNamespace) -> None:
-    if s.scheme.startswith("random"):
-        for d in s.widths:
-            with _theory_inputs("thm2 alpha constraints"):
-                reports = theory.thm2_alpha_constraints(s.alpha, (d,) * (s.depth - 1))
-            for rep in reports:
-                if not rep.satisfied:
-                    raise ConfigError(
-                        f"alpha={s.alpha} inadmissible for random pruning at width d={d}: "
-                        f"constraint {rep.name} requires alpha <= {rep.rhs:.6f}"
-                    )
-    elif not 0.0 < s.alpha < 1.0:
-        raise ConfigError(f"alpha={s.alpha} outside (0, 1) for {s.scheme}")
+def _check_alpha(alpha: float, cap: float, what: str) -> None:
+    """The one admissible-alpha rule of Theorems 2 and 3: 0 < alpha <= cap."""
+    if not 0.0 < alpha <= cap:
+        raise ConfigError(f"alpha={alpha} inadmissible for {what}: requires 0 < alpha <= {cap:.6f}")
 
 
 def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
-    _fcn_alpha_check(s)
+    if s.scheme.startswith("random"):
+        for d in s.widths:
+            with _theory_inputs("thm2_alpha_constraint"):
+                cap = theory.thm2_alpha_constraint(d)
+            _check_alpha(s.alpha, cap, f"random pruning at width d={d}")
+    elif not 0.0 < s.alpha < 1.0:
+        raise ConfigError(f"alpha={s.alpha} outside (0, 1) for {s.scheme}")
     l, alpha, k_scale = s.depth, s.alpha, s.xavier_k
     dist = DistributionSpec("uniform", xavier_k=k_scale)
     act = networks.Activation(s.activation)
@@ -409,9 +405,8 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         layers = []
         for j, (sq, quad) in enumerate(sums):
             base_col = 4 + j * 5
-            t1, t2, t3 = latala_terms(sq / s.trials, quad / s.trials)
             mean_diff = float(np.mean([r[base_col + 2] for r in rows]))
-            c_hat = mean_diff / (t1 + t2 + t3) if (t1 + t2 + t3) > 0 else 0.0
+            c_hat = latala_ratio(mean_diff, latala_terms(sq / s.trials, quad / s.trials))
             m, n = shapes_for(d)[1 + j]
             k1, k2 = dist.moment_constants(m, n)
             if magnitude:
@@ -448,17 +443,10 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     if q >= p:
         raise ConfigError(f"kernel {q} must be below spatial size {p}")
     for d in s.channels:
-        cap = theory.thm3_alpha_constraint(d)
-        if not 0.0 < alpha <= cap:
-            raise ConfigError(
-                f"alpha={alpha} inadmissible for filter pruning at d={d}: "
-                f"constraint requires 0 < alpha <= {cap:.6f}"
-            )
-    if not 0 < s.beta2 < alpha / 4.0:
-        raise ConfigError(f"beta2 must lie in (0, alpha/4)=(0, {alpha / 4.0:g})")
+        _check_alpha(alpha, theory.thm3_alpha_constraint(d), f"filter pruning at d={d}")
     # evaluated before any trial runs, so a bound out of range fails fast
     with _theory_inputs("thm3_rhs"):
-        rhs_by_d = {d: theory.thm3_rhs(p, d, p, 1.0, l, s.beta1, s.beta2, alpha=alpha) for d in s.channels}
+        rhs_by_d = {d: theory.thm3_rhs(p, d, p, 1.0, l, s.beta1, s.beta2, alpha) for d in s.channels}
     act = networks.Activation("relu")
 
     def one_trial(d: int, seed_t: SeedSpec):
@@ -518,14 +506,11 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         layers = []
         n_slices = s.trials * q * q
         for j, (sq_t, quad_t, sum_norm_t, sq_d, quad_d, sum_norm_d) in enumerate(sums):
-            t1, t2, t3 = latala_terms(sq_t / n_slices, quad_t / n_slices)
             mean_slice_t = sum_norm_t / n_slices
-            c_hat_t = mean_slice_t / (t1 + t2 + t3)
+            c_hat_t = latala_ratio(mean_slice_t, latala_terms(sq_t / n_slices, quad_t / n_slices))
             c3_hat = c_hat_t * (2.0 * math.sqrt(c1_const) + c2_const**0.25)
-            u1, u2, u3 = latala_terms(sq_d / n_slices, quad_d / n_slices)
             mean_slice_d = sum_norm_d / n_slices
-            denom = u1 + u2 + u3
-            c_hat_d = mean_slice_d / denom if denom > 0 else 0.0
+            c_hat_d = latala_ratio(mean_slice_d, latala_terms(sq_d / n_slices, quad_d / n_slices))
             c4_hat = c_hat_d * (2.0 * math.sqrt(3.0 * c1_const) + c2_const**0.25)
             base_col = 4 + j * 7
             mean_w = float(np.mean([r[base_col + 1] for r in rows]))
@@ -569,11 +554,9 @@ def _bound_rows(s: SimpleNamespace) -> list:
     rows = []
     t1 = s.thm1
     if t1:
-        consts = TheoremConstants(c0=t1.c0, c2=t1.c2, delta0=t1.delta0)
-        args = (consts, t1.l, t1.lipschitz, t1.alpha, t1.eps, t1.delta)
-        for name, val in theory.thm1_width_terms(*args).items():
-            rows.append(["thm1", name, val])
-        rows.append(["thm1", "width_bound", theory.thm1_width_bound(*args)])
+        terms = theory.thm1_width_terms(t1.c0, t1.c2, t1.delta0, t1.l, t1.lipschitz, t1.alpha, t1.eps, t1.delta)
+        rows += [["thm1", name, val] for name, val in terms.items()]
+        rows.append(["thm1", "width_bound", math.ceil(max(terms.values()))])
     t2 = s.thm2
     if t2:
         if len(t2.widths) != t2.l - 1:
@@ -582,22 +565,22 @@ def _bound_rows(s: SimpleNamespace) -> list:
         other = next((w for w in t2.widths if w != t2.d), None)
         if other is not None:
             raise ConfigError(f"thm2.widths must all equal thm2.d = {t2.d}, got width {other}")
-        for lim in theory.thm2_alpha_limits(t2.widths):
-            rows.append(["thm2", f"alpha_max_rows_layer{lim['layer']}", lim["alpha_max_rows"]])
-            rows.append(["thm2", f"alpha_max_cols_layer{lim['layer']}", lim["alpha_max_cols"]])
-        rows.append(["thm2", "alpha_max_overall", theory.thm2_min_alpha_limit(t2.widths)])
+        cap = theory.thm2_alpha_constraint(t2.d)
+        _check_alpha(t2.alpha, cap, f"random pruning at width d={t2.d}")
+        # with equal widths every pruned layer's row and column caps are one cap
+        for k in range(2, t2.l):
+            rows += [["thm2", f"alpha_max_rows_layer{k}", cap], ["thm2", f"alpha_max_cols_layer{k}", cap]]
+        rows.append(["thm2", "alpha_max_overall", cap])
         prob = theory.thm2_probability(t2.l, t2.d, t2.alpha, t2.c2, t2.deltas)
-        rows.append(["thm2", "probability", prob.value])
-        rows.append(["thm2", "non_vacuous", prob.non_vacuous])
+        rows += [["thm2", "probability", prob], ["thm2", "non_vacuous", prob > 0.0]]
     t3 = s.thm3
     if t3:
-        rows.append(["thm3", "alpha_max", theory.thm3_alpha_constraint(t3.d)])
-        rows.append(["thm3", "rhs", theory.thm3_rhs(
-            t3.p, t3.d, t3.p0, t3.lipschitz, t3.l, t3.beta1, t3.beta2, alpha=t3.alpha
-        )])
+        cap = theory.thm3_alpha_constraint(t3.d)
+        _check_alpha(t3.alpha, cap, f"filter pruning at d={t3.d}")
+        rows.append(["thm3", "alpha_max", cap])
+        rows.append(["thm3", "rhs", theory.thm3_rhs(t3.p, t3.d, t3.p0, t3.lipschitz, t3.l, t3.beta1, t3.beta2, t3.alpha)])
         prob = theory.thm3_probability(t3.l, t3.d, t3.p, t3.q, t3.alpha, t3.beta1, t3.beta2, t3.c3, t3.c4, t3.c5)
-        rows.append(["thm3", "probability", prob.value])
-        rows.append(["thm3", "non_vacuous", prob.non_vacuous])
+        rows += [["thm3", "probability", prob], ["thm3", "non_vacuous", prob > 0.0]]
     return rows
 
 

@@ -1,10 +1,13 @@
 """Closed-form moments, balls-into-bins probabilities, and theorem-side
 bound calculators.
 
-Everything here is a pure function of user-supplied constants.  The width
-bounds and probability expressions only prove existence of their constants,
-so nothing is hardcoded: callers pass measured or assumed values through
-:class:`TheoremConstants` or plain arguments.
+Everything here is a pure function of its arguments.  The theorems only
+prove that their constants exist, so nothing is hardcoded: callers pass
+measured or assumed constants as plain floats, and every calculator
+returns a float (or a dict of named floats).  A probability is returned
+as-is and is vacuous when <= 0.  The `*_alpha_constraint` functions give
+the largest alpha Theorems 2 and 3 admit at width d; callers check
+0 < alpha <= that cap.
 
 Natural logarithms throughout.
 """
@@ -20,69 +23,18 @@ import numpy as np
 from .sampling import SeedSpec
 
 __all__ = [
-    "TheoremConstants",
-    "BoundReport",
-    "ProbabilityValue",
     "order_stat_moment_exact",
     "order_stat_moment",
     "balls_in_bins_exact",
     "BallsBinsResult",
     "balls_in_bins_check",
-    "thm1_width_bound",
     "thm1_width_terms",
-    "thm2_alpha_limits",
-    "thm2_alpha_constraints",
+    "thm2_alpha_constraint",
     "thm2_probability",
     "thm3_alpha_constraint",
     "thm3_rhs",
     "thm3_probability",
 ]
-
-
-@dataclass(frozen=True)
-class TheoremConstants:
-    """User-supplied positive constants feeding the magnitude-pruning width
-    bound: c0 / delta0 from the uniform-matrix norm bound, and c2 from the
-    independent-entry norm bound."""
-
-    c0: float | None = None
-    delta0: float | None = None
-    c2: float | None = None
-
-    def __post_init__(self):
-        for name in ("c0", "delta0", "c2"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    def require(self, *names: str) -> None:
-        missing = [n for n in names if getattr(self, n) is None]
-        if missing:
-            raise ValueError(f"missing constants: {', '.join(missing)}")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One checked inequality: satisfied iff lhs <= rhs."""
-
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-@dataclass(frozen=True)
-class ProbabilityValue:
-    """A probability expression evaluated as-is; non_vacuous means > 0."""
-
-    value: float
-
-    @property
-    def non_vacuous(self) -> bool:
-        return self.value > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +166,24 @@ def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> B
 
 
 def thm1_width_terms(
-    consts: TheoremConstants,
+    c0: float,
+    c2: float,
+    delta0: float,
     l: int,
     lipschitz: tuple[float, ...],
     alpha: float,
     eps: float,
     delta: float,
 ) -> dict[str, float]:
-    """The four width lower-bound terms for magnitude pruning of uniform nets.
+    """The four width lower-bound terms for magnitude pruning of uniform nets;
+    the width bound is the ceiling of their max.
 
-    Constants are instantiated from the supplied c0, c2, delta0:
+    Constants are instantiated from the positive c0, c2, delta0:
       C1 = 1/c0,
       C2 = (2^(l-2) - 1) * prod(L_1..L_{l-1}) * c0^(l-1),
       C3 = (l^2 - 2) * c2,
     and the additive log term (log(1/delta) + log(l^2 - 2)) / (4 delta0).
     """
-    consts.require("c0", "c2", "delta0")
     if l < 3:
         raise ValueError("depth l must be >= 3")
     if not 0 < alpha < 1:
@@ -239,71 +193,21 @@ def thm1_width_terms(
     if len(lipschitz) not in (l - 1, l):
         raise ValueError(f"expected l-1 or l Lipschitz constants, got {len(lipschitz)}")
     l_prod = math.prod(lipschitz[: l - 1])
-    c0, c2, d0 = consts.c0, consts.c2, consts.delta0
     c_2 = (2 ** (l - 2) - 1) * l_prod * c0 ** (l - 1)
     return {
         "scale_term": (1.0 / c0) ** (1.0 / alpha),
         "eps_term": (c_2 / eps) ** (1.0 / alpha),
         "delta_term": ((l * l - 2) * c2 / delta) ** (1.0 / alpha),
-        "log_term": (math.log(1.0 / delta) + math.log(l * l - 2)) / (4.0 * d0),
+        "log_term": (math.log(1.0 / delta) + math.log(l * l - 2)) / (4.0 * delta0),
     }
 
 
-def thm1_width_bound(
-    consts: TheoremConstants,
-    l: int,
-    lipschitz: tuple[float, ...],
-    alpha: float,
-    eps: float,
-    delta: float,
-) -> int:
-    """Ceiling of the max of the four magnitude-pruning width-bound terms."""
-    terms = thm1_width_terms(consts, l, lipschitz, alpha, eps, delta)
-    return math.ceil(max(terms.values()))
-
-
-def _alpha_limit(m: int, n: int) -> float:
-    # admissible-alpha cap from the (m, n)-shaped mask: rows side uses m
-    return 1.0 - (math.log(m + 1) - math.log(math.log(m))) / (math.log(m) + math.log(n))
-
-
-def thm2_alpha_limits(widths: tuple[int, ...]) -> list[dict]:
-    """Per-pruned-layer alpha caps for random pruning.
-
-    widths are the hidden widths d_1..d_{l-1}; pruned layer k (2 <= k <= l-1)
-    has mask shape d_k x d_{k-1} and contributes a row-side and a column-side
-    cap.  Every width must be >= 3 so log log is defined and positive.
-    """
-    if len(widths) < 2:
-        raise ValueError("need at least two hidden widths (depth l >= 3)")
-    if any(d < 3 for d in widths):
-        raise ValueError("hidden widths must be >= 3")
-    out = []
-    for k in range(2, len(widths) + 1):  # 1-based pruned layer index
-        m, n = widths[k - 1], widths[k - 2]  # mask is d_k x d_{k-1}
-        out.append(
-            {
-                "layer": k,
-                "alpha_max_rows": _alpha_limit(m, n),
-                "alpha_max_cols": _alpha_limit(n, m),
-            }
-        )
-    return out
-
-
-def thm2_alpha_constraints(alpha: float, widths: tuple[int, ...]) -> list[BoundReport]:
-    """Check a candidate alpha against every per-layer cap."""
-    reports = []
-    for lim in thm2_alpha_limits(widths):
-        k = lim["layer"]
-        reports.append(BoundReport(f"layer{k}_rows", alpha, lim["alpha_max_rows"]))
-        reports.append(BoundReport(f"layer{k}_cols", alpha, lim["alpha_max_cols"]))
-    return reports
-
-
-def thm2_min_alpha_limit(widths: tuple[int, ...]) -> float:
-    lims = thm2_alpha_limits(widths)
-    return min(min(x["alpha_max_rows"], x["alpha_max_cols"]) for x in lims)
+def thm2_alpha_constraint(d: int) -> float:
+    """Maximal admissible alpha for random pruning of width-d hidden layers:
+    1 - (log(d+1) - log log d) / (2 log d)."""
+    if d < 3:
+        raise ValueError("need d >= 3")
+    return 1.0 - (math.log(d + 1) - math.log(math.log(d))) / (2.0 * math.log(d))
 
 
 def thm2_probability(
@@ -312,14 +216,14 @@ def thm2_probability(
     alpha: float,
     c2: float,
     deltas: tuple[float, ...],
-) -> ProbabilityValue:
+) -> float:
     """Success probability of random pruning:
 
         (1 - d^(-1/3))^(2(l-2)) * (1 - delta_l)
           * [1 - (l-2) c2 d^(-alpha/4) - sum_{i<l} (l-i) delta_i]
 
-    deltas supplies delta_1..delta_l.  The value is reported as-is (it may
-    be <= 0; check non_vacuous).
+    deltas supplies delta_1..delta_l.  The value is returned as-is; it is
+    vacuous when <= 0.
     """
     if l < 3 or d < 1:
         raise ValueError("need l >= 3 and d >= 1")
@@ -330,7 +234,7 @@ def thm2_probability(
     mask_part = (1.0 - d ** (-1.0 / 3.0)) ** (2 * (l - 2))
     tail = sum((l - i) * deltas[i - 1] for i in range(1, l))
     bracket = 1.0 - (l - 2) * c2 * d ** (-alpha / 4.0) - tail
-    return ProbabilityValue(mask_part * (1.0 - deltas[l - 1]) * bracket)
+    return mask_part * (1.0 - deltas[l - 1]) * bracket
 
 
 def thm3_alpha_constraint(d: int) -> float:
@@ -349,14 +253,14 @@ def thm3_rhs(
     l: int,
     beta1: float,
     beta2: float,
-    alpha: float | None = None,
+    alpha: float,
 ) -> float:
     """Gap upper bound for filter-pruned CNNs:
 
         p^(-b1) L^(l-1) p0 sqrt(d) [p^(-b1) (p^(-b1) + d^(-b2))^(l-2)
                                      - p^(-(l-1) b1)]
 
-    beta1 in (0,1), beta2 > 0 (and < alpha/4 when alpha is given), l >= 3.
+    beta1 in (0,1), 0 < beta2 < alpha/4, l >= 3.
     The bracket is strictly positive for finite d.
     """
     if l < 3:
@@ -365,7 +269,7 @@ def thm3_rhs(
         raise ValueError("beta1 must lie in (0, 1)")
     if beta2 <= 0:
         raise ValueError("beta2 must be positive")
-    if alpha is not None and beta2 >= alpha / 4.0:
+    if beta2 >= alpha / 4.0:
         raise ValueError("beta2 must be below alpha/4")
     if p < 2 or d < 1 or p0 < 1 or lipschitz <= 0:
         raise ValueError("need p >= 2, d >= 1, p0 >= 1, positive Lipschitz constant")
@@ -388,7 +292,7 @@ def thm3_probability(
     c3: float,
     c4: float,
     c5: float,
-) -> ProbabilityValue:
+) -> float:
     """Success probability of filter pruning: (1 - d^(-1/3))^(2(l-2)) * pbar,
 
         pbar = 1 - (l-2) c4 (q^2/p) d^(-alpha/4 + beta2)
@@ -406,4 +310,4 @@ def thm3_probability(
         - c5 / p ** (1.0 - beta1)
     )
     mask_part = (1.0 - d ** (-1.0 / 3.0)) ** (2 * (l - 2))
-    return ProbabilityValue(mask_part * pbar)
+    return mask_part * pbar

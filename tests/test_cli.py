@@ -36,11 +36,26 @@ def _one_line_error(capsys) -> str:
         (["circulant-equiv", "--trials", "3"], "--trials does not apply to circulant-equiv"),
         (["bounds", "--trials", "3"], "--trials does not apply to bounds"),
         (["bounds", "--seed", "3"], "--seed does not apply to bounds"),
+        # argparse's own usage errors: one line and exit 1, not its usage block and exit 2
+        (["table2", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["table2", "--trials", "1.5"], "argument --trials: invalid int value: '1.5'"),
+        (["bounds", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["table4"], "argument kind: invalid choice: 'table4'"),
+        ([], "the following arguments are required: kind"),
+        (["bounds", "--bogus"], "unrecognized arguments: --bogus"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(capsys, argv, needle):
     assert main(argv) == 1
     assert needle in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage: prunelab" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["fcn-sweep", "cnn-sweep"])
@@ -77,6 +92,8 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
             "thm3_rhs: bound evaluated non-positive",
         ),
         ("cnn-sweep", {"beta1": 1.5}, "thm3_rhs: beta1 must lie in (0, 1)"),
+        ("cnn-sweep", {"beta2": 0.15}, "thm3_rhs: beta2 must be below alpha/4"),
+        ("cnn-sweep", {"beta2": 0}, "thm3_rhs: beta2 must be positive"),
         # every field of every kind is checked by one schema, not only the sweeps'
         ("bounds", {"thm3": {"l": 3}}, "thm3.d is missing"),
         ("cnn-sweep", {"spatial": "abc"}, "spatial must be an integer >= 2, got 'abc'"),
@@ -107,7 +124,29 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
             "bounds: thm2.widths must all equal thm2.d = 1024, got width 512",
         ),
         ("fcn-sweep", {"extra": 1}, "extra is not a known field"),
-        ("fcn-sweep", {"scheme": "random-with-replacement", "widths": [2]}, "thm2 alpha constraints: hidden widths"),
+        ("fcn-sweep", {"scheme": "random-with-replacement", "widths": [2]}, "thm2_alpha_constraint: need d >= 3"),
+        # alpha is checked against the cap of Theorem 2 or 3 by one rule, 0 < alpha <= cap
+        (
+            "fcn-sweep",
+            {"scheme": "random-with-replacement", "alpha": -0.5},
+            "alpha=-0.5 inadmissible for random pruning at width d=64: requires 0 < alpha <= 0.669486",
+        ),
+        (
+            "cnn-sweep",
+            {"alpha": 0.7, "channels": [16]},
+            "alpha=0.7 inadmissible for filter pruning at d=16: requires 0 < alpha <= 0.610326",
+        ),
+        (
+            "bounds",
+            {"thm2": default_config("bounds")["thm2"] | {"alpha": 0.99}},
+            "bounds: alpha=0.99 inadmissible for random pruning at width d=1024: requires 0 < alpha <= 0.639588",
+        ),
+        (
+            "bounds",
+            {"thm3": default_config("bounds")["thm3"] | {"alpha": 0.7}},
+            "bounds: alpha=0.7 inadmissible for filter pruning at d=256: requires 0 < alpha <= 0.690393",
+        ),
+        ("bounds", {"thm1": default_config("bounds")["thm1"] | {"c0": 0}}, "thm1.c0 must be a number > 0"),
     ],
 )
 def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):

@@ -5,19 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prunelab.config import ConfigError, default_config, load_config
+from prunelab.harness import run_experiment
 from prunelab.sampling import SeedSpec
 from prunelab.theory import (
-    BoundReport,
-    TheoremConstants,
     balls_in_bins_check,
     balls_in_bins_exact,
     order_stat_moment,
     order_stat_moment_exact,
-    thm1_width_bound,
     thm1_width_terms,
-    thm2_alpha_constraints,
-    thm2_alpha_limits,
-    thm2_min_alpha_limit,
+    thm2_alpha_constraint,
     thm2_probability,
     thm3_alpha_constraint,
     thm3_probability,
@@ -129,80 +126,104 @@ class TestBallsInBins:
         assert res.guarantee_holds
 
 
+def _bounds(**sections) -> dict:
+    """The bounds report's rows as {(section, name): value}, with only the
+    given sections."""
+    overrides = {"thm1": {}, "thm2": {}, "thm3": {}} | sections
+    report = run_experiment("bounds", load_config("bounds", overrides=overrides))
+    return {(section, name): value for section, name, value in report.rows}
+
+
 class TestThm1WidthBound:
-    CONSTS = TheoremConstants(c0=1.0, c2=1.0, delta0=1.0)
+    CONSTS = (1.0, 1.0, 1.0)  # c0, c2, delta0
 
     def test_worked_example(self):
         # four terms evaluate to 1, 100, 4900, (ln 10 + ln 7)/4
-        terms = thm1_width_terms(self.CONSTS, 3, (1.0, 1.0, 1.0), 0.5, 0.1, 0.1)
+        terms = thm1_width_terms(*self.CONSTS, 3, (1.0, 1.0, 1.0), 0.5, 0.1, 0.1)
         assert terms["scale_term"] == pytest.approx(1.0)
         assert terms["eps_term"] == pytest.approx(100.0)
         assert terms["delta_term"] == pytest.approx(4900.0)
         assert terms["log_term"] == pytest.approx(1.0621238105123397, rel=1e-12)
-        assert thm1_width_bound(self.CONSTS, 3, (1.0, 1.0, 1.0), 0.5, 0.1, 0.1) == 4900
+        assert math.ceil(max(terms.values())) == 4900
+
+    def test_bounds_report_width_bound(self):
+        thm1 = {"l": 3, "lipschitz": [1.0, 1.0, 1.0], "alpha": 0.5, "eps": 0.1, "delta": 0.1,
+                "c0": 1.0, "c2": 1.0, "delta0": 1.0}
+        rows = _bounds(thm1=thm1)
+        assert rows[("thm1", "width_bound")] == 4900
+        assert rows[("thm1", "delta_term")] == pytest.approx(4900.0)
 
     def test_monotone_in_eps(self):
         prev = 0
         for eps in (0.5, 0.25, 0.1, 0.01):
-            b = thm1_width_bound(self.CONSTS, 3, (1.0,) * 3, 0.5, eps, 0.5)
+            b = math.ceil(max(thm1_width_terms(*self.CONSTS, 3, (1.0,) * 3, 0.5, eps, 0.5).values()))
             assert b >= prev
             prev = b
 
     def test_delta_near_one_dominated_by_eps_term(self):
-        terms = thm1_width_terms(self.CONSTS, 3, (1.0,) * 3, 0.5, 0.1, 0.999)
+        terms = thm1_width_terms(*self.CONSTS, 3, (1.0,) * 3, 0.5, 0.1, 0.999)
         assert max(terms.values()) == terms["eps_term"]
 
-    def test_requires_constants(self):
-        with pytest.raises(ValueError):
-            thm1_width_bound(TheoremConstants(c0=1.0), 3, (1.0,) * 3, 0.5, 0.1, 0.1)
+    @pytest.mark.parametrize("name", ["c0", "c2", "delta0"])
+    def test_config_rejects_nonpositive_constants(self, name):
+        for bad in (0, -1.0):
+            thm1 = default_config("bounds")["thm1"] | {name: bad}
+            with pytest.raises(ConfigError, match=rf"thm1\.{name} must be a number > 0"):
+                load_config("bounds", overrides={"thm1": thm1})
 
 
 class TestThm2Alpha:
     def test_homogeneous_1024(self):
-        lims = thm2_alpha_limits((1024, 1024))
         want = 1 - (math.log(1025) - math.log(math.log(1024))) / (2 * math.log(1024))
-        assert lims[0]["alpha_max_rows"] == pytest.approx(want, rel=1e-12)
+        assert thm2_alpha_constraint(1024) == pytest.approx(want, rel=1e-12)
         assert round(want, 4) == 0.6396
-
-    def test_equal_widths_make_sides_coincide(self):
-        for lim in thm2_alpha_limits((64, 64, 64)):
-            assert lim["alpha_max_rows"] == pytest.approx(lim["alpha_max_cols"])
 
     def test_limit_tends_to_one_half_from_above(self):
         # the cap peaks at small d and settles towards 1/2 for huge widths
-        values = [thm2_min_alpha_limit((d, d)) for d in (64, 1024, 2**14, 2**20, 2**40)]
+        values = [thm2_alpha_constraint(d) for d in (64, 1024, 2**14, 2**20, 2**40)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] > 0.5
-        assert thm2_min_alpha_limit((64, 64)) == pytest.approx(0.66948, abs=1e-4)
+        assert thm2_alpha_constraint(64) == pytest.approx(0.66948, abs=1e-4)
 
-    def test_constraint_reports(self):
-        reports = thm2_alpha_constraints(0.5, (64, 64, 64))
-        assert len(reports) == 4  # two pruned layers, rows and cols each
-        assert all(isinstance(r, BoundReport) and r.satisfied for r in reports)
-        assert not all(r.satisfied for r in thm2_alpha_constraints(0.99, (64, 64, 64)))
+    def test_admits_half_but_not_099(self):
+        assert 0.5 <= thm2_alpha_constraint(64)
+        assert 0.99 > thm2_alpha_constraint(64)
+
+    def test_bounds_report_rows_share_one_cap(self):
+        # equal widths make every pruned layer's row and column caps coincide
+        thm2 = default_config("bounds")["thm2"] | {"l": 5, "d": 64, "widths": [64] * 4, "deltas": [0.01] * 5}
+        rows = _bounds(thm2=thm2)
+        names = [f"alpha_max_{side}_layer{k}" for k in (2, 3, 4) for side in ("rows", "cols")]
+        names.append("alpha_max_overall")
+        assert [name for (_, name) in rows][:7] == names
+        assert [rows[("thm2", name)] for name in names] == [thm2_alpha_constraint(64)] * 7
 
     def test_rejects_small_widths(self):
         with pytest.raises(ValueError):
-            thm2_alpha_limits((2, 64))
+            thm2_alpha_constraint(2)
 
 
 class TestThm2Probability:
     def test_limit_one(self):
         val = thm2_probability(3, 10**40, 0.6, 1.0, (0.0, 0.0, 0.0))
-        assert val.value == pytest.approx(1.0, abs=1e-5)
-        assert val.non_vacuous
+        assert val == pytest.approx(1.0, abs=1e-5)
+        assert val > 0.0
 
     def test_worked_example(self):
         val = thm2_probability(3, 10**6, 0.6, 1.0, (0.0, 0.0, 0.0))
-        assert val.value == pytest.approx(0.8567127203900537, rel=1e-12)
+        assert val == pytest.approx(0.8567127203900537, rel=1e-12)
 
     def test_last_layer_failure_zeroes(self):
-        assert thm2_probability(4, 100, 0.5, 1.0, (0.0, 0.0, 0.0, 1.0)).value == 0.0
+        assert thm2_probability(4, 100, 0.5, 1.0, (0.0, 0.0, 0.0, 1.0)) == 0.0
 
     def test_vacuous_flagged(self):
         val = thm2_probability(5, 10, 0.1, 50.0, (0.1,) * 5)
-        assert val.value <= 0.0
-        assert not val.non_vacuous
+        assert val <= 0.0
+        # the report flags it; the bound at alpha 0.1 is admissible at d = 10
+        thm2 = {"l": 5, "d": 10, "widths": [10] * 4, "alpha": 0.1, "c2": 50.0, "deltas": [0.1] * 5}
+        rows = _bounds(thm2=thm2)
+        assert rows[("thm2", "probability")] == val
+        assert rows[("thm2", "non_vacuous")] is False
 
 
 class TestThm3AlphaConstraint:
@@ -222,41 +243,45 @@ class TestThm3AlphaConstraint:
 
 
 class TestThm3Rhs:
+    # alpha enters the bound only through the domain check beta2 < alpha/4
+
     def test_worked_example(self):
-        got = thm3_rhs(32, 64, 1, 1.0, 3, 0.5, 0.1)
+        got = thm3_rhs(32, 64, 1, 1.0, 3, 0.5, 0.1, 0.6)
         assert got == pytest.approx(0.16493848884661178, rel=1e-12)
 
     def test_large_beta2_drives_to_zero(self):
-        small = thm3_rhs(32, 64, 1, 1.0, 3, 0.5, 200.0)
+        small = thm3_rhs(32, 64, 1, 1.0, 3, 0.5, 200.0, 801.0)
         assert 0.0 < small < 1e-12
 
     def test_bracket_contracts_in_d(self):
         # the sqrt(d) prefactor grows, so the convergence content lives in the
         # bracket: rhs / sqrt(d) must shrink to 0 as d grows
-        vals = [thm3_rhs(32, d, 1, 1.0, 3, 0.5, 0.1) / math.sqrt(d) for d in (2**10, 2**16, 2**22, 2**28)]
+        vals = [thm3_rhs(32, d, 1, 1.0, 3, 0.5, 0.1, 0.6) / math.sqrt(d) for d in (2**10, 2**16, 2**22, 2**28)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         # decay rate is d^(-beta2): across 2^18 that is a factor 2^(-1.8)
         assert vals[-1] == pytest.approx(vals[0] * 2 ** (-1.8), rel=0.01)
 
     def test_decreasing_in_d_for_steep_beta2(self):
         # with beta2 above 1/2 the d-dependence is outright decreasing
-        vals = [thm3_rhs(32, d, 1, 1.0, 3, 0.5, 0.6) for d in (2**6, 2**10, 2**14, 2**18)]
+        vals = [thm3_rhs(32, d, 1, 1.0, 3, 0.5, 0.6, 2.5) for d in (2**6, 2**10, 2**14, 2**18)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_validates_beta2_against_alpha(self):
-        with pytest.raises(ValueError):
-            thm3_rhs(32, 64, 1, 1.0, 3, 0.5, 0.2, alpha=0.6)
+    @pytest.mark.parametrize("beta2, message", [(0.2, "below alpha/4"), (0.15, "below alpha/4"), (0.0, "positive")])
+    def test_validates_beta2_against_alpha(self, beta2, message):
+        # 0 < beta2 < alpha/4 = 0.15
+        with pytest.raises(ValueError, match=f"beta2 must be {message}"):
+            thm3_rhs(32, 64, 1, 1.0, 3, 0.5, beta2, 0.6)
 
 
 class TestThm3Probability:
     def test_zero_constants(self):
         for l, d in [(3, 64), (5, 1000)]:
             got = thm3_probability(l, d, 32, 3, 0.6, 0.1, 0.05, 0.0, 0.0, 0.0)
-            assert got.value == pytest.approx((1 - d ** (-1 / 3)) ** (2 * (l - 2)), rel=1e-12)
+            assert got == pytest.approx((1 - d ** (-1 / 3)) ** (2 * (l - 2)), rel=1e-12)
 
     def test_vacuous_flag(self):
         got = thm3_probability(3, 64, 4, 3, 0.6, 0.9, 0.05, 10.0, 10.0, 10.0)
-        assert got.value <= 0.0 and not got.non_vacuous
+        assert got <= 0.0
 
     def test_dual_implementation(self):
         l, d, p, q, alpha, b1, b2 = 3, 256, 32, 3, 0.6, 0.1, 0.05
@@ -269,33 +294,11 @@ class TestThm3Probability:
         )
         want = (1 - d ** (-1 / 3)) ** (2 * (l - 2)) * pbar
         got = thm3_probability(l, d, p, q, alpha, b1, b2, c3, c4, c5)
-        assert got.value == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
+        rows = _bounds(thm3=default_config("bounds")["thm3"])
+        assert rows[("thm3", "probability")] == got
+        assert rows[("thm3", "non_vacuous")] is True
 
     def test_increasing_in_d(self):
-        vals = [
-            thm3_probability(3, d, 32, 3, 0.6, 0.1, 0.05, 0.6, 0.6, 0.6).value
-            for d in (64, 256, 1024, 4096)
-        ]
+        vals = [thm3_probability(3, d, 32, 3, 0.6, 0.1, 0.05, 0.6, 0.6, 0.6) for d in (64, 256, 1024, 4096)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-class TestTheoremConstants:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TheoremConstants(c0=-1.0)
-
-    def test_rejects_zero_for_every_constant(self):
-        for name in ("c0", "delta0", "c2"):
-            with pytest.raises(ValueError, match=f"{name} must be positive"):
-                TheoremConstants(**{name: 0.0})
-
-    def test_require_names_the_missing_constants(self):
-        consts = TheoremConstants(c0=1.0)
-        consts.require("c0")
-        with pytest.raises(ValueError, match="missing constants: delta0, c2"):
-            consts.require("c0", "delta0", "c2")
-
-    def test_bound_report_is_lhs_le_rhs(self):
-        assert BoundReport("x", 1.0, 2.0).satisfied
-        assert BoundReport("x", 2.0, 2.0).satisfied
-        assert not BoundReport("x", 2.0, 1.0).satisfied
