@@ -31,6 +31,8 @@ __all__ = [
     "conv2d_wrap",
     "kernel_transform",
     "apply_kernel_transform",
+    "rfft2_inplace",
+    "irfft2_inplace",
     "flatten_maps",
     "unflatten_maps",
 ]
@@ -122,12 +124,16 @@ def spectral_norm_via_dft(k) -> float:
     """
     k = np.asarray(k, dtype=np.float64)
     d_out, d_in, p, _ = k.shape
-    # g[s, t, u', v'] = sum_{i0, j0} omega^(u' i0 + v' j0) k[s, t, i0, j0]
-    g = np.fft.ifft2(k, axes=(2, 3)) * (p * p)
+    # g[s, t, u', v'] = sum_{i0, j0} omega^(u' i0 + v' j0) k[s, t, i0, j0]:
+    # the two passes of ifft2, the second and the scaling written over the
+    # first pass's output
+    g = np.fft.ifft(k, axis=3)
+    np.fft.ifft(g, axis=2, out=g)
+    g *= p * p
     res = np.arange(1, p + 1) % p  # 1-based frequency -> 0-based residue
     phase = np.exp(2j * np.pi * np.arange(1, p + 1) / p)
-    blocks = g.transpose(2, 3, 0, 1)[res][:, res]  # [u, v, s, t]
-    blocks = blocks * (phase[:, None] * phase[None, :])[:, :, None, None]
+    blocks = g.transpose(2, 3, 0, 1)[np.ix_(res, res)]  # [u, v, s, t]
+    blocks *= (phase[:, None] * phase[None, :])[:, :, None, None]
     sv = np.linalg.svd(blocks.reshape(p * p, d_out, d_in), compute_uv=False)
     return float(sv[:, 0].max()) if sv.size else 0.0
 
@@ -175,7 +181,24 @@ def apply_kernel_transform(xhat, khat, p: int) -> np.ndarray:
     from xhat, the rfft2 over the last two axes of the (..., d_in, p, p)
     input maps, and khat = :func:`kernel_transform`."""
     yhat = np.einsum("...tuv,stuv->...suv", xhat, khat, optimize=True)
-    return np.fft.irfft2(yhat, s=(p, p), axes=(-2, -1))
+    return irfft2_inplace(yhat, p)
+
+
+def rfft2_inplace(x) -> np.ndarray:
+    """``np.fft.rfft2(x, axes=(-2, -1))``, bit for bit: its rfft pass over
+    the last axis, then its fft pass over the second-last axis written over
+    the first pass's output, so one complex array is allocated, not two."""
+    xhat = np.fft.rfft(x, axis=-1)
+    return np.fft.fft(xhat, axis=-2, out=xhat)
+
+
+def irfft2_inplace(yhat: np.ndarray, p: int) -> np.ndarray:
+    """``np.fft.irfft2(yhat, s=(p, p), axes=(-2, -1))``, bit for bit: its
+    ifft pass over the second-last axis written over yhat, which the caller
+    gives up, then its irfft pass over the last axis into a new real array
+    laid out like yhat."""
+    np.fft.ifft(yhat, axis=-2, out=yhat)
+    return np.fft.irfft(yhat, n=p, axis=-1)
 
 
 def flatten_maps(x) -> np.ndarray:

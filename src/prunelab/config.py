@@ -62,6 +62,10 @@ def _num(lo: float = -math.inf, hi: float = math.inf) -> _Check:
     return _Check("a number" + bounds, parse)
 
 
+def _probability(v) -> float:
+    return _valid(_num()(v), 0.0 <= v <= 1.0)
+
+
 def _choice(*options: str) -> _Check:
     return _Check("one of " + ", ".join(options), lambda v: _valid(v, v in options))
 
@@ -213,7 +217,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         }),
         "thm2": _section({
             "l": (4, _int(1)), "d": (1024, _int(1)), "widths": ([1024, 1024, 1024], _list("integers >= 1", _int(1))),
-            "alpha": (0.5, _num()), "c2": (1.61, _num()), "deltas": ([0.01, 0.01, 0.01, 0.01], _list("numbers", _num())),
+            "alpha": (0.5, _num()), "c2": (1.61, _num()), "deltas": ([0.01, 0.01, 0.01, 0.01], _list("numbers in [0, 1]", _probability)),
         }),
         "thm3": _section({
             "l": (3, _int(1)), "d": (256, _int(1)), "p": (32, _int(1)), "q": (3, _int(1)), "p0": (32, _int(1)),

@@ -346,6 +346,12 @@ def _check_alpha(alpha: float, cap: float, what: str) -> None:
         raise ConfigError(f"alpha={alpha} inadmissible for {what}: requires 0 < alpha <= {cap:.6f}")
 
 
+def _check_kernel(q: int, p: int) -> None:
+    """q x q kernels on p x p wrap-around feature maps need q < p."""
+    if q >= p:
+        raise ConfigError(f"kernel {q} must be below spatial size {p}")
+
+
 def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
     if s.scheme.startswith("random"):
         for d in s.widths:
@@ -440,8 +446,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
 
 def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     l, p, q, alpha = s.depth, s.spatial, s.kernel, s.alpha
-    if q >= p:
-        raise ConfigError(f"kernel {q} must be below spatial size {p}")
+    _check_kernel(q, p)
     for d in s.channels:
         _check_alpha(alpha, theory.thm3_alpha_constraint(d), f"filter pruning at d={d}")
     # evaluated before any trial runs, so a bound out of range fails fast
@@ -575,6 +580,7 @@ def _bound_rows(s: SimpleNamespace) -> list:
         rows += [["thm2", "probability", prob], ["thm2", "non_vacuous", prob > 0.0]]
     t3 = s.thm3
     if t3:
+        _check_kernel(t3.q, t3.p)
         cap = theory.thm3_alpha_constraint(t3.d)
         _check_alpha(t3.alpha, cap, f"filter pruning at d={t3.d}")
         rows.append(["thm3", "alpha_max", cap])

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .circulant import apply_kernel_transform, flatten_maps, kernel_transform, unflatten_maps
+from .circulant import apply_kernel_transform, flatten_maps, kernel_transform, rfft2_inplace, unflatten_maps
 from .circulant import conv2d_wrap  # noqa: F401  perfbench/tracer.py wraps networks.conv2d_wrap
 from .sampling import SeedSpec, sample_unit_cube, sample_unit_sphere
 
@@ -46,6 +46,15 @@ class Activation:
             return np.maximum(x, 0.0)
         if self.kind == "tanh":
             return np.tanh(x)
+        return x
+
+    def apply_inplace(self, x: np.ndarray) -> np.ndarray:
+        """The bits of :meth:`apply`, written over x, an array the caller
+        owns; returns x.  It saves one array of x's size per layer."""
+        if self.kind == "relu":
+            np.maximum(x, 0.0, out=x)
+        elif self.kind == "tanh":
+            np.tanh(x, out=x)
         return x
 
 
@@ -187,15 +196,15 @@ def _dense_layer(h: np.ndarray, w: np.ndarray, act: Activation | None) -> np.nda
     """One dense layer on row vectors: act(h W^T), or h W^T for an output
     layer (act None)."""
     z = h @ w.T
-    return z if act is None else act.apply(z)
+    return z if act is None else act.apply_inplace(z)
 
 
 def _conv_layer(xhat: np.ndarray, khat: np.ndarray, act: Activation, p: int, last: bool) -> np.ndarray:
     """One conv layer from the rfft2 of its input maps.  It returns the rfft2
     of its output maps, which the next conv layer takes, or for the last
     conv layer the flattened output maps, which the dense layer takes."""
-    maps = act.apply(apply_kernel_transform(xhat, khat, p))
-    return flatten_maps(maps) if last else np.fft.rfft2(maps, axes=(-2, -1))
+    maps = act.apply_inplace(apply_kernel_transform(xhat, khat, p))
+    return flatten_maps(maps) if last else rfft2_inplace(maps)
 
 
 def _layer_steps(model, mask: MaskSet | None = None, target: list | None = None) -> list:
@@ -295,6 +304,12 @@ def estimate_sup_gap(model, mask: MaskSet, domain: str, n: int, seed: SeedSpec) 
     are alive at a time.  Every FFT, einsum and matmul has the operands it
     has in `forward_fcn` / `forward_cnn`, so the estimate is bitwise the
     max over chunks of norm(forward(x, mask) - forward(x)).
+
+    Each conv step writes its inverse transform's first pass over the
+    einsum's output and its activation over the maps that pass returns, so
+    a chunk's peak is in the irfft pass of a branch's conv layer, with three
+    chunk-sized arrays alive: the shared spectrum, the einsum's output and
+    the new real maps (10.5 + 10.5 + 8.4 MB at d = 64, p = 8).
 
     Nested runs with the same seed sample prefix-identical points, so the
     estimate is exactly nondecreasing in n from any n that is a multiple of

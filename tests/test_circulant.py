@@ -7,8 +7,10 @@ from prunelab.circulant import (
     circ,
     conv2d_wrap,
     flatten_maps,
+    irfft2_inplace,
     kernel_transform,
     pad_kernel,
+    rfft2_inplace,
     spectral_norm_via_dft,
     unflatten_maps,
     wrap_index,
@@ -209,6 +211,42 @@ class TestConv2dWrap:
             kernel_transform(np.zeros((1, 1, 4, 4)), 3)
 
 
+def einsum_spectrum(batch, d, p):
+    """The einsum's output as apply_kernel_transform gets it: memory laid
+    out frequency-major, not in C order."""
+    xhat = np.fft.rfft2(RNG.standard_normal((batch, 3, p, p)), axes=(-2, -1))
+    khat = kernel_transform(RNG.standard_normal((d, 3, min(3, p - 1), min(3, p - 1))), p)
+    yhat = np.einsum("...tuv,stuv->...suv", xhat, khat, optimize=True)
+    assert not yhat.flags.c_contiguous
+    return yhat
+
+
+class TestInplaceTransforms:
+    """The conv step's 2-d transforms run their second pass in place; they
+    must give numpy's 2-d transforms bit for bit, on C-order arrays and on
+    the einsum's output."""
+
+    @pytest.mark.parametrize("batch, d, p", [(3, 4, 4), (5, 2, 5), (16, 8, 8)])
+    def test_forward_equals_rfft2(self, batch, d, p):
+        c_order = RNG.standard_normal((batch, d, p, p))
+        # the real maps the irfft pass leaves, laid out like the einsum output
+        strided = np.fft.irfft(einsum_spectrum(batch, d, p), n=p, axis=-1)
+        assert not strided.flags.c_contiguous
+        for x in (c_order, strided):
+            want = np.fft.rfft2(x, axes=(-2, -1))
+            keep = x.copy()
+            np.testing.assert_array_equal(rfft2_inplace(x), want)
+            np.testing.assert_array_equal(x, keep)
+
+    @pytest.mark.parametrize("batch, d, p", [(3, 4, 4), (5, 2, 5), (16, 8, 8)])
+    def test_inverse_equals_irfft2(self, batch, d, p):
+        strided = einsum_spectrum(batch, d, p)
+        c_order = np.ascontiguousarray(einsum_spectrum(batch, d, p))
+        for yhat in (c_order, strided):
+            want = np.fft.irfft2(yhat, s=(p, p), axes=(-2, -1))
+            np.testing.assert_array_equal(irfft2_inplace(yhat, p), want)
+
+
 class TestSpectralNormViaDft:
     def test_scalar_filter(self):
         k = pad_kernel(np.full((1, 1, 1, 1), -2.5), 4)
@@ -249,6 +287,20 @@ class TestSpectralNormViaDft:
                     got = spectral_norm_via_dft(k)
                     want = float(np.linalg.svd(build_full_map(k), compute_uv=False)[0])
                     assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "d_out, d_in, p, q", [(1, 1, 2, 1), (2, 3, 5, 2), (3, 2, 6, 3), (16, 16, 8, 3), (64, 64, 8, 3)]
+    )
+    def test_bitwise_equal_to_out_of_place_route(self, d_out, d_in, p, q):
+        # the route before the second ifft pass, the scaling and the phase
+        # product ran in place and the gather took one index
+        k = pad_kernel(RNG.standard_normal((d_out, d_in, q, q)), p)
+        g = np.fft.ifft2(k, axes=(2, 3)) * (p * p)
+        res = np.arange(1, p + 1) % p
+        phase = np.exp(2j * np.pi * np.arange(1, p + 1) / p)
+        blocks = g.transpose(2, 3, 0, 1)[res][:, res] * (phase[:, None] * phase[None, :])[:, :, None, None]
+        want = float(np.linalg.svd(blocks.reshape(p * p, d_out, d_in), compute_uv=False)[:, 0].max())
+        assert spectral_norm_via_dft(k) == want
 
 
 class TestFlatten:

@@ -147,11 +147,32 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
             "bounds: alpha=0.7 inadmissible for filter pruning at d=256: requires 0 < alpha <= 0.690393",
         ),
         ("bounds", {"thm1": default_config("bounds")["thm1"] | {"c0": 0}}, "thm1.c0 must be a number > 0"),
+        # deltas are failure probabilities; [-1] * 4 used to report probability 7.43
+        (
+            "bounds",
+            {"thm2": default_config("bounds")["thm2"] | {"deltas": [-1, -1, -1, -1]}},
+            "thm2.deltas must be a nonempty list of numbers in [0, 1], got [-1, -1, -1, -1]",
+        ),
+        (
+            "bounds",
+            {"thm2": default_config("bounds")["thm2"] | {"deltas": [0.01, 0.01, 0.01, 1.5]}},
+            "thm2.deltas must be a nonempty list of numbers in [0, 1], got [0.01, 0.01, 0.01, 1.5]",
+        ),
+        # one kernel rule for bounds and cnn-sweep; q 40 at p 32 used to report probability -71.77
+        ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 40}}, "bounds: kernel 40 must be below spatial size 32"),
+        ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 32}}, "bounds: kernel 32 must be below spatial size 32"),
+        ("cnn-sweep", {"kernel": 8, "spatial": 8}, "kernel 8 must be below spatial size 8"),
     ],
 )
 def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):
     assert main([kind, "--config", _config(tmp_path, body)]) == 1
     assert needle in _one_line_error(capsys)
+
+
+def test_bounds_accepts_deltas_at_0_and_1(tmp_path, capsys):
+    thm2 = default_config("bounds")["thm2"] | {"deltas": [0, 0, 0, 1]}
+    assert main(["bounds", "--config", _config(tmp_path, {"thm2": thm2})]) == 0
+    assert "thm2,non_vacuous,false" in capsys.readouterr().out
 
 
 def test_thm3_rhs_out_of_range_in_bounds_exits_1(tmp_path, capsys):

@@ -4,9 +4,11 @@ more per experiment kind.
 The sweep digests were taken from the reports of the code before the gap
 estimator shared layers between the target and the pruned network,
 "order-stats-chunks" from the code before the order-statistic kernel worked
-in cache-sized tiles, the "-svd-groups" ones from the code before the
-estimators stacked their SVDs, and the others (and the JSON digest) from
-the code before the two sweeps shared one loop and the config one schema.
+in cache-sized tiles, "cnn-64" from the code before the CNN conv step ran
+its FFT passes and activation in place, the "-svd-groups" ones from the
+code before the estimators stacked their SVDs, and the others (and the JSON
+digest) from the code before the two sweeps shared one loop and the config
+one schema.
 Every report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
 moves a number updates the digest here and says why.
 """
@@ -48,6 +50,14 @@ CASES = {
         {"depth": 4, "channels": [4, 8], "spatial": 4, "alpha": 0.5, "d_in": 2, "d_out": 3,
          "trials": 26, "samples": 300},
         "8fec6cae3a9d564b747bc80ba29968a723c12f2202fa17a9f5508be191dfe09f",
+    ),
+    # the benchmark's widest CNN shape, d = 64 at p = 8: 256-point chunks
+    # through the einsum's frequency-major spectra and the in-place FFT
+    # passes; 64 * 64 > 1500, so the explicit column is N/A
+    "cnn-64": (
+        "cnn-sweep",
+        {"channels": [64], "spatial": 8, "trials": 1, "samples": 300},
+        "af24b06f76f85cacd2b5c6a70caee54da5fd6e4d3aac72987ee3d63ec50dd75e",
     ),
     # integer K: the config block shows 1, the rows 1.0
     "table2": (
