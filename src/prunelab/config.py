@@ -163,7 +163,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "seed": _SEED,
     },
     "balls-bins": {
-        "cases": ([[4, 8], [32, 111], [64, 267]], _list("[bins, balls] pairs of integers >= 1", _row(_int(1), _int(1)))),
+        # the throws are drawn as int32
+        "cases": (
+            [[4, 8], [32, 111], [64, 267]],
+            _list("[bins, balls] pairs of integers >= 1 with bins < 2^31", _row(_int(1, 2**31), _int(1))),
+        ),
         "trials": (10_000, _int(1)),
         "seed": _SEED,
     },

@@ -55,6 +55,8 @@ def _theory_inputs(label: str):
     (ArithmeticError) is a config error."""
     try:
         yield
+    except OverflowError as exc:
+        raise ConfigError(f"{label}: value out of floating-point range") from exc
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{label}: {exc}") from exc
 
@@ -156,9 +158,13 @@ def run_order_stats(s: SimpleNamespace, workers: int):
     base = SeedSpec(s.seed)
     trials, a = s.trials, s.half_width
 
+    # evaluated before any trial runs, so a moment out of range fails fast
+    with _theory_inputs("order_stat_moment"):
+        exacts = [theory.order_stat_moment(a, n, r, p) for n, r, p in s.cases]
+
     def one(case_index: int):
         n, r, p = s.cases[case_index]
-        exact = theory.order_stat_moment(a, n, r, p)
+        exact = exacts[case_index]
         rng = base.child(case_index).generator()
         total = 0.0
         total_sq = 0.0
@@ -398,11 +404,12 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
             payload.append((sq, sq * sq))
         gap = networks.estimate_sup_gap(model, mask, "sphere", s.samples, seed_t.sub(2))
         n_caps = [max(1.0, v) for v in layer_norms]
-        if magnitude:
-            c0_t = max(n_caps)
-            gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha) * c0_t ** (l - 1)
-        else:
-            gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha / 4.0) * math.prod(n_caps)
+        with _theory_inputs("gap_bound"):
+            if magnitude:
+                c0_t = max(n_caps)
+                gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha) * c0_t ** (l - 1)
+            else:
+                gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha / 4.0) * math.prod(n_caps)
         # every supported activation is 1-Lipschitz, so the theorem's Lipschitz product is 1
         row += [gap, gap_bound, gap <= gap_bound]
         return row, payload
@@ -505,7 +512,8 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         return row, payload
 
     c1_const = s.moment_c1
-    c2_const = 3.0 * c1_const**2 if s.weight_kind == "gaussian" else 1.8 * c1_const**2
+    with _theory_inputs("moment_c1"):
+        c2_const = 3.0 * c1_const**2 if s.weight_kind == "gaussian" else 1.8 * c1_const**2
 
     def summarize(d: int, rows: list, sums: list) -> dict:
         layers = []

@@ -117,11 +117,61 @@ class BallsBinsResult:
         return (not self.guarantee_applies) or self.empirical >= self.guarantee_floor
 
 
+# Entries a balls-into-bins tile counts at a time: the tile's rows times
+# max(balls, bins), so neither the loads nor bincount's intp copy of the
+# throws grows with the chunk or the bin count.
+_BALLS_BINS_TILE = 65_536
+
+
+def _count_hits(throws: np.ndarray, bins: int, threshold: float) -> int:
+    """Rows of a (rows, balls) int32 array of bin indices whose max load is
+    at most threshold; overwrites throws."""
+    b, balls = throws.shape
+    hits = 0
+    if bins > _BALLS_BINS_TILE:
+        # a sorted row has a load of k or more iff some entry equals the one
+        # k - 1 places on; sorting in place keeps every temporary tile-sized
+        # where a bincount would take `bins` counts per row
+        k = math.floor(threshold) + 1
+        if k > balls:
+            return b
+        rows = max(1, _BALLS_BINS_TILE // balls)
+        for lo in range(0, b, rows):
+            t = throws[lo : lo + rows]
+            t.sort(axis=1)
+            over = (t[:, k - 1 :] == t[:, : balls - k + 1]).any(axis=1)
+            hits += len(t) - int(np.count_nonzero(over))
+        return hits
+    rows = max(1, _BALLS_BINS_TILE // max(balls, bins))
+    # row i of a tile counts into bins [i * bins, (i + 1) * bins)
+    offsets = np.arange(0, rows * bins, bins, dtype=np.int32)[:, None]
+    for lo in range(0, b, rows):
+        t = throws[lo : lo + rows]
+        h = len(t)
+        t += offsets[:h]
+        # a row longer than the tile is counted in tile-sized pieces
+        flat = t.ravel()
+        counts = np.bincount(flat[:_BALLS_BINS_TILE], minlength=h * bins)
+        for c in range(_BALLS_BINS_TILE, flat.size, _BALLS_BINS_TILE):
+            counts += np.bincount(flat[c : c + _BALLS_BINS_TILE], minlength=h * bins)
+        hits += int(np.count_nonzero(counts.reshape(h, bins).max(axis=1) <= threshold))
+    return hits
+
+
 def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> BallsBinsResult:
     """Monte Carlo frequency of {max load <= 3N/n}, with the guarantee branch
     (N >= n log n implies probability >= 1 - n^(-1/3)) checked and reported.
 
     Also evaluates the exact probability when bins**balls <= 10^6.
+
+    Trials are drawn in chunks of about 2M throws, one `rng.integers` call
+    each, and counted in tiles of at most `_BALLS_BINS_TILE` entries (one
+    row at least), so memory grows with neither the trial nor the bin
+    count.  The throws are drawn as int32, so bins is at most 2^31: PCG64
+    serves any range below 2^32 from buffered 32-bit words for int32 and
+    int64 alike, so the values and the generator state after the call are
+    those of an int64 draw.  A call's leftover odd word is dropped, so the stream
+    depends on the call sizes, and the chunks must not be split.
     """
     if bins < 1 or balls < 1 or trials < 1:
         raise ValueError("bins, balls, trials must be >= 1")
@@ -132,20 +182,17 @@ def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> B
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        throws = rng.integers(0, bins, size=(b, balls))
-        # trial i counts into bins [i * bins, (i + 1) * bins); in place, so a
-        # chunk allocates no second 2M-entry array
-        throws += np.arange(b)[:, None] * bins
-        counts = np.bincount(throws.ravel(), minlength=b * bins)
-        maxload = counts.reshape(b, bins).max(axis=1)
-        hits += int(np.count_nonzero(maxload <= threshold))
+        # the last chunk's throws are freed before the next are drawn
+        hits += _count_hits(rng.integers(0, bins, size=(b, balls), dtype=np.int32), bins, threshold)
         done += b
     emp = hits / trials
     stderr = math.sqrt(max(emp * (1.0 - emp), 0.0) / trials)
     applies = balls >= bins * math.log(bins) if bins > 1 else True
     floor = 1.0 - bins ** (-1.0 / 3.0)
     exact = None
-    if bins**balls <= 1e6:
+    # bins**balls > 10^6 once bins >= 2 and balls >= 20; testing the ball
+    # count first avoids a power with millions of digits at large inputs
+    if bins == 1 or (balls < 20 and bins**balls <= 1e6):
         exact = float(balls_in_bins_exact(bins, balls, threshold))
     return BallsBinsResult(
         bins=bins,

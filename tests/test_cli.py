@@ -105,6 +105,29 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
         ("order-stats", {"cases": [[4, 9, 1]]}, "integers 1 <= r <= n and p >= 1, got [[4, 9, 1]]"),
         ("order-stats", {"half_width": "x"}, "half_width must be a number > 0, got 'x'"),
         ("balls-bins", {"cases": [[4, 0]]}, "cases must be a nonempty list of [bins, balls] pairs of integers >= 1"),
+        # the throws are drawn as int32; 2^31 bins used to ask for 16 GB of counts per trial
+        (
+            "balls-bins",
+            {"cases": [[2**31, 1]]},
+            "cases must be a nonempty list of [bins, balls] pairs of integers >= 1 with bins < 2^31, got [[2147483648, 1]]",
+        ),
+        # values out of floating-point range in theory-side formulas used to
+        # exit 1 with an OverflowError traceback
+        (
+            "order-stats",
+            {"half_width": 1e200, "cases": [[4, 1, 2]], "trials": 10},
+            "order_stat_moment: value out of floating-point range",
+        ),
+        (
+            "fcn-sweep",
+            {"widths": [8], "trials": 1, "samples": 1, "xavier_k": 1e300},
+            "gap_bound: value out of floating-point range",
+        ),
+        (
+            "cnn-sweep",
+            {"channels": [4], "trials": 1, "samples": 1, "moment_c1": 1e300},
+            "moment_c1: value out of floating-point range",
+        ),
         ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1, got 0"),
         ("bounds", {"thm3": default_config("bounds")["thm3"] | {"extra": 1}}, "thm3.extra is not a known field"),
         (

@@ -4,11 +4,12 @@ more per experiment kind.
 The sweep digests were taken from the reports of the code before the gap
 estimator shared layers between the target and the pruned network,
 "order-stats-chunks" from the code before the order-statistic kernel worked
-in cache-sized tiles, "cnn-64" from the code before the CNN conv step ran
-its FFT passes and activation in place, the "-svd-groups" ones from the
-code before the estimators stacked their SVDs, and the others (and the JSON
-digest) from the code before the two sweeps shared one loop and the config
-one schema.
+in cache-sized tiles, the "balls-bins-chunks" ones from the code before the
+balls-into-bins kernel drew int32 throws and counted them in tiles, "cnn-64"
+from the code before the CNN conv step ran its FFT passes and activation in
+place, the "-svd-groups" ones from the code before the estimators stacked
+their SVDs, and the others (and the JSON digest) from the code before the
+two sweeps shared one loop and the config one schema.
 Every report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
 moves a number updates the digest here and says why.
 """
@@ -99,6 +100,20 @@ CASES = {
         "balls-bins",
         {"cases": [[4, 8], [8, 30]], "trials": 2000},
         "063993b07c5a80175e9df29697e995956b1991bcc9e348b53b66ac5c47ead22f",
+    ),
+    # 2500 trials of 1000 balls are two draw chunks (2000 rows + 500) and
+    # 65-row tiles, the last of each chunk partial
+    "balls-bins-chunks": (
+        "balls-bins",
+        {"cases": [[16, 1000], [3, 7]], "trials": 2500},
+        "11d06090cffcdc04175b17f26b886a042b60b63734ad5086c4b6a076efcf3203",
+    ),
+    # the same with frequencies away from 0 and 1: 7490 + 3 rows at 267
+    # balls, and at 2003 balls eight chunks of 998 rows and 32-row tiles
+    "balls-bins-chunks-hits": (
+        "balls-bins",
+        {"cases": [[64, 267], [1000, 2003]], "trials": 7493},
+        "455ef8871605fbcf994c57be8a3e121db888325f9deacd160dccaff888344e40",
     ),
     "circulant-equiv": (
         "circulant-equiv",
