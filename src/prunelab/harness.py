@@ -161,6 +161,9 @@ def run_order_stats(s: SimpleNamespace, workers: int):
     # evaluated before any trial runs, so a moment out of range fails fast
     with _theory_inputs("order_stat_moment"):
         exacts = [theory.order_stat_moment(a, n, r, p) for n, r, p in s.cases]
+        # the standard error sums (x^p)^2 with x <= a^2 over the trials
+        if not all(math.isfinite(trials * a ** (4 * p)) for _, _, p in s.cases):
+            raise OverflowError
 
     def one(case_index: int):
         n, r, p = s.cases[case_index]
@@ -380,6 +383,14 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         dims = [s.d_in] + [d] * (l - 1) + [s.d_out]
         return [(dims[k + 1], dims[k]) for k in range(l)]
 
+    # An m x n layer's entries lie within K/sqrt(max(m, n)), so its norm is at
+    # most K sqrt(min(m, n)); every activation fixes 0 and is 1-Lipschitz.  On
+    # the unit sphere the squared gap norm the estimate sums is then at most
+    # 4 prod K^2 min(m, n), checked before any trial so it cannot overflow.
+    for d in s.widths:
+        if not math.isfinite(4.0 * math.prod(k_scale * k_scale * min(shape) for shape in shapes_for(d))):
+            raise ConfigError(f"xavier_k={k_scale:g} too large at width d={d}: the squared gap norm can overflow")
+
     def one_trial(d: int, seed_t: SeedSpec):
         gw = seed_t.sub(0).generator()
         shapes = shapes_for(d)
@@ -388,21 +399,30 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         counts = tuple(pruning.prune_count(alpha, m * n) for m, n in shapes[1:-1])
         mask = pruning.build_mask(model, pruning.PruneSpec(s.scheme, counts, seed_t.sub(1)))
         internal = range(1, l - 1)  # 0-based internal layer indices
-        diffs = [(1.0 - mask.masks[k]) * weights[k] for k in internal]
+
+        def pruned_away(k: int) -> np.ndarray:
+            return (1.0 - mask.masks[k]) * weights[k]
+
+        diffs = [pruned_away(k) for k in internal]
         # the internal d x d weights and their diffs share one grouped SVD
         square = top_singular_values([weights[k] for k in internal] + diffs, d, d).tolist()
+        diff_norms = [square[l - 2 + j] if diff.any() else 0.0 for j, diff in enumerate(diffs)]
+        # the gap estimate is a trial's peak, so the diffs are not kept
+        # through it: the payload below computes them again, to the same bits
+        del diffs
         first, last = (float(top_singular_values([w], *w.shape)[0]) for w in (weights[0], weights[-1]))
         layer_norms = [first] + square[: l - 2] + [last]
         row = []
-        payload = []
-        for j, (k, diff) in enumerate(zip(internal, diffs)):
-            nd = square[l - 2 + j] if diff.any() else 0.0
+        for j, (k, nd) in enumerate(zip(internal, diff_norms)):
             bins_ok = _bins_event(mask.masks[k], counts[j])
             diff_ok = nd <= float(d) ** event_expo
             row += [counts[j], layer_norms[k], nd, bins_ok, diff_ok]
-            sq = diff * diff
-            payload.append((sq, sq * sq))
         gap = networks.estimate_sup_gap(model, mask, "sphere", s.samples, seed_t.sub(2))
+        payload = []
+        for k in internal:
+            sq = pruned_away(k)
+            sq *= sq
+            payload.append((sq, sq * sq))
         n_caps = [max(1.0, v) for v in layer_norms]
         with _theory_inputs("gap_bound"):
             if magnitude:
@@ -461,6 +481,39 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         rhs_by_d = {d: theory.thm3_rhs(p, d, p, 1.0, l, s.beta1, s.beta2, alpha) for d in s.channels}
     act = networks.Activation("relu")
 
+    def layer_entries(kernel: np.ndarray, fmask: np.ndarray, count: int, d: int):
+        """One internal conv layer's row entries and Latala payload.  The
+        padded kernels, the slices and the explicit map die on return, so
+        they are not alive through the trial's gap estimate, its peak."""
+        kpad = circulant.pad_kernel(kernel, p)
+        norm_w = circulant.spectral_norm_via_dft(kpad)
+        diff_pad = kpad * (1.0 - fmask)[:, :, None, None]
+        norm_diff = circulant.spectral_norm_via_dft(diff_pad) if diff_pad.any() else 0.0
+        explicit_norm = None
+        if p * p * d <= s.explicit_norm_limit:
+            w_full = circulant.build_full_map(kpad)
+            # the one SVD off the one-thread rule: from n=768 its bits
+            # depend on the thread count (see the parallel module)
+            with startup_blas_threads():
+                explicit_norm = float(np.linalg.svd(w_full, compute_uv=False)[0])
+        bins_ok = _bins_event(fmask, count)
+        # per-kernel-position slices of the target and difference tensors
+        slices = kernel.transpose(2, 3, 0, 1).reshape(q * q, d, d)
+        dslices = slices * (1.0 - fmask)[None, :, :]
+        s_norms = np.linalg.svd(slices, compute_uv=False)[:, 0]
+        ds_norms = np.linalg.svd(dslices, compute_uv=False)[:, 0]
+        entries = [count, norm_w, norm_diff, explicit_norm, bins_ok,
+                   norm_w <= p ** (-s.beta1), norm_diff <= float(d) ** (-s.beta2)]
+        payload = (
+            (slices * slices).sum(axis=0),
+            (slices**4).sum(axis=0),
+            float(s_norms.sum()),
+            (dslices * dslices).sum(axis=0),
+            (dslices**4).sum(axis=0),
+            float(ds_norms.sum()),
+        )
+        return entries, payload
+
     def one_trial(d: int, seed_t: SeedSpec):
         gw = seed_t.sub(0).generator()
         variance = s.moment_c1 / (p * p * d)
@@ -477,36 +530,9 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         row = []
         payload = []
         for j, k in enumerate(range(1, l - 1)):  # internal conv layers (0-based)
-            kpad = circulant.pad_kernel(tensors[k], p)
-            norm_w = circulant.spectral_norm_via_dft(kpad)
-            fmask = mask.masks[k]
-            diff_pad = kpad * (1.0 - fmask)[:, :, None, None]
-            norm_diff = circulant.spectral_norm_via_dft(diff_pad) if diff_pad.any() else 0.0
-            explicit_norm = None
-            if p * p * d <= s.explicit_norm_limit:
-                w_full = circulant.build_full_map(kpad)
-                # the one SVD off the one-thread rule: from n=768 its bits
-                # depend on the thread count (see the parallel module)
-                with startup_blas_threads():
-                    explicit_norm = float(np.linalg.svd(w_full, compute_uv=False)[0])
-            bins_ok = _bins_event(fmask, counts[j])
-            # per-kernel-position slices of the target and difference tensors
-            slices = tensors[k].transpose(2, 3, 0, 1).reshape(q * q, d, d)
-            dslices = slices * (1.0 - fmask)[None, :, :]
-            s_norms = np.linalg.svd(slices, compute_uv=False)[:, 0]
-            ds_norms = np.linalg.svd(dslices, compute_uv=False)[:, 0]
-            row += [counts[j], norm_w, norm_diff, explicit_norm, bins_ok,
-                    norm_w <= p ** (-s.beta1), norm_diff <= float(d) ** (-s.beta2)]
-            payload.append(
-                (
-                    (slices * slices).sum(axis=0),
-                    (slices**4).sum(axis=0),
-                    float(s_norms.sum()),
-                    (dslices * dslices).sum(axis=0),
-                    (dslices**4).sum(axis=0),
-                    float(ds_norms.sum()),
-                )
-            )
+            entries, layer = layer_entries(tensors[k], mask.masks[k], counts[j], d)
+            row += entries
+            payload.append(layer)
         gap = networks.estimate_sup_gap(model, mask, "cube", s.samples, seed_t.sub(2))
         row.append(gap)
         return row, payload

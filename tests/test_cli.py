@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 
 from prunelab import cli
 from prunelab.cli import main
-from prunelab.harness import EXPERIMENT_KINDS, default_config
+from prunelab.harness import EXPERIMENT_KINDS, ConfigError, default_config, load_config, run_experiment
 
 TINY_FCN = {"widths": [16], "samples": 20, "d_in": 4, "d_out": 4}
 
@@ -118,10 +119,27 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
             {"half_width": 1e200, "cases": [[4, 1, 2]], "trials": 10},
             "order_stat_moment: value out of floating-point range",
         ),
+        # the squared draws' sum overflowed: stderr nan and a vacuous within_3se
+        (
+            "order-stats",
+            {"half_width": 1e100, "cases": [[4, 1, 1]], "trials": 10},
+            "order_stat_moment: value out of floating-point range",
+        ),
+        # the forward pass overflowed: sup_gap inf or NaN, with numpy warnings
+        (
+            "fcn-sweep",
+            {"widths": [8], "trials": 1, "samples": 5, "xavier_k": 1e60},
+            "xavier_k=1e+60 too large at width d=8: the squared gap norm can overflow",
+        ),
+        (
+            "fcn-sweep",
+            {"widths": [8], "trials": 1, "samples": 5, "xavier_k": 1e100},
+            "xavier_k=1e+100 too large at width d=8: the squared gap norm can overflow",
+        ),
         (
             "fcn-sweep",
             {"widths": [8], "trials": 1, "samples": 1, "xavier_k": 1e300},
-            "gap_bound: value out of floating-point range",
+            "xavier_k=1e+300 too large at width d=8: the squared gap norm can overflow",
         ),
         (
             "cnn-sweep",
@@ -190,6 +208,28 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
 def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):
     assert main([kind, "--config", _config(tmp_path, body)]) == 1
     assert needle in _one_line_error(capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_admitted_xavier_k_gives_a_finite_gap():
+    def run(k: float):
+        cfg = load_config("fcn-sweep", overrides={"widths": [8], "trials": 1, "samples": 5, "xavier_k": k})
+        return run_experiment("fcn-sweep", cfg, 1)
+
+    # admission is monotone in K, so the bisection ends on the largest
+    # admitted float; every admitted K it tries runs without a numpy warning
+    lo, hi = 1.0, 1e60
+    while lo < (mid := (lo + hi) / 2) < hi:
+        try:
+            run(mid)
+            lo = mid
+        except ConfigError:
+            hi = mid
+    assert hi == math.nextafter(lo, math.inf)
+    # the forward pass is finite up to 1e38 on this shape
+    assert lo >= 1e38
+    report = run(lo)
+    assert math.isfinite(report.rows[0][report.columns.index("sup_gap")])
 
 
 def test_bounds_accepts_deltas_at_0_and_1(tmp_path, capsys):
