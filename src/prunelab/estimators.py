@@ -53,9 +53,6 @@ class Lemma3Row:
     of the spectral norm plus per-quantile (c0, delta0) pairs, where c0 is
     the empirical q-quantile and delta0 = -ln((1-q)/2) / (4 max(n1, n2))."""
 
-    n1: int
-    n2: int
-    k_scale: float
     mean: float
     std: float
     quantiles: tuple  # of (q, c0, delta0)
@@ -67,9 +64,6 @@ class LatalaRow:
     norm, and their ratio C = mean_norm / (term1 + term2 + term3), or 0 when
     all three terms are 0."""
 
-    d: int
-    dist: str
-    alpha: float | None
     term1: float
     term2: float
     term3: float
@@ -120,14 +114,7 @@ def estimate_lemma3(
     quants = tuple(
         (q, _quantile_order_stat(srt, q), delta0_from_quantile(n, q)) for q in quantiles
     )
-    return Lemma3Row(
-        n1=n1,
-        n2=n2,
-        k_scale=k_scale,
-        mean=float(norms.mean()),
-        std=float(norms.std(ddof=1)),
-        quantiles=quants,
-    )
+    return Lemma3Row(float(norms.mean()), float(norms.std(ddof=1)), quants)
 
 
 def latala_terms(sq_mean: np.ndarray, quad_mean: np.ndarray) -> tuple[float, float, float]:
@@ -191,13 +178,4 @@ def estimate_latala(
     norms = np.concatenate(all_norms)
     term1, term2, term3 = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(norms.mean())
-    return LatalaRow(
-        d=d,
-        dist=dist.label(),
-        alpha=prune_alpha,
-        term1=term1,
-        term2=term2,
-        term3=term3,
-        mean_norm=mean_norm,
-        c=latala_ratio(mean_norm, (term1, term2, term3)),
-    )
+    return LatalaRow(term1, term2, term3, mean_norm, latala_ratio(mean_norm, (term1, term2, term3)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -161,8 +162,9 @@ def run_order_stats(s: SimpleNamespace, workers: int):
     # evaluated before any trial runs, so a moment out of range fails fast
     with _theory_inputs("order_stat_moment"):
         exacts = [theory.order_stat_moment(a, n, r, p) for n, r, p in s.cases]
-        # the standard error sums (x^p)^2 with x <= a^2 over the trials
-        if not all(math.isfinite(trials * a ** (4 * p)) for _, _, p in s.cases):
+        # the standard error sums (x^p)^2 with x <= a^2 over the trials; below
+        # the smallest normal double those squares lose their bits, down to 0
+        if not all(sys.float_info.min <= a ** (4 * p) and math.isfinite(trials * a ** (4 * p)) for _, _, p in s.cases):
             raise OverflowError
 
     def one(case_index: int):
@@ -397,11 +399,11 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         weights = [draw_matrix(dist, m, n, gw) for m, n in shapes]
         model = networks.FcnModel(tuple(weights), (act,) * (l - 1))
         counts = tuple(pruning.prune_count(alpha, m * n) for m, n in shapes[1:-1])
-        mask = pruning.build_mask(model, pruning.PruneSpec(s.scheme, counts, seed_t.sub(1)))
+        mask = pruning.build_mask(model, s.scheme, counts, seed_t.sub(1))
         internal = range(1, l - 1)  # 0-based internal layer indices
 
         def pruned_away(k: int) -> np.ndarray:
-            return (1.0 - mask.masks[k]) * weights[k]
+            return (1.0 - mask[k]) * weights[k]
 
         diffs = [pruned_away(k) for k in internal]
         # the internal d x d weights and their diffs share one grouped SVD
@@ -414,7 +416,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         layer_norms = [first] + square[: l - 2] + [last]
         row = []
         for j, (k, nd) in enumerate(zip(internal, diff_norms)):
-            bins_ok = _bins_event(mask.masks[k], counts[j])
+            bins_ok = _bins_event(mask[k], counts[j])
             diff_ok = nd <= float(d) ** event_expo
             row += [counts[j], layer_norms[k], nd, bins_ok, diff_ok]
         gap = networks.estimate_sup_gap(model, mask, "sphere", s.samples, seed_t.sub(2))
@@ -526,11 +528,11 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         dense = draw_matrix(dist, s.d_out, d * p * p, gw)
         model = networks.CnnModel(tuple(tensors), dense, act, p)
         counts = tuple(pruning.filter_prune_count(alpha, d) for _ in range(l - 2))
-        mask = pruning.build_mask(model, pruning.PruneSpec("filter-random", counts, seed_t.sub(1)))
+        mask = pruning.build_mask(model, "filter-random", counts, seed_t.sub(1))
         row = []
         payload = []
         for j, k in enumerate(range(1, l - 1)):  # internal conv layers (0-based)
-            entries, layer = layer_entries(tensors[k], mask.masks[k], counts[j], d)
+            entries, layer = layer_entries(tensors[k], mask[k], counts[j], d)
             row += entries
             payload.append(layer)
         gap = networks.estimate_sup_gap(model, mask, "cube", s.samples, seed_t.sub(2))
@@ -540,6 +542,21 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     c1_const = s.moment_c1
     with _theory_inputs("moment_c1"):
         c2_const = 3.0 * c1_const**2 if s.weight_kind == "gaussian" else 1.8 * c1_const**2
+
+    # An entry, of variance v = c1 / (p^2 d), lies within b = sqrt(3 v) if
+    # uniform; if gaussian, b = 40 sqrt(v) is taken, far past the 12.3
+    # standard deviations numpy's normal sampler can return.  A conv layer's
+    # map, q^2 shifted d_k x d_{k-1} blocks, then has norm at most
+    # q^2 b sqrt(d_k d_{k-1}), the dense layer b sqrt(d_out d p^2) and a cube
+    # point sqrt(d_in p^2); relu fixes 0 and is 1-Lipschitz.  The squared gap
+    # norm the estimate sums, at most 4 d_in p^2 prod ||W_k||^2, is checked
+    # before any trial so it cannot overflow.
+    for d in s.channels:
+        b2 = (3.0 if s.weight_kind == "uniform" else 1600.0) * c1_const / (p * p * d)
+        dims = [s.d_in] + [d] * (l - 1)
+        layers = [q**4 * b2 * dims[k + 1] * dims[k] for k in range(l - 1)] + [b2 * s.d_out * d * p * p]
+        if not math.isfinite(4.0 * s.d_in * p * p * math.prod(layers)):
+            raise ConfigError(f"moment_c1={c1_const:g} too large at d={d}: the squared gap norm can overflow")
 
     def summarize(d: int, rows: list, sums: list) -> dict:
         layers = []

@@ -1,9 +1,12 @@
-"""Target network representations, masks, masked forward evaluation, and the
+"""Target network representations, masked forward evaluation, and the
 sampled pruned-vs-target gap estimator.
 
 Networks are bias-free.  FCNs apply a per-layer activation after every
 weight matrix except the last; CNNs share one activation across their conv
-layers and end in a dense layer on the C-order-flattened feature map.
+layers and end in a dense layer on the C-order-flattened feature map.  A
+mask is a sequence of 0/1 arrays, one per layer, each of the shape
+`_mask_shapes` gives: elementwise for weight matrices, filter-level
+(d_k x d_{k-1}) for conv layers (see `pruning.build_mask`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "Activation",
     "FcnModel",
     "CnnModel",
-    "MaskSet",
     "all_ones_masks",
     "forward_fcn",
     "forward_cnn",
@@ -145,51 +147,27 @@ class CnnModel:
         return self.channels[0] * self.p * self.p
 
 
-def _is_binary(m: np.ndarray) -> bool:
-    return bool(np.all((m == 0.0) | (m == 1.0)))
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """Per-layer 0/1 masks; the first and last layers are never pruned.
-
-    kind "fcn": masks[k] matches W_{k+1} elementwise.
-    kind "cnn": masks[k] for a conv layer is filter-level (d_k x d_{k-1});
-    zeroing entry (s, t) removes the whole kernel, hence the whole doubly
-    block circulant block of the layer's linear map.  The final entry is an
-    elementwise mask on the dense layer.
-    """
-
-    kind: str
-    masks: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("fcn", "cnn"):
-            raise ValueError("mask kind must be 'fcn' or 'cnn'")
-        ms = tuple(np.asarray(m, dtype=np.float64) for m in self.masks)
-        object.__setattr__(self, "masks", ms)
-        if len(ms) < 3:
-            raise ValueError("need masks for at least 3 layers")
-        for k, m in enumerate(ms):
-            if m.ndim != 2:
-                raise ValueError(f"mask {k + 1} must be a matrix")
-            if not _is_binary(m):
-                raise ValueError(f"mask {k + 1} has entries outside {{0, 1}}")
-        if not np.all(ms[0] == 1.0) or not np.all(ms[-1] == 1.0):
-            raise ValueError("first and last layer masks must be all ones")
-
-    @property
-    def depth(self) -> int:
-        return len(self.masks)
-
-
-def all_ones_masks(model) -> MaskSet:
-    """The identity MaskSet for a model (prunes nothing)."""
+def _mask_shapes(model) -> list:
+    """The shape of each layer's mask: W_k's for an FCN; for a CNN,
+    (d_k, d_{k-1}) per conv layer and the dense layer's shape."""
     if isinstance(model, FcnModel):
-        return MaskSet("fcn", tuple(np.ones_like(w) for w in model.weights))
-    masks = [np.ones(f.shape[:2]) for f in model.conv_tensors]
-    masks.append(np.ones_like(model.final_dense))
-    return MaskSet("cnn", tuple(masks))
+        return [w.shape for w in model.weights]
+    return [f.shape[:2] for f in model.conv_tensors] + [model.final_dense.shape]
+
+
+def all_ones_masks(model) -> tuple:
+    """The masks that prune nothing."""
+    return tuple(np.ones(shape) for shape in _mask_shapes(model))
+
+
+def _check_mask(model, mask) -> tuple:
+    """The mask as float arrays, one per layer of the model, each of the
+    layer's mask shape; anything else is a ValueError."""
+    shapes = _mask_shapes(model)
+    mask = tuple(np.asarray(m, dtype=np.float64) for m in mask)
+    if len(mask) != len(shapes) or any(m.shape != shape for m, shape in zip(mask, shapes)):
+        raise ValueError("mask does not match the model")
+    return mask
 
 
 def _dense_layer(h: np.ndarray, w: np.ndarray, act: Activation | None) -> np.ndarray:
@@ -207,7 +185,7 @@ def _conv_layer(xhat: np.ndarray, khat: np.ndarray, act: Activation, p: int, las
     return flatten_maps(maps) if last else rfft2_inplace(maps)
 
 
-def _layer_steps(model, mask: MaskSet | None = None, target: list | None = None) -> list:
+def _layer_steps(model, mask: tuple | None = None, target: list | None = None) -> list:
     """One callable per layer of the model, masked by `mask` when given.
 
     The masked weights and, for conv layers, the kernel transforms are
@@ -218,7 +196,7 @@ def _layer_steps(model, mask: MaskSet | None = None, target: list | None = None)
     l = model.depth
     steps = []
     for k in range(l):
-        m = None if mask is None else mask.masks[k]
+        m = None if mask is None else mask[k]
         if target is not None and np.all(m == 1.0):
             steps.append(target[k])
         elif isinstance(model, FcnModel):
@@ -248,15 +226,9 @@ def _run(steps: list, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _check_mask(model, mask: MaskSet) -> None:
-    kind = "fcn" if isinstance(model, FcnModel) else "cnn"
-    if mask.kind != kind or mask.depth != model.depth:
-        raise ValueError("mask does not match the model")
-
-
-def _forward(model, x, mask: MaskSet | None, dim_name: str) -> np.ndarray:
+def _forward(model, x, mask, dim_name: str) -> np.ndarray:
     if mask is not None:
-        _check_mask(model, mask)
+        mask = _check_mask(model, mask)
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
     h = a[None, :] if single else a
@@ -266,12 +238,12 @@ def _forward(model, x, mask: MaskSet | None, dim_name: str) -> np.ndarray:
     return out[0] if single else out
 
 
-def forward_fcn(model: FcnModel, x, mask: MaskSet | None = None) -> np.ndarray:
+def forward_fcn(model: FcnModel, x, mask=None) -> np.ndarray:
     """Masked forward pass; x is one input vector or a batch of row vectors."""
     return _forward(model, x, mask, "d0")
 
 
-def forward_cnn(model: CnnModel, x, mask: MaskSet | None = None) -> np.ndarray:
+def forward_cnn(model: CnnModel, x, mask=None) -> np.ndarray:
     """Masked forward pass on flattened inputs of dim d0 * p^2 (or batches)."""
     return _forward(model, x, mask, "d0*p^2")
 
@@ -288,22 +260,24 @@ def forward_cnn(model: CnnModel, x, mask: MaskSet | None = None) -> np.ndarray:
 _GAP_CHUNK = 256
 
 
-def estimate_sup_gap(model, mask: MaskSet, domain: str, n: int, seed: SeedSpec) -> float:
+def estimate_sup_gap(model, mask, domain: str, n: int, seed: SeedSpec) -> float:
     """Sampled lower bound on sup ||f(x) - F(x)||_2 over the unit sphere or
     unit cube, f the model pruned by `mask` and F the target: the max over
-    n sampled points.
+    n sampled points.  The mask must hold one array of each layer's mask
+    shape, or the estimate raises ValueError rather than broadcast it.
 
     Both networks are evaluated in one pass over chunks of `_GAP_CHUNK`
     points.  The masked weights and, for CNNs, the kernel transforms of the
     target and the pruned conv layers are computed once, before the chunk
-    loop.  The leading layers whose masks are all ones (at least the first,
-    which is never pruned) are the same in both networks: each chunk runs
-    them once, and for a CNN also the rfft2 of their output.  The pruned
-    and then the target layers after them run from those shared
-    activations one after the other, so only one branch's intermediates
-    are alive at a time.  Every FFT, einsum and matmul has the operands it
-    has in `forward_fcn` / `forward_cnn`, so the estimate is bitwise the
-    max over chunks of norm(forward(x, mask) - forward(x)).
+    loop.  The leading layers whose masks are all ones (at least the
+    first, which no scheme of `pruning.build_mask` prunes) are the same in
+    both networks: each chunk runs them once, and for a CNN also the rfft2
+    of their output.  The pruned and then the target layers after them run
+    from those shared activations one after the other, so only one
+    branch's intermediates are alive at a time.  Every FFT, einsum and
+    matmul has the operands it has in `forward_fcn` / `forward_cnn`, so the
+    estimate is bitwise the max over chunks of
+    norm(forward(x, mask) - forward(x)).
 
     Each conv step writes its inverse transform's first pass over the
     einsum's output and its activation over the maps that pass returns, so
@@ -321,7 +295,7 @@ def estimate_sup_gap(model, mask: MaskSet, domain: str, n: int, seed: SeedSpec) 
         raise ValueError("domain must be 'sphere' or 'cube'")
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_mask(model, mask)
+    mask = _check_mask(model, mask)
     target = _layer_steps(model)
     pruned = _layer_steps(model, mask, target)
     split = next((k for k in range(model.depth) if pruned[k] is not target[k]), model.depth)

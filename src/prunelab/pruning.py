@@ -3,22 +3,22 @@
 Random with replacement, random without replacement, layer-wise magnitude,
 global magnitude (all four for FCN weight matrices), and random filter
 pruning for CNN conv layers.  Every scheme leaves the first and last layers
-untouched.  `build_mask` is the one dispatch from a model and a PruneSpec
-to the scheme's function.
+untouched.  A mask is a tuple of 0/1 float arrays, one per layer, that the
+gap estimator and the forward passes check against the model's layer
+shapes.  `build_mask` is the one dispatch from a model, a scheme name and
+per-layer counts to the scheme's function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import CnnModel, FcnModel, MaskSet
+from .networks import CnnModel, FcnModel, _mask_shapes
 from .sampling import SeedSpec
 
 __all__ = [
-    "PruneSpec",
     "prune_count",
     "filter_prune_count",
     "mask_random_with_replacement",
@@ -31,26 +31,6 @@ __all__ = [
 
 _RANDOM_SCHEMES = ("random-with-replacement", "random-without-replacement", "filter-random")
 _SCHEMES = _RANDOM_SCHEMES + ("magnitude-layerwise", "magnitude-global")
-
-
-@dataclass(frozen=True)
-class PruneSpec:
-    """Scheme selector, the pruned-entry (for filter-random, pruned-filter)
-    count of each internal layer, and the seed the random schemes draw from.
-    magnitude-global prunes the sum of the counts over the pooled layers."""
-
-    scheme: str
-    counts: tuple
-    seed: SeedSpec | None = None
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-        if self.scheme in _RANDOM_SCHEMES and self.seed is None:
-            raise ValueError(f"{self.scheme} requires a seed")
 
 
 def _floor_pow(base: float, expo: float) -> int:
@@ -88,36 +68,38 @@ def _check_layers(shapes, counts, replace: bool):
     counts = tuple(int(c) for c in counts)
     if len(counts) != len(shapes) - 2:
         raise ValueError(f"expected {len(shapes) - 2} counts for internal layers, got {len(counts)}")
+    if any(c < 0 for c in counts):
+        raise ValueError("counts must be nonnegative")
     for (m, n), c in zip(shapes[1:-1], counts):
         if c > m * n and not replace:
             raise ValueError(f"cannot prune {c} of {m * n} weights without replacement")
     return shapes, counts
 
 
-def _with_replacement(shapes, counts, seed: SeedSpec) -> list:
-    """One m x n mask per (shape, count): `count` uniform (row, column) pairs
-    drawn independently from one stream; repeated pairs collapse, so at
-    most `count` zeros."""
+def _with_replacement(shapes, counts, seed: SeedSpec) -> tuple:
+    """One m x n mask per layer: in each internal layer, `count` uniform
+    (row, column) pairs drawn independently from one stream; repeated pairs
+    collapse, so at most `count` zeros."""
+    shapes, counts = _check_layers(shapes, counts, replace=True)
     rng = seed.generator()
-    masks = []
-    for (m, n), c in zip(shapes, counts):
+    masks = [np.ones(shapes[0])]
+    for (m, n), c in zip(shapes[1:-1], counts):
         mask = np.ones((m, n))
         rows = rng.integers(0, m, size=c)
         cols = rng.integers(0, n, size=c)
         mask[rows, cols] = 0.0
         masks.append(mask)
-    return masks
+    masks.append(np.ones(shapes[-1]))
+    return tuple(masks)
 
 
-def mask_random_with_replacement(shapes, counts, seed: SeedSpec) -> MaskSet:
+def mask_random_with_replacement(shapes, counts, seed: SeedSpec) -> tuple:
     """`count` uniform (row, column) pairs drawn with replacement per
     internal layer, so at most `count` zeros."""
-    shapes, counts = _check_layers(shapes, counts, replace=True)
-    internal = _with_replacement(shapes[1:-1], counts, seed)
-    return MaskSet("fcn", (np.ones(shapes[0]), *internal, np.ones(shapes[-1])))
+    return _with_replacement(shapes, counts, seed)
 
 
-def mask_random_without_replacement(shapes, counts, seed: SeedSpec) -> MaskSet:
+def mask_random_without_replacement(shapes, counts, seed: SeedSpec) -> tuple:
     """Exactly `count` zeros per internal layer, uniform over index subsets."""
     shapes, counts = _check_layers(shapes, counts, replace=False)
     rng = seed.generator()
@@ -128,7 +110,7 @@ def mask_random_without_replacement(shapes, counts, seed: SeedSpec) -> MaskSet:
             mask[rng.choice(m * n, size=c, replace=False)] = 0.0
         masks.append(mask.reshape(m, n))
     masks.append(np.ones(shapes[-1]))
-    return MaskSet("fcn", tuple(masks))
+    return tuple(masks)
 
 
 def _smallest_indices(a: np.ndarray, count: int) -> np.ndarray:
@@ -152,7 +134,7 @@ def _magnitudes(w: np.ndarray) -> np.ndarray:
     return np.abs(w).ravel(order="C")
 
 
-def mask_magnitude_layerwise(weights, counts) -> MaskSet:
+def mask_magnitude_layerwise(weights, counts) -> tuple:
     """Zero the `count` smallest-magnitude entries of each internal layer."""
     ws = [np.asarray(w, dtype=np.float64) for w in weights]
     shapes, counts = _check_layers([w.shape for w in ws], counts, replace=False)
@@ -162,10 +144,10 @@ def mask_magnitude_layerwise(weights, counts) -> MaskSet:
         mask[_smallest_indices(_magnitudes(w), c)] = 0.0
         masks.append(mask.reshape(w.shape))
     masks.append(np.ones(shapes[-1]))
-    return MaskSet("fcn", tuple(masks))
+    return tuple(masks)
 
 
-def mask_magnitude_global(weights, total_count: int) -> MaskSet:
+def mask_magnitude_global(weights, total_count: int) -> tuple:
     """Zero the `total_count` smallest-magnitude entries across all internal
     layers pooled together (first/last layers excluded from the pool).
 
@@ -173,54 +155,55 @@ def mask_magnitude_global(weights, total_count: int) -> MaskSet:
     ws = [np.asarray(w, dtype=np.float64) for w in weights]
     if len(ws) < 3:
         raise ValueError("need at least 3 layers")
-    pool_sizes = [w.size for w in ws[1:-1]]
-    total = sum(pool_sizes)
-    total_count = int(total_count)
-    if not 0 <= total_count <= total:
-        raise ValueError(f"total count {total_count} out of range 0..{total}")
     flat = np.concatenate([_magnitudes(w) for w in ws[1:-1]])
-    chosen = _smallest_indices(flat, total_count)
-    masks = [np.ones(ws[0].shape)]
-    offset = 0
-    for w in ws[1:-1]:
-        mask = np.ones(w.size)
-        local = chosen[(chosen >= offset) & (chosen < offset + w.size)] - offset
-        mask[local] = 0.0
-        masks.append(mask.reshape(w.shape))
-        offset += w.size
-    masks.append(np.ones(ws[-1].shape))
-    return MaskSet("fcn", tuple(masks))
+    total_count = int(total_count)
+    if not 0 <= total_count <= flat.size:
+        raise ValueError(f"total count {total_count} out of range 0..{flat.size}")
+    pooled = np.ones(flat.size)
+    pooled[_smallest_indices(flat, total_count)] = 0.0
+    # each internal layer's mask is a view of its part of the pool
+    parts = np.split(pooled, np.cumsum([w.size for w in ws[1:-2]]))
+    internal = (part.reshape(w.shape) for part, w in zip(parts, ws[1:-1]))
+    return (np.ones(ws[0].shape), *internal, np.ones(ws[-1].shape))
 
 
-def mask_filter_random(conv_shapes, dense_shape, counts, seed: SeedSpec) -> MaskSet:
+def mask_filter_random(conv_shapes, dense_shape, counts, seed: SeedSpec) -> tuple:
     """Random filter pruning for CNNs: draw `count` (out, in) channel pairs
     with replacement per internal conv layer and zero those whole kernels.
     The first conv layer and the final dense layer are never pruned."""
-    conv_shapes = [tuple(int(x) for x in s) for s in conv_shapes]
-    if len(conv_shapes) < 2:
-        raise ValueError("need at least two conv layers")
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != len(conv_shapes) - 1:
-        raise ValueError(f"expected {len(conv_shapes) - 1} counts for prunable conv layers, got {len(counts)}")
-    internal = _with_replacement(conv_shapes[1:], counts, seed)
-    return MaskSet("cnn", (np.ones(conv_shapes[0]), *internal, np.ones(dense_shape)))
+    return _with_replacement([*conv_shapes, dense_shape], counts, seed)
 
 
-def build_mask(model, spec: PruneSpec) -> MaskSet:
-    """The spec's mask for the model: filter-random for a CnnModel, one of
-    the four FCN schemes for an FcnModel."""
+def build_mask(model, scheme: str, counts, seed: SeedSpec | None = None) -> tuple:
+    """The model's masks under `scheme`: filter-random for a CnnModel, one
+    of the four FCN schemes for an FcnModel.  counts holds each internal
+    layer's pruned-entry (for filter-random, pruned-filter) count;
+    magnitude-global prunes their sum over the pooled layers.  The random
+    schemes draw from `seed`.
+
+    The result holds one 0/1 array per layer, and the first and last are
+    all ones.  For an FCN, mask k matches W_{k+1} elementwise.  For a CNN,
+    a conv layer's mask is filter-level (d_k x d_{k-1}): zeroing entry
+    (s, t) removes the whole kernel, hence the whole doubly block circulant
+    block of the layer's linear map; the last mask is elementwise on the
+    dense layer.
+    """
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme in _RANDOM_SCHEMES and seed is None:
+        raise ValueError(f"{scheme} requires a seed")
     if not isinstance(model, (FcnModel, CnnModel)):
         raise TypeError(f"not a model: {type(model)!r}")
-    if isinstance(model, CnnModel) != (spec.scheme == "filter-random"):
-        raise ValueError(f"{spec.scheme} does not apply to a {type(model).__name__}")
-    if spec.scheme == "filter-random":
-        conv_shapes = [f.shape[:2] for f in model.conv_tensors]
-        return mask_filter_random(conv_shapes, model.final_dense.shape, spec.counts, spec.seed)
-    if spec.scheme == "magnitude-layerwise":
-        return mask_magnitude_layerwise(model.weights, spec.counts)
-    if spec.scheme == "magnitude-global":
-        return mask_magnitude_global(model.weights, sum(spec.counts))
-    shapes = [w.shape for w in model.weights]
-    if spec.scheme == "random-with-replacement":
-        return mask_random_with_replacement(shapes, spec.counts, spec.seed)
-    return mask_random_without_replacement(shapes, spec.counts, spec.seed)
+    if isinstance(model, CnnModel) != (scheme == "filter-random"):
+        raise ValueError(f"{scheme} does not apply to a {type(model).__name__}")
+    shapes = _mask_shapes(model)
+    if scheme == "filter-random":
+        return mask_filter_random(shapes[:-1], shapes[-1], counts, seed)
+    if scheme == "magnitude-layerwise":
+        return mask_magnitude_layerwise(model.weights, counts)
+    if scheme == "magnitude-global":
+        # checked as per-layer counts first, so the sum cannot hide a negative one
+        return mask_magnitude_global(model.weights, sum(_check_layers(shapes, counts, replace=True)[1]))
+    if scheme == "random-with-replacement":
+        return mask_random_with_replacement(shapes, counts, seed)
+    return mask_random_without_replacement(shapes, counts, seed)

@@ -99,11 +99,6 @@ class DistributionSpec:
             return self.xavier_k / np.sqrt(max(rows, cols))
         return float(np.sqrt(3.0 * self.variance))
 
-    def label(self) -> str:
-        if self.xavier_k is not None:
-            return f"uniform-xavier(K={self.xavier_k:g})"
-        return f"{self.kind}(var={self.variance:g})"
-
     def moment_constants(self, rows: int, cols: int) -> tuple[float, float]:
         """(K1, K2) with E X^2 = K1 / max(m, n) and E X^4 = K2 / max(m, n)^2
         for an m x n draw; for the xavier rule these are K^2/3 and K^4/5."""

@@ -203,6 +203,19 @@ UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
         ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 40}}, "bounds: kernel 40 must be below spatial size 32"),
         ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 32}}, "bounds: kernel 32 must be below spatial size 32"),
         ("cnn-sweep", {"kernel": 8, "spatial": 8}, "kernel 8 must be below spatial size 8"),
+        # the squared draws underflowed to 0: exact, mc_mean, stderr and z all
+        # 0.0 and a vacuous within_3se
+        (
+            "order-stats",
+            {"half_width": 1e-200, "cases": [[4, 1, 1]], "trials": 10},
+            "order_stat_moment: value out of floating-point range",
+        ),
+        # the forward pass overflowed: sup_gap inf, with numpy warnings
+        (
+            "cnn-sweep",
+            {"channels": [4], "trials": 1, "samples": 5, "moment_c1": 1e150},
+            "moment_c1=1e+150 too large at d=4: the squared gap norm can overflow",
+        ),
     ],
 )
 def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):
@@ -228,6 +241,29 @@ def test_largest_admitted_xavier_k_gives_a_finite_gap():
     assert hi == math.nextafter(lo, math.inf)
     # the forward pass is finite up to 1e38 on this shape
     assert lo >= 1e38
+    report = run(lo)
+    assert math.isfinite(report.rows[0][report.columns.index("sup_gap")])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight_kind", ["gaussian", "uniform"])
+def test_largest_admitted_moment_c1_gives_a_finite_gap(weight_kind):
+    def run(c1: float):
+        overrides = {"channels": [4], "trials": 1, "samples": 5, "moment_c1": c1, "weight_kind": weight_kind}
+        return run_experiment("cnn-sweep", load_config("cnn-sweep", overrides=overrides), 1)
+
+    # admission is monotone in c1, so the bisection ends on the largest
+    # admitted float; every admitted c1 it tries runs without a numpy warning
+    lo, hi = 1.0, 1e150
+    while lo < (mid := (lo + hi) / 2) < hi:
+        try:
+            run(mid)
+            lo = mid
+        except ConfigError:
+            hi = mid
+    assert hi == math.nextafter(lo, math.inf)
+    # the gaussian forward pass is still finite at 1e100 on this shape
+    assert lo >= 1e97
     report = run(lo)
     assert math.isfinite(report.rows[0][report.columns.index("sup_gap")])
 

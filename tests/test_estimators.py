@@ -81,7 +81,7 @@ def one_call_per_trial_lemma3(n1, n2, k_scale, trials, base_seed):
     srt = np.sort(norms)
     n = max(n1, n2)
     quants = tuple((q, _quantile_order_stat(srt, q), delta0_from_quantile(n, q)) for q in QUANTILES)
-    return Lemma3Row(n1, n2, k_scale, float(norms.mean()), float(norms.std(ddof=1)), quants)
+    return Lemma3Row(float(norms.mean()), float(norms.std(ddof=1)), quants)
 
 
 @functools.cache
@@ -114,7 +114,7 @@ def one_call_per_trial_latala(d, dist, trials, base_seed, prune_alpha):
     t1, t2, t3 = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(norms.mean())
     denom = t1 + t2 + t3
-    return LatalaRow(d, dist.label(), prune_alpha, t1, t2, t3, mean_norm, mean_norm / denom if denom > 0 else 0.0)
+    return LatalaRow(t1, t2, t3, mean_norm, mean_norm / denom if denom > 0 else 0.0)
 
 
 def _bits(row):

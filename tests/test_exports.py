@@ -15,7 +15,7 @@ SRC = Path(prunelab.__file__).parent
 TEST_ORACLES = {
     "forward_fcn",  # the masked forward pass estimate_sup_gap must match bit for bit
     "forward_cnn",
-    "all_ones_masks",  # the mask that prunes nothing
+    "all_ones_masks",  # one all-ones array per layer: the mask that prunes nothing
     "build_block",  # one doubly block circulant block, against build_full_map
     "circ",  # the circulant matrix the blocks are made of
     "wrap_index",  # the 1-based wrap-around the index conventions are stated in

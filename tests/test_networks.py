@@ -9,13 +9,12 @@ from prunelab.networks import (
     Activation,
     CnnModel,
     FcnModel,
-    MaskSet,
     all_ones_masks,
     estimate_sup_gap,
     forward_cnn,
     forward_fcn,
 )
-from prunelab.pruning import PruneSpec, build_mask, filter_prune_count, prune_count
+from prunelab.pruning import build_mask, filter_prune_count, prune_count
 from prunelab.sampling import DistributionSpec, SeedSpec, draw_matrix, sample_unit_cube, sample_unit_sphere
 
 RNG = np.random.default_rng(4242)
@@ -97,9 +96,7 @@ class TestForwardFcn:
         m = small_fcn(l=4)
         masks = [np.ones_like(w) for w in m.weights]
         masks[1] = np.zeros_like(masks[1])
-        # hypothetical all-zero internal mask: MaskSet forbids it only on the
-        # first/last layers
-        mask = MaskSet("fcn", tuple(masks))
+        mask = tuple(masks)
         x = RNG.standard_normal(4)
         np.testing.assert_array_equal(forward_fcn(m, x, mask), np.zeros(4))
 
@@ -172,7 +169,7 @@ class TestForwardCnn:
         masks = [np.ones(f.shape[:2]) for f in m.conv_tensors]
         masks[1][2, :] = 0.0  # kill all filters feeding output channel 2
         masks[1][0, 1] = 0.0  # and one filter of channel 0
-        mask = MaskSet("cnn", tuple(masks) + (np.ones_like(m.final_dense),))
+        mask = tuple(masks) + (np.ones_like(m.final_dense),)
         x = RNG.standard_normal(m.input_dim)
         maps0 = forward_cnn_maps(m, x, None)
         maps1 = forward_cnn_maps(m, x, mask)
@@ -188,25 +185,32 @@ def forward_cnn_maps(model, x, mask):
     maps = unflatten_maps(np.asarray(x), model.channels[0], model.p)
     for k, f in enumerate(model.conv_tensors):
         if mask is not None:
-            f = f * mask.masks[k][:, :, None, None]
+            f = f * mask[k][:, :, None, None]
         maps = model.act.apply(conv2d_wrap(maps, f))
     return maps
 
 
-class TestMaskSet:
-    def test_requires_all_ones_boundary(self):
-        m = small_fcn()
-        masks = [np.ones_like(w) for w in m.weights]
-        masks[0][0, 0] = 0.0
-        with pytest.raises(ValueError):
-            MaskSet("fcn", tuple(masks))
+def wrong_shape_mask(kind):
+    """A model and a mask whose second layer has a shape numpy broadcasts
+    against that layer's mask shape."""
+    if kind == "fcn":
+        model = small_fcn()  # 4 x 4 layers
+        bad = np.array([[1.0], [0.0], [1.0], [1.0]])  # (4, 1)
+    else:
+        model = small_cnn(d=3)  # a 3 x 3 filter grid in the second conv layer
+        bad = np.array([[1.0, 0.0, 1.0]])  # (1, 3)
+    masks = list(all_ones_masks(model))
+    masks[1] = bad
+    return model, tuple(masks)
 
-    def test_requires_binary(self):
-        m = small_fcn()
-        masks = [np.ones_like(w) for w in m.weights]
-        masks[1][0, 0] = 0.5
-        with pytest.raises(ValueError):
-            MaskSet("fcn", tuple(masks))
+
+@pytest.mark.parametrize("kind, domain, forward", [("fcn", "sphere", forward_fcn), ("cnn", "cube", forward_cnn)])
+def test_mask_of_wrong_layer_shape_is_rejected(kind, domain, forward):
+    model, mask = wrong_shape_mask(kind)
+    with pytest.raises(ValueError, match="mask does not match the model"):
+        estimate_sup_gap(model, mask, domain, 8, SEED)
+    with pytest.raises(ValueError, match="mask does not match the model"):
+        forward(model, RNG.standard_normal((2, model.input_dim)), mask)
 
 
 class TestEstimateSupGap:
@@ -218,7 +222,7 @@ class TestEstimateSupGap:
         m = small_fcn(l=4)
         masks = [np.ones_like(w) for w in m.weights]
         masks[1] = np.zeros_like(masks[1])
-        mask = MaskSet("fcn", tuple(masks))
+        mask = tuple(masks)
         pts = sample_unit_sphere(4, 64, SEED.sub(2))
         want = float(np.linalg.norm(forward_fcn(m, pts), axis=1).max())
         got = estimate_sup_gap(m, mask, "sphere", 64, SEED.sub(2))
@@ -231,7 +235,7 @@ class TestEstimateSupGap:
         m = FcnModel(weights, (IDENT, IDENT))
         masks = [np.ones((d, d)) for _ in range(3)]
         masks[1][2, 1] = 0.0
-        mask = MaskSet("fcn", tuple(masks))
+        mask = tuple(masks)
         delta = (masks[1] - 1.0) * weights[1]
         comp = weights[2] @ delta @ weights[0]
         pts = sample_unit_sphere(d, 100, SEED.sub(3))
@@ -243,7 +247,7 @@ class TestEstimateSupGap:
         m = small_fcn(l=3)
         masks = [np.ones_like(w) for w in m.weights]
         masks[1][0, 0] = 0.0
-        mask = MaskSet("fcn", tuple(masks))
+        mask = tuple(masks)
         x = RNG.standard_normal(4)
         for lam in (0.25, 2.0, 7.5):
             g1 = np.linalg.norm(forward_fcn(m, x, mask) - forward_fcn(m, x))
@@ -254,7 +258,7 @@ class TestEstimateSupGap:
         m = small_fcn(l=3)
         masks = [np.ones_like(w) for w in m.weights]
         masks[1][:2, :2] = 0.0
-        mask = MaskSet("fcn", tuple(masks))
+        mask = tuple(masks)
         gaps = [estimate_sup_gap(m, mask, "sphere", n, SEED.sub(4)) for n in (10, 50, 200)]
         assert gaps[0] <= gaps[1] <= gaps[2]
 
@@ -266,7 +270,7 @@ class TestEstimateSupGap:
         dist = DistributionSpec("uniform", xavier_k=1.0)
         weights = tuple(draw_matrix(dist, 64, 64, rng) for _ in range(4))
         m = FcnModel(weights, (RELU,) * 3)
-        mask = build_mask(m, PruneSpec("magnitude-layerwise", (prune_count(0.5, 64 * 64),) * 2))
+        mask = build_mask(m, "magnitude-layerwise", (prune_count(0.5, 64 * 64),) * 2)
         ns = [_GAP_CHUNK, _GAP_CHUNK + 1, 2 * _GAP_CHUNK - 1, 2 * _GAP_CHUNK, 2 * _GAP_CHUNK + 77, 3 * _GAP_CHUNK + 200]
         gaps = {n: estimate_sup_gap(m, mask, "sphere", n, SEED.sub(7)) for n in ns}
         for n in (_GAP_CHUNK, 2 * _GAP_CHUNK):
@@ -278,9 +282,9 @@ class TestEstimateSupGap:
         m = FcnModel(weights, (IDENT, IDENT))
         masks = [np.ones((d, d)) for _ in range(3)]
         masks[1][0, 0] = 0.0
-        g1 = estimate_sup_gap(m, MaskSet("fcn", tuple(np.copy(x) for x in masks)), "cube", 64, SEED.sub(5))
+        g1 = estimate_sup_gap(m, tuple(np.copy(x) for x in masks), "cube", 64, SEED.sub(5))
         masks[1][1, 1] = 0.0
-        g2 = estimate_sup_gap(m, MaskSet("fcn", tuple(masks)), "cube", 64, SEED.sub(5))
+        g2 = estimate_sup_gap(m, tuple(masks), "cube", 64, SEED.sub(5))
         assert g2 >= g1
 
     def test_rejects_bad_domain(self):
@@ -298,8 +302,7 @@ def test_cnn_sup_gap_peak_memory():
     d, p, q = 64, 8, 3
     tensors = (rng.standard_normal((d, 3, q, q)), rng.standard_normal((d, d, q, q)))
     model = CnnModel(tensors, rng.standard_normal((10, d * p * p)), RELU, p)
-    spec = PruneSpec("filter-random", (filter_prune_count(0.6, d),), SEED.sub(8))
-    mask = build_mask(model, spec)
+    mask = build_mask(model, "filter-random", (filter_prune_count(0.6, d),), SEED.sub(8))
     tracemalloc.start()
     try:
         estimate_sup_gap(model, mask, "cube", 1000, SEED.sub(9))
@@ -314,10 +317,10 @@ def pre_change_forward(model, xs, mask):
     layers: masked weights rebuilt per call, each conv through conv2d_wrap."""
     if isinstance(model, CnnModel):
         h = flatten_maps(forward_cnn_maps(model, xs, mask))
-        return h @ (model.final_dense if mask is None else mask.masks[-1] * model.final_dense).T
+        return h @ (model.final_dense if mask is None else mask[-1] * model.final_dense).T
     h = xs
     for k, w in enumerate(model.weights):
-        h = h @ (w if mask is None else mask.masks[k] * w).T
+        h = h @ (w if mask is None else mask[k] * w).T
         if k < model.depth - 1:
             h = model.activations[k].apply(h)
     return h
@@ -364,7 +367,7 @@ def oracle_case(kind, depth, pattern, seed):
         masks[1] = np.zeros_like(masks[1])
     elif pattern == "last-internal":
         masks[depth - 2] = some_zeros(masks[depth - 2])
-    return model, MaskSet(kind, tuple(masks))
+    return model, tuple(masks)
 
 
 class TestSupGapOracle:
@@ -391,7 +394,8 @@ class TestSupGapOracle:
         np.testing.assert_array_equal(fwd(model, xs), pre_change_forward(model, xs, None))
 
     def test_rejects_mask_of_other_kind(self):
-        model, _ = oracle_case("fcn", 3, "ones", seed=0)
-        _, cnn_mask = oracle_case("cnn", 3, "ones", seed=0)
-        with pytest.raises(ValueError, match="mask does not match"):
-            estimate_sup_gap(model, cnn_mask, "sphere", 8, SEED)
+        fcn, fcn_mask = oracle_case("fcn", 3, "ones", seed=0)
+        cnn, cnn_mask = oracle_case("cnn", 3, "ones", seed=0)
+        for model, mask in [(fcn, cnn_mask), (cnn, fcn_mask), (fcn, fcn_mask[:-1])]:
+            with pytest.raises(ValueError, match="mask does not match"):
+                estimate_sup_gap(model, mask, "sphere", 8, SEED)

@@ -3,7 +3,6 @@ import pytest
 
 from prunelab.networks import Activation, CnnModel, FcnModel
 from prunelab.pruning import (
-    PruneSpec,
     build_mask,
     mask_filter_random,
     mask_magnitude_global,
@@ -45,8 +44,8 @@ def test_layerwise_matches_stable_argsort(kind, seed):
     for counts in [(0, 0), (1, 1), (7, 7), (30, 24)]:  # (30, 24): every weight
         mask = mask_magnitude_layerwise(weights, counts)
         for k, c in zip((1, 2), counts):
-            np.testing.assert_array_equal(mask.masks[k], argsort_mask(weights[k], c))
-            assert (mask.masks[k] == 0.0).sum() == c
+            np.testing.assert_array_equal(mask[k], argsort_mask(weights[k], c))
+            assert (mask[k] == 0.0).sum() == c
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -58,7 +57,7 @@ def test_global_matches_stable_argsort(kind, seed):
     for total in (0, 1, 17, pooled.size):
         want = argsort_mask(pooled, total)
         mask = mask_magnitude_global(weights, total)
-        got = np.concatenate([mask.masks[1].ravel(), mask.masks[2].ravel()])
+        got = np.concatenate([mask[1].ravel(), mask[2].ravel()])
         np.testing.assert_array_equal(got, want)
 
 
@@ -74,6 +73,7 @@ def test_non_finite_weights_rejected(bad):
 
 
 FCN_SHAPES = [(6, 4), (7, 6), (5, 7), (3, 5)]
+FCN_SCHEMES = ["magnitude-layerwise", "magnitude-global", "random-with-replacement", "random-without-replacement"]
 
 
 def fcn_model(rng, shapes=FCN_SHAPES) -> FcnModel:
@@ -87,14 +87,12 @@ def cnn_model(rng) -> CnnModel:
 
 
 def assert_masks_equal(got, want):
-    assert got.kind == want.kind and len(got.masks) == len(want.masks)
-    for a, b in zip(got.masks, want.masks):
+    assert type(got) is tuple and len(got) == len(want)
+    for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize(
-    "scheme", ["magnitude-layerwise", "magnitude-global", "random-with-replacement", "random-without-replacement"]
-)
+@pytest.mark.parametrize("scheme", FCN_SCHEMES)
 def test_build_mask_matches_fcn_scheme_function(scheme):
     model = fcn_model(np.random.default_rng(3))
     shapes = [w.shape for w in model.weights]
@@ -105,39 +103,44 @@ def test_build_mask_matches_fcn_scheme_function(scheme):
         "random-with-replacement": lambda: mask_random_with_replacement(shapes, counts, seed),
         "random-without-replacement": lambda: mask_random_without_replacement(shapes, counts, seed),
     }[scheme]()
-    assert_masks_equal(build_mask(model, PruneSpec(scheme, counts, seed)), want)
+    assert_masks_equal(build_mask(model, scheme, counts, seed), want)
 
 
 def test_build_mask_matches_filter_random():
     model = cnn_model(np.random.default_rng(4))
     counts, seed = (5, 3), SeedSpec(17, 2).sub(1)
     want = mask_filter_random([(4, 2), (4, 4), (4, 4)], (3, 100), counts, seed)
-    assert_masks_equal(build_mask(model, PruneSpec("filter-random", counts, seed)), want)
+    assert_masks_equal(build_mask(model, "filter-random", counts, seed), want)
 
 
 def test_build_mask_rejects_wrong_model_kind():
     rng = np.random.default_rng(5)
     seed = SeedSpec(1)
     with pytest.raises(ValueError, match="does not apply to a FcnModel"):
-        build_mask(fcn_model(rng), PruneSpec("filter-random", (1, 1), seed))
+        build_mask(fcn_model(rng), "filter-random", (1, 1), seed)
     for scheme in ("magnitude-layerwise", "random-with-replacement"):
         with pytest.raises(ValueError, match="does not apply to a CnnModel"):
-            build_mask(cnn_model(rng), PruneSpec(scheme, (1, 1), seed))
+            build_mask(cnn_model(rng), scheme, (1, 1), seed)
     with pytest.raises(TypeError):
-        build_mask([np.ones((2, 2))] * 3, PruneSpec("magnitude-layerwise", (1,)))
+        build_mask([np.ones((2, 2))] * 3, "magnitude-layerwise", (1,))
 
 
-def test_prune_spec_checks():
+def test_build_mask_checks():
+    rng = np.random.default_rng(5)
+    fcn, cnn = fcn_model(rng), cnn_model(rng)
     with pytest.raises(ValueError, match="unknown scheme"):
-        PruneSpec("magnitude", (1,))
-    with pytest.raises(ValueError, match="nonnegative"):
-        PruneSpec("magnitude-layerwise", (1, -1))
-    with pytest.raises(ValueError, match="requires a seed"):
-        PruneSpec("random-without-replacement", (1,))
+        build_mask(fcn, "magnitude", (1, 1))
+    # magnitude-global prunes the sum of the counts, which would hide a negative one
+    for model, scheme in [(fcn, s) for s in FCN_SCHEMES] + [(cnn, "filter-random")]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_mask(model, scheme, (1, -1), SeedSpec(1))
+    for model, scheme in [(fcn, "random-with-replacement"), (fcn, "random-without-replacement"), (cnn, "filter-random")]:
+        with pytest.raises(ValueError, match="requires a seed"):
+            build_mask(model, scheme, (1, 1))
 
 
 def zeros_per_layer(mask) -> list:
-    return [int((m == 0.0).sum()) for m in mask.masks]
+    return [int((m == 0.0).sum()) for m in mask]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -156,15 +159,13 @@ def test_random_mask_zero_counts(seed):
         assert got[1:-1] == distinct
 
 
-@pytest.mark.parametrize(
-    "scheme", ["magnitude-layerwise", "magnitude-global", "random-with-replacement", "random-without-replacement"]
-)
+@pytest.mark.parametrize("scheme", FCN_SCHEMES)
 def test_first_and_last_layers_never_pruned(scheme):
     model = fcn_model(np.random.default_rng(6))
-    mask = build_mask(model, PruneSpec(scheme, (42, 35), SeedSpec(8)))
-    assert np.all(mask.masks[0] == 1.0) and np.all(mask.masks[-1] == 1.0)
-    cnn = build_mask(cnn_model(np.random.default_rng(7)), PruneSpec("filter-random", (16, 16), SeedSpec(8)))
-    assert np.all(cnn.masks[0] == 1.0) and np.all(cnn.masks[-1] == 1.0)
+    mask = build_mask(model, scheme, (42, 35), SeedSpec(8))
+    assert np.all(mask[0] == 1.0) and np.all(mask[-1] == 1.0)
+    cnn = build_mask(cnn_model(np.random.default_rng(7)), "filter-random", (16, 16), SeedSpec(8))
+    assert np.all(cnn[0] == 1.0) and np.all(cnn[-1] == 1.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
