@@ -6,6 +6,11 @@ Reports are pure functions of (config, seed): trials draw from per-trial
 streams, aggregation folds in trial order, and floats are rendered with
 shortest round-trip repr, so a rerun with any worker count reproduces the
 report byte for byte.  Wall-clock timings never enter report files.
+
+Rows are named records: every runner returns (rows, summary), each row a
+dict from column name to value in report order.  The report's columns are
+the first row's keys, every row must have those keys in that order, and
+summaries and oracles read a column by its name, never by its position.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ class Report:
     columns: list
     rows: list
     summary: dict = field(default_factory=dict)
+
+    def column(self, name: str) -> list:
+        """The values of column `name`, in row order."""
+        i = self.columns.index(name)
+        return [row[i] for row in self.rows]
 
 
 @contextmanager
@@ -131,8 +141,9 @@ def run_table2(s: SimpleNamespace, workers: int):
     rows = []
     for i, (n1, n2, k_scale) in enumerate(s.rows):
         est = estimate_lemma3(n1, n2, k_scale, s.trials, SeedSpec(s.seed).sub(i), quantiles=s.quantiles, workers=workers)
-        rows += [[n1, n2, k_scale, est.mean, est.std, q, c0, d0] for q, c0, d0 in est.quantiles]
-    return ["n1", "n2", "K", "mean", "std", "q", "c0", "delta0"], rows, {}
+        rows += [{"n1": n1, "n2": n2, "K": k_scale, "mean": est.mean, "std": est.std, "q": q, "c0": c0, "delta0": d0}
+                 for q, c0, d0 in est.quantiles]
+    return rows, {}
 
 
 def run_table3(s: SimpleNamespace, workers: int):
@@ -141,8 +152,9 @@ def run_table3(s: SimpleNamespace, workers: int):
         dist = DistributionSpec(kind, variance=scale / d)
         est = estimate_latala(d, dist, s.trials, SeedSpec(s.seed).sub(i), prune_alpha=alpha, workers=workers)
         label = "U" if kind == "uniform" else f"N(0,{scale:g}/d)"
-        rows.append([d, label, alpha, est.term1, est.term2, est.term3, est.mean_norm, est.c])
-    return ["d", "dist", "alpha", "term1", "term2", "term3", "mean_norm", "C"], rows, {}
+        rows.append({"d": d, "dist": label, "alpha": alpha, "term1": est.term1, "term2": est.term2,
+                     "term3": est.term3, "mean_norm": est.mean_norm, "C": est.c})
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +218,11 @@ def run_order_stats(s: SimpleNamespace, workers: int):
         var = max(total_sq / trials - mean * mean, 0.0)
         stderr = math.sqrt(var / trials)
         z = (mean - exact) / stderr if stderr > 0 else 0.0
-        return [n, r, p, a, exact, mean, stderr, z, abs(z) <= 3.0]
+        return {"n": n, "r": r, "p": p, "a": a, "exact": exact, "mc_mean": mean, "stderr": stderr, "z": z,
+                "within_3se": abs(z) <= 3.0}
 
     rows = ordered_map(one, range(len(s.cases)), workers)
-    n_pass = sum(1 for r in rows if r[-1])
-    columns = ["n", "r", "p", "a", "exact", "mc_mean", "stderr", "z", "within_3se"]
-    return columns, rows, {"cases_within_3se": n_pass, "cases_total": len(rows)}
+    return rows, {"cases_within_3se": sum(1 for r in rows if r["within_3se"]), "cases_total": len(rows)}
 
 
 def run_balls_bins(s: SimpleNamespace, workers: int):
@@ -223,18 +234,14 @@ def run_balls_bins(s: SimpleNamespace, workers: int):
         mc_ok = None
         if res.exact is not None:
             mc_ok = abs(res.empirical - res.exact) <= 3.0 * max(res.stderr, 1e-12)
-        return [
-            n, nballs, res.threshold, res.empirical, res.stderr, res.exact,
-            res.guarantee_applies, res.guarantee_floor, res.guarantee_holds, mc_ok,
-        ]
+        return {
+            "bins": n, "balls": nballs, "threshold": res.threshold, "empirical": res.empirical,
+            "stderr": res.stderr, "exact": res.exact, "guarantee_applies": res.guarantee_applies,
+            "guarantee_floor": res.guarantee_floor, "guarantee_holds": res.guarantee_holds, "mc_matches_exact": mc_ok,
+        }
 
     rows = ordered_map(one, range(len(s.cases)), workers)
-    columns = [
-        "bins", "balls", "threshold", "empirical", "stderr", "exact",
-        "guarantee_applies", "guarantee_floor", "guarantee_holds", "mc_matches_exact",
-    ]
-    ok = all((r[8]) and (r[9] in (None, True)) for r in rows)
-    return columns, rows, {"all_pass": ok}
+    return rows, {"all_pass": all(r["guarantee_holds"] and r["mc_matches_exact"] in (None, True) for r in rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -262,25 +269,21 @@ def run_circulant_equiv(s: SimpleNamespace, workers: int):
         denom = max(svd_norm, 1e-300)
         rel_dft = abs(dft_norm - svd_norm) / denom
         rel_pow = abs(power_norm - svd_norm) / denom
-        return [
-            i, d_out, d_in, p, q, fwd_err, dft_norm, svd_norm, power_norm,
-            rel_dft, rel_pow,
-            fwd_err <= s.forward_tol and rel_dft <= s.norm_rel_tol,
-        ]
+        return {
+            "instance": i, "d_out": d_out, "d_in": d_in, "p": p, "q": q, "forward_max_abs_err": fwd_err,
+            "dft_norm": dft_norm, "explicit_svd_norm": svd_norm, "power_iter_norm": power_norm,
+            "rel_err_dft_vs_svd": rel_dft, "rel_err_power_vs_svd": rel_pow,
+            "pass": fwd_err <= s.forward_tol and rel_dft <= s.norm_rel_tol,
+        }
 
     rows = ordered_map(one, range(s.instances), workers)
-    columns = [
-        "instance", "d_out", "d_in", "p", "q", "forward_max_abs_err",
-        "dft_norm", "explicit_svd_norm", "power_iter_norm",
-        "rel_err_dft_vs_svd", "rel_err_power_vs_svd", "pass",
-    ]
     summary = {
-        "max_forward_err": max(r[5] for r in rows),
-        "max_rel_err_dft": max(r[9] for r in rows),
-        "max_rel_err_power": max(r[10] for r in rows),
-        "all_pass": all(r[-1] for r in rows),
+        "max_forward_err": max(r["forward_max_abs_err"] for r in rows),
+        "max_rel_err_dft": max(r["rel_err_dft_vs_svd"] for r in rows),
+        "max_rel_err_power": max(r["rel_err_power_vs_svd"] for r in rows),
+        "all_pass": all(r["pass"] for r in rows),
     }
-    return columns, rows, summary
+    return rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +299,21 @@ def _bins_event(mask_matrix: np.ndarray, count: int) -> bool:
     return bool(row_ok and col_ok)
 
 
-def _gap_sweep(s, widths, workers: int, layer_columns: list, tail_columns: list, one_trial, summarize):
+def _gap_sweep(s, widths, workers: int, one_trial, summarize):
     """The width-by-width loop both gap sweeps run; returns the report's
-    columns, its rows and the per-width part of its summary.
+    rows and the per-width part of its summary.
 
-    one_trial(d, seed) returns a trial's row entries after the four
-    d/trial/base_seed/stream columns, then per pruned layer its
-    `layer_columns`, then `tail_columns` (one of them sup_gap), and its
-    payload: per pruned layer, a tuple of arrays and floats.  Each task is
-    one trial, so two workers share even a short sweep, and each trial is
-    folded as it arrives and its payload then dropped, so memory does not
-    grow with the trial count.  Per width the rows keep trial order, each
-    payload component is summed over the trials in trial order, starting
-    from 0.0, and summarize(d, rows, sums) adds its fields to the sup_gap
-    quantiles.
+    one_trial(d, seed) returns a trial's entries per pruned layer, its tail
+    entries (sup_gap among them), and its payload: per pruned layer, a
+    tuple of arrays and floats.  A row is the d/trial/base_seed/stream
+    columns, pruned layer k's entries named `<column>_l<k>`, then the tail.
+    Each task is one trial, so two workers share even a short sweep, and
+    each trial is folded as it arrives and its payload then dropped, so
+    memory does not grow with the trial count.  Per width the rows keep
+    trial order, each payload component is summed over the trials in trial
+    order, starting from 0.0, and summarize(d, rows, sums) adds its fields
+    to the sup_gap quantiles.
     """
-    columns = ["d", "trial", "base_seed", "stream"]
-    columns += [f"{c}_l{k}" for k in range(2, s.depth) for c in layer_columns] + tail_columns
-    gap_col = columns.index("sup_gap")
 
     def trial_run(t: int, d: int):
         # a trial's streams depend only on (base_seed, trial, d), so any
@@ -325,8 +325,11 @@ def _gap_sweep(s, widths, workers: int, layer_columns: list, tail_columns: list,
     for d in widths:
         rows = []
         sums = None
-        for t, (entries, payload) in enumerate(ordered_imap(partial(trial_run, d=d), range(s.trials), workers)):
-            rows.append([d, t, s.seed, t] + entries)
+        for t, (layers, tail, payload) in enumerate(ordered_imap(partial(trial_run, d=d), range(s.trials), workers)):
+            row = {"d": d, "trial": t, "base_seed": s.seed, "stream": t}
+            for k, entries in enumerate(layers, start=2):
+                row |= {f"{c}_l{k}": v for c, v in entries.items()}
+            rows.append(row | tail)
             if sums is None:
                 sums = [[0.0] * len(layer) for layer in payload]
             # 0.0 + c for the first trial, then in place: the additions of
@@ -335,7 +338,7 @@ def _gap_sweep(s, widths, workers: int, layer_columns: list, tail_columns: list,
                 for i, c in enumerate(layer):
                     acc[i] += c
         all_rows.extend(rows)
-        gaps = np.array([r[gap_col] for r in rows])
+        gaps = np.array([r["sup_gap"] for r in rows])
         per_width.append(
             {
                 "d": d,
@@ -348,7 +351,12 @@ def _gap_sweep(s, widths, workers: int, layer_columns: list, tail_columns: list,
         )
     medians = [w["median_gap"] for w in per_width]
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    return columns, all_rows, {"per_width": per_width, "median_gap_strictly_decreasing": decreasing}
+    return all_rows, {"per_width": per_width, "median_gap_strictly_decreasing": decreasing}
+
+
+def _layer_mean(rows: list, column: str, k: int) -> float:
+    """The mean over a width's rows of pruned layer k's entry `column`."""
+    return float(np.mean([r[f"{column}_l{k}"] for r in rows]))
 
 
 def _check_alpha(alpha: float, cap: float, what: str) -> None:
@@ -414,11 +422,11 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         del diffs
         first, last = (float(top_singular_values([w], *w.shape)[0]) for w in (weights[0], weights[-1]))
         layer_norms = [first] + square[: l - 2] + [last]
-        row = []
-        for j, (k, nd) in enumerate(zip(internal, diff_norms)):
-            bins_ok = _bins_event(mask[k], counts[j])
-            diff_ok = nd <= float(d) ** event_expo
-            row += [counts[j], layer_norms[k], nd, bins_ok, diff_ok]
+        layers = [
+            {"count": counts[j], "norm_w": layer_norms[k], "norm_diff": nd,
+             "bins_event": _bins_event(mask[k], counts[j]), "diff_event": nd <= float(d) ** event_expo}
+            for j, (k, nd) in enumerate(zip(internal, diff_norms))
+        ]
         gap = networks.estimate_sup_gap(model, mask, "sphere", s.samples, seed_t.sub(2))
         payload = []
         for k in internal:
@@ -433,16 +441,14 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
             else:
                 gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha / 4.0) * math.prod(n_caps)
         # every supported activation is 1-Lipschitz, so the theorem's Lipschitz product is 1
-        row += [gap, gap_bound, gap <= gap_bound]
-        return row, payload
+        return layers, {"sup_gap": gap, "gap_bound": gap_bound, "gap_event": gap <= gap_bound}, payload
 
     def summarize(d: int, rows: list, sums: list) -> dict:
         layers = []
-        for j, (sq, quad) in enumerate(sums):
-            base_col = 4 + j * 5
-            mean_diff = float(np.mean([r[base_col + 2] for r in rows]))
+        for k, (sq, quad) in enumerate(sums, start=2):
+            mean_diff = _layer_mean(rows, "norm_diff", k)
             c_hat = latala_ratio(mean_diff, latala_terms(sq / s.trials, quad / s.trials))
-            m, n = shapes_for(d)[1 + j]
+            m, n = shapes_for(d)[k - 1]
             k1, k2 = dist.moment_constants(m, n)
             if magnitude:
                 c2_hat = c_hat * k_scale * (2.0 * math.sqrt(2.0) + 24.0**0.25)
@@ -451,26 +457,24 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
             bound = c2_hat * float(d) ** mean_expo
             layers.append(
                 {
-                    "layer": j + 2,
-                    "count": int(rows[0][base_col]),
-                    "mean_norm_w": float(np.mean([r[base_col + 1] for r in rows])),
+                    "layer": k,
+                    "count": int(rows[0][f"count_l{k}"]),
+                    "mean_norm_w": _layer_mean(rows, "norm_w", k),
                     "mean_norm_diff": mean_diff,
                     "latala_c_hat": c_hat,
                     "c2_hat": c2_hat,
                     "mean_bound": bound,
                     "mean_diff_le_bound": mean_diff <= bound,
-                    "frac_trials_diff_le_bound": float(np.mean([r[base_col + 2] <= bound for r in rows])),
-                    "freq_bins_event": float(np.mean([r[base_col + 3] for r in rows])),
-                    "freq_diff_event": float(np.mean([r[base_col + 4] for r in rows])),
+                    "frac_trials_diff_le_bound": float(np.mean([r[f"norm_diff_l{k}"] <= bound for r in rows])),
+                    "freq_bins_event": _layer_mean(rows, "bins_event", k),
+                    "freq_diff_event": _layer_mean(rows, "diff_event", k),
                 }
             )
-        return {"freq_gap_event": float(np.mean([r[-1] for r in rows])), "layers": layers}
+        return {"freq_gap_event": float(np.mean([r["gap_event"] for r in rows])), "layers": layers}
 
-    layer_columns = ["count", "norm_w", "norm_diff", "bins_event", "diff_event"]
-    tail_columns = ["sup_gap", "gap_bound", "gap_event"]
-    columns, rows, sweep = _gap_sweep(s, s.widths, workers, layer_columns, tail_columns, one_trial, summarize)
+    rows, sweep = _gap_sweep(s, s.widths, workers, one_trial, summarize)
     summary = {"scheme": s.scheme, "alpha": alpha, "mean_norm_exponent": mean_expo, "event_exponent": event_expo}
-    return columns, rows, summary | sweep
+    return rows, summary | sweep
 
 
 def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
@@ -498,14 +502,14 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
             # depend on the thread count (see the parallel module)
             with startup_blas_threads():
                 explicit_norm = float(np.linalg.svd(w_full, compute_uv=False)[0])
-        bins_ok = _bins_event(fmask, count)
         # per-kernel-position slices of the target and difference tensors
         slices = kernel.transpose(2, 3, 0, 1).reshape(q * q, d, d)
         dslices = slices * (1.0 - fmask)[None, :, :]
         s_norms = np.linalg.svd(slices, compute_uv=False)[:, 0]
         ds_norms = np.linalg.svd(dslices, compute_uv=False)[:, 0]
-        entries = [count, norm_w, norm_diff, explicit_norm, bins_ok,
-                   norm_w <= p ** (-s.beta1), norm_diff <= float(d) ** (-s.beta2)]
+        entries = {"count": count, "norm_w_dft": norm_w, "norm_diff_dft": norm_diff, "norm_w_explicit": explicit_norm,
+                   "bins_event": _bins_event(fmask, count), "w_event": norm_w <= p ** (-s.beta1),
+                   "diff_event": norm_diff <= float(d) ** (-s.beta2)}
         payload = (
             (slices * slices).sum(axis=0),
             (slices**4).sum(axis=0),
@@ -529,15 +533,10 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         model = networks.CnnModel(tuple(tensors), dense, act, p)
         counts = tuple(pruning.filter_prune_count(alpha, d) for _ in range(l - 2))
         mask = pruning.build_mask(model, "filter-random", counts, seed_t.sub(1))
-        row = []
-        payload = []
-        for j, k in enumerate(range(1, l - 1)):  # internal conv layers (0-based)
-            entries, layer = layer_entries(tensors[k], mask[k], counts[j], d)
-            row += entries
-            payload.append(layer)
+        # an (entries, payload) pair per internal conv layer, k 0-based
+        layers, payload = zip(*(layer_entries(tensors[k], mask[k], counts[k - 1], d) for k in range(1, l - 1)))
         gap = networks.estimate_sup_gap(model, mask, "cube", s.samples, seed_t.sub(2))
-        row.append(gap)
-        return row, payload
+        return layers, {"sup_gap": gap}, payload
 
     c1_const = s.moment_c1
     with _theory_inputs("moment_c1"):
@@ -561,22 +560,21 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     def summarize(d: int, rows: list, sums: list) -> dict:
         layers = []
         n_slices = s.trials * q * q
-        for j, (sq_t, quad_t, sum_norm_t, sq_d, quad_d, sum_norm_d) in enumerate(sums):
+        for k, (sq_t, quad_t, sum_norm_t, sq_d, quad_d, sum_norm_d) in enumerate(sums, start=2):
             mean_slice_t = sum_norm_t / n_slices
             c_hat_t = latala_ratio(mean_slice_t, latala_terms(sq_t / n_slices, quad_t / n_slices))
             c3_hat = c_hat_t * (2.0 * math.sqrt(c1_const) + c2_const**0.25)
             mean_slice_d = sum_norm_d / n_slices
             c_hat_d = latala_ratio(mean_slice_d, latala_terms(sq_d / n_slices, quad_d / n_slices))
             c4_hat = c_hat_d * (2.0 * math.sqrt(3.0 * c1_const) + c2_const**0.25)
-            base_col = 4 + j * 7
-            mean_w = float(np.mean([r[base_col + 1] for r in rows]))
-            mean_diff = float(np.mean([r[base_col + 2] for r in rows]))
+            mean_w = _layer_mean(rows, "norm_w_dft", k)
+            mean_diff = _layer_mean(rows, "norm_diff_dft", k)
             w_bound = c3_hat * q * q / p
             diff_bound = c4_hat * (q * q / p) * float(d) ** (-alpha / 4.0)
             layers.append(
                 {
-                    "layer": j + 2,
-                    "count": int(rows[0][base_col]),
+                    "layer": k,
+                    "count": int(rows[0][f"count_l{k}"]),
                     "mean_norm_w": mean_w,
                     "w_bound_c3_q2_over_p": w_bound,
                     "mean_w_le_bound": mean_w <= w_bound,
@@ -589,16 +587,15 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
                     "slice_diff_bound": (c4_hat / p) * float(d) ** (-alpha / 4.0),
                     "c3_hat": c3_hat,
                     "c4_hat": c4_hat,
-                    "freq_bins_event": float(np.mean([r[base_col + 4] for r in rows])),
-                    "freq_w_event": float(np.mean([r[base_col + 5] for r in rows])),
-                    "freq_diff_event": float(np.mean([r[base_col + 6] for r in rows])),
+                    "freq_bins_event": _layer_mean(rows, "bins_event", k),
+                    "freq_w_event": _layer_mean(rows, "w_event", k),
+                    "freq_diff_event": _layer_mean(rows, "diff_event", k),
                 }
             )
         return {"thm3_rhs": rhs_by_d[d], "layers": layers}
 
-    layer_columns = ["count", "norm_w_dft", "norm_diff_dft", "norm_w_explicit", "bins_event", "w_event", "diff_event"]
-    columns, rows, sweep = _gap_sweep(s, s.channels, workers, layer_columns, ["sup_gap"], one_trial, summarize)
-    return columns, rows, {"alpha": alpha} | sweep
+    rows, sweep = _gap_sweep(s, s.channels, workers, one_trial, summarize)
+    return rows, {"alpha": alpha} | sweep
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +603,11 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
 # ---------------------------------------------------------------------------
 
 
-def _bound_rows(s: SimpleNamespace) -> list:
-    rows = []
+@_theory_inputs("bounds")
+def run_bounds(s: SimpleNamespace, workers: int):
+    if not (s.thm1 or s.thm2 or s.thm3):
+        raise ConfigError("needs at least one of thm1, thm2, thm3")
+    rows = []  # (section, name, value)
     t1 = s.thm1
     if t1:
         terms = theory.thm1_width_terms(t1.c0, t1.c2, t1.delta0, t1.l, t1.lipschitz, t1.alpha, t1.eps, t1.delta)
@@ -638,13 +638,7 @@ def _bound_rows(s: SimpleNamespace) -> list:
         rows.append(["thm3", "rhs", theory.thm3_rhs(t3.p, t3.d, t3.p0, t3.lipschitz, t3.l, t3.beta1, t3.beta2, t3.alpha)])
         prob = theory.thm3_probability(t3.l, t3.d, t3.p, t3.q, t3.alpha, t3.beta1, t3.beta2, t3.c3, t3.c4, t3.c5)
         rows += [["thm3", "probability", prob], ["thm3", "non_vacuous", prob > 0.0]]
-    return rows
-
-
-def run_bounds(s: SimpleNamespace, workers: int):
-    with _theory_inputs("bounds"):
-        rows = _bound_rows(s)
-    return ["section", "name", "value"], rows, {}
+    return [{"section": section, "name": name, "value": value} for section, name, value in rows], {}
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +650,7 @@ def run_oracle_suite(s: SimpleNamespace, workers: int):
     rows = []
 
     def check(name: str, ok: bool, detail: float):
-        rows.append([name, bool(ok), detail])
+        rows.append({"check": name, "pass": bool(ok), "detail": detail})
 
     def sub_run(kind: str, overrides: dict) -> Report:
         return run_experiment(kind, load_config(kind, overrides=overrides | {"seed": s.seed}), workers)
@@ -681,18 +675,17 @@ def run_oracle_suite(s: SimpleNamespace, workers: int):
 
     # order statistics closed form vs Monte Carlo
     rep = sub_run("order-stats", {"cases": [[16, 4, 1], [64, 64, 1], [256, 16, 2]], "trials": s.trials})
-    worst_z = max(abs(r[7]) for r in rep.rows)
-    check("order_stats_3se", all(r[-1] for r in rep.rows), worst_z)
+    worst_z = max(abs(z) for z in rep.column("z"))
+    check("order_stats_3se", all(rep.column("within_3se")), worst_z)
 
     # balls-into-bins exact enumeration vs Monte Carlo
     rep = sub_run("balls-bins", {"cases": [[4, 8], [2, 12]], "trials": s.trials})
-    check("balls_bins", bool(rep.summary["all_pass"]), float(max(r[3] for r in rep.rows)))
+    check("balls_bins", bool(rep.summary["all_pass"]), float(max(rep.column("empirical"))))
 
-    ok = all(r[1] for r in rows)
-    return ["check", "pass", "detail"], rows, {"all_pass": ok}
+    return rows, {"all_pass": all(r["pass"] for r in rows)}
 
 
-# kind -> runner(parsed config, workers) -> (columns, rows, summary)
+# kind -> runner(parsed config, workers) -> (rows, summary)
 _RUNNERS = {
     "table2": run_table2,
     "table3": run_table3,
@@ -708,8 +701,12 @@ _RUNNERS = {
 
 def run_experiment(kind: str, cfg: dict, workers: int = 1) -> Report:
     """Run one experiment kind on a config dict (as load_config returns it);
-    the report keeps the config as given."""
+    the report keeps the config as given, and its columns are the first
+    row's keys, which every row must repeat in that order."""
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    columns, rows, summary = _RUNNERS[kind](parse_config(kind, cfg), workers)
-    return Report(kind, cfg, columns, rows, summary)
+    rows, summary = _RUNNERS[kind](parse_config(kind, cfg), workers)
+    columns = list(rows[0])
+    if any(list(row) != columns for row in rows):
+        raise ValueError(f"{kind} rows differ from the first row's columns {columns}")
+    return Report(kind, cfg, columns, [list(row.values()) for row in rows], summary)

@@ -97,9 +97,11 @@ def resolve_workers() -> int:
         raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def trial_blocks(trials: int, block_size: int = BLOCK_SIZE) -> list[range]:
-    """Fixed partition of range(trials) into blocks (independent of workers)."""
-    return [range(lo, min(lo + block_size, trials)) for lo in range(0, trials, block_size)]
+def trial_blocks(trials: int) -> list[range]:
+    """Fixed partition of range(trials) into BLOCK_SIZE blocks, independent
+    of the worker count.  table3 sums its moments block by block, so the
+    block size is part of its values: a constant, not a parameter."""
+    return [range(lo, min(lo + BLOCK_SIZE, trials)) for lo in range(0, trials, BLOCK_SIZE)]
 
 
 def ordered_imap(fn, items, workers: int):

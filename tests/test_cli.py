@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from prunelab import cli
+from prunelab import cli, harness
 from prunelab.cli import main
 from prunelab.harness import EXPERIMENT_KINDS, ConfigError, default_config, load_config, run_experiment
 
@@ -77,147 +77,158 @@ def test_trials_flag_accepted_for_fcn_sweep(tmp_path, capsys):
 UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
 
 
-@pytest.mark.parametrize(
-    "kind, body, needle",
-    [
-        ("fcn-sweep", {"widths": "abc"}, "widths must be a nonempty list of integers >= 1"),
-        ("fcn-sweep", {"widths": [16, 0]}, "widths must be a nonempty list of integers >= 1"),
-        ("fcn-sweep", {"samples": 0}, "samples must be an integer >= 1"),
-        ("fcn-sweep", {"depth": "4"}, "depth must be an integer >= 3"),
-        ("cnn-sweep", {"channels": [0]}, "channels must be a nonempty list of integers >= 3"),
-        ("cnn-sweep", {"channels": []}, "channels must be a nonempty list of integers >= 3"),
-        ("cnn-sweep", {"samples": 0}, "samples must be an integer >= 1"),
-        (
-            "cnn-sweep",
-            {"depth": UNDERFLOW["l"], "beta1": UNDERFLOW["beta1"], "beta2": UNDERFLOW["beta2"]},
-            "thm3_rhs: bound evaluated non-positive",
-        ),
-        ("cnn-sweep", {"beta1": 1.5}, "thm3_rhs: beta1 must lie in (0, 1)"),
-        ("cnn-sweep", {"beta2": 0.15}, "thm3_rhs: beta2 must be below alpha/4"),
-        ("cnn-sweep", {"beta2": 0}, "thm3_rhs: beta2 must be positive"),
-        # every field of every kind is checked by one schema, not only the sweeps'
-        ("bounds", {"thm3": {"l": 3}}, "thm3.d is missing"),
-        ("cnn-sweep", {"spatial": "abc"}, "spatial must be an integer >= 2, got 'abc'"),
-        ("fcn-sweep", {"alpha": "x"}, "alpha must be a number, got 'x'"),
-        ("fcn-sweep", {"activation": "gelu"}, "activation must be one of relu, tanh, identity, got 'gelu'"),
-        ("table2", {"rows": [[32, 32]]}, "rows must be a nonempty list of [n1, n2, K] rows"),
-        ("table2", {"quantiles": [1.5]}, "quantiles must be a nonempty list of numbers in (0, 1), got [1.5]"),
-        ("table3", {"rows": [[32, "uniform", 1.0, 3.0]]}, "alpha null or in (0, 2), got [[32, 'uniform', 1.0, 3.0]]"),
-        ("order-stats", {"cases": [[4, 9, 1]]}, "integers 1 <= r <= n and p >= 1, got [[4, 9, 1]]"),
-        ("order-stats", {"half_width": "x"}, "half_width must be a number > 0, got 'x'"),
-        ("balls-bins", {"cases": [[4, 0]]}, "cases must be a nonempty list of [bins, balls] pairs of integers >= 1"),
-        # the throws are drawn as int32; 2^31 bins used to ask for 16 GB of counts per trial
-        (
-            "balls-bins",
-            {"cases": [[2**31, 1]]},
-            "cases must be a nonempty list of [bins, balls] pairs of integers >= 1 with bins < 2^31, got [[2147483648, 1]]",
-        ),
-        # values out of floating-point range in theory-side formulas used to
-        # exit 1 with an OverflowError traceback
-        (
-            "order-stats",
-            {"half_width": 1e200, "cases": [[4, 1, 2]], "trials": 10},
-            "order_stat_moment: value out of floating-point range",
-        ),
-        # the squared draws' sum overflowed: stderr nan and a vacuous within_3se
-        (
-            "order-stats",
-            {"half_width": 1e100, "cases": [[4, 1, 1]], "trials": 10},
-            "order_stat_moment: value out of floating-point range",
-        ),
-        # the forward pass overflowed: sup_gap inf or NaN, with numpy warnings
-        (
-            "fcn-sweep",
-            {"widths": [8], "trials": 1, "samples": 5, "xavier_k": 1e60},
-            "xavier_k=1e+60 too large at width d=8: the squared gap norm can overflow",
-        ),
-        (
-            "fcn-sweep",
-            {"widths": [8], "trials": 1, "samples": 5, "xavier_k": 1e100},
-            "xavier_k=1e+100 too large at width d=8: the squared gap norm can overflow",
-        ),
-        (
-            "fcn-sweep",
-            {"widths": [8], "trials": 1, "samples": 1, "xavier_k": 1e300},
-            "xavier_k=1e+300 too large at width d=8: the squared gap norm can overflow",
-        ),
-        (
-            "cnn-sweep",
-            {"channels": [4], "trials": 1, "samples": 1, "moment_c1": 1e300},
-            "moment_c1: value out of floating-point range",
-        ),
-        ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1, got 0"),
-        ("bounds", {"thm3": default_config("bounds")["thm3"] | {"extra": 1}}, "thm3.extra is not a known field"),
-        (
-            "bounds",
-            {"thm2": default_config("bounds")["thm2"] | {"l": 6, "widths": [8, 8]}},
-            "bounds: thm2.widths must list the l - 1 = 5 hidden widths, got 2",
-        ),
-        # Theorem 2's probability takes one width, so the widths must be thm2.d
-        (
-            "bounds",
-            {"thm2": default_config("bounds")["thm2"] | {"widths": [8, 8, 8]}},
-            "bounds: thm2.widths must all equal thm2.d = 1024, got width 8",
-        ),
-        (
-            "bounds",
-            {"thm2": default_config("bounds")["thm2"] | {"widths": [1024, 512, 1024]}},
-            "bounds: thm2.widths must all equal thm2.d = 1024, got width 512",
-        ),
-        ("fcn-sweep", {"extra": 1}, "extra is not a known field"),
-        ("fcn-sweep", {"scheme": "random-with-replacement", "widths": [2]}, "thm2_alpha_constraint: need d >= 3"),
-        # alpha is checked against the cap of Theorem 2 or 3 by one rule, 0 < alpha <= cap
-        (
-            "fcn-sweep",
-            {"scheme": "random-with-replacement", "alpha": -0.5},
-            "alpha=-0.5 inadmissible for random pruning at width d=64: requires 0 < alpha <= 0.669486",
-        ),
-        (
-            "cnn-sweep",
-            {"alpha": 0.7, "channels": [16]},
-            "alpha=0.7 inadmissible for filter pruning at d=16: requires 0 < alpha <= 0.610326",
-        ),
-        (
-            "bounds",
-            {"thm2": default_config("bounds")["thm2"] | {"alpha": 0.99}},
-            "bounds: alpha=0.99 inadmissible for random pruning at width d=1024: requires 0 < alpha <= 0.639588",
-        ),
-        (
-            "bounds",
-            {"thm3": default_config("bounds")["thm3"] | {"alpha": 0.7}},
-            "bounds: alpha=0.7 inadmissible for filter pruning at d=256: requires 0 < alpha <= 0.690393",
-        ),
-        ("bounds", {"thm1": default_config("bounds")["thm1"] | {"c0": 0}}, "thm1.c0 must be a number > 0"),
-        # deltas are failure probabilities; [-1] * 4 used to report probability 7.43
-        (
-            "bounds",
-            {"thm2": default_config("bounds")["thm2"] | {"deltas": [-1, -1, -1, -1]}},
-            "thm2.deltas must be a nonempty list of numbers in [0, 1], got [-1, -1, -1, -1]",
-        ),
-        (
-            "bounds",
-            {"thm2": default_config("bounds")["thm2"] | {"deltas": [0.01, 0.01, 0.01, 1.5]}},
-            "thm2.deltas must be a nonempty list of numbers in [0, 1], got [0.01, 0.01, 0.01, 1.5]",
-        ),
-        # one kernel rule for bounds and cnn-sweep; q 40 at p 32 used to report probability -71.77
-        ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 40}}, "bounds: kernel 40 must be below spatial size 32"),
-        ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 32}}, "bounds: kernel 32 must be below spatial size 32"),
-        ("cnn-sweep", {"kernel": 8, "spatial": 8}, "kernel 8 must be below spatial size 8"),
-        # the squared draws underflowed to 0: exact, mc_mean, stderr and z all
-        # 0.0 and a vacuous within_3se
-        (
-            "order-stats",
-            {"half_width": 1e-200, "cases": [[4, 1, 1]], "trials": 10},
-            "order_stat_moment: value out of floating-point range",
-        ),
-        # the forward pass overflowed: sup_gap inf, with numpy warnings
-        (
-            "cnn-sweep",
-            {"channels": [4], "trials": 1, "samples": 5, "moment_c1": 1e150},
-            "moment_c1=1e+150 too large at d=4: the squared gap norm can overflow",
-        ),
-    ],
-)
+BAD_CONFIGS = [
+    ("fcn-sweep", {"widths": "abc"}, "widths must be a nonempty list of integers >= 1, got 'abc'"),
+    ("fcn-sweep", {"widths": [16, 0]}, "widths must be a nonempty list of integers >= 1, got [16, 0]"),
+    ("fcn-sweep", {"samples": 0}, "samples must be an integer >= 1"),
+    ("fcn-sweep", {"depth": "4"}, "depth must be an integer >= 3"),
+    ("cnn-sweep", {"channels": [0]}, "channels must be a nonempty list of integers >= 3, got [0]"),
+    ("cnn-sweep", {"channels": []}, "channels must be a nonempty list of integers >= 3, got []"),
+    ("cnn-sweep", {"samples": 0}, "samples must be an integer >= 1"),
+    (
+        "cnn-sweep",
+        {"depth": UNDERFLOW["l"], "beta1": UNDERFLOW["beta1"], "beta2": UNDERFLOW["beta2"]},
+        "thm3_rhs: bound evaluated non-positive",
+    ),
+    ("cnn-sweep", {"beta1": 1.5}, "thm3_rhs: beta1 must lie in (0, 1)"),
+    ("cnn-sweep", {"beta2": 0.15}, "thm3_rhs: beta2 must be below alpha/4"),
+    ("cnn-sweep", {"beta2": 0}, "thm3_rhs: beta2 must be positive"),
+    # every field of every kind is checked by one schema, not only the sweeps'
+    ("bounds", {"thm3": {"l": 3}}, "thm3.d is missing"),
+    ("cnn-sweep", {"spatial": "abc"}, "spatial must be an integer >= 2, got 'abc'"),
+    ("fcn-sweep", {"alpha": "x"}, "alpha must be a number, got 'x'"),
+    ("fcn-sweep", {"activation": "gelu"}, "activation must be one of relu, tanh, identity, got 'gelu'"),
+    ("table2", {"rows": [[32, 32]]}, "rows must be a nonempty list of [n1, n2, K] rows"),
+    ("table2", {"quantiles": [1.5]}, "quantiles must be a nonempty list of numbers in (0, 1), got [1.5]"),
+    ("table3", {"rows": [[32, "uniform", 1.0, 3.0]]}, "alpha null or in (0, 2), got [[32, 'uniform', 1.0, 3.0]]"),
+    ("order-stats", {"cases": [[4, 9, 1]]}, "integers 1 <= r <= n and p >= 1, got [[4, 9, 1]]"),
+    ("order-stats", {"half_width": "x"}, "half_width must be a number > 0, got 'x'"),
+    ("balls-bins", {"cases": [[4, 0]]}, "cases must be a nonempty list of [bins, balls] pairs of integers >= 1"),
+    # the throws are drawn as int32; 2^31 bins used to ask for 16 GB of counts per trial
+    (
+        "balls-bins",
+        {"cases": [[2**31, 1]]},
+        "cases must be a nonempty list of [bins, balls] pairs of integers >= 1 with bins < 2^31, got [[2147483648, 1]]",
+    ),
+    # values out of floating-point range in theory-side formulas used to
+    # exit 1 with an OverflowError traceback
+    (
+        "order-stats",
+        {"half_width": 1e200, "cases": [[4, 1, 2]], "trials": 10},
+        "order_stat_moment: value out of floating-point range",
+    ),
+    # the squared draws' sum overflowed: stderr nan and a vacuous within_3se
+    (
+        "order-stats",
+        {"half_width": 1e100, "cases": [[4, 1, 1]], "trials": 10},
+        "order_stat_moment: value out of floating-point range",
+    ),
+    # the forward pass overflowed: sup_gap inf or NaN, with numpy warnings
+    (
+        "fcn-sweep",
+        {"widths": [8], "trials": 1, "samples": 5, "xavier_k": 1e60},
+        "xavier_k=1e+60 too large at width d=8: the squared gap norm can overflow",
+    ),
+    (
+        "fcn-sweep",
+        {"widths": [8], "trials": 1, "samples": 5, "xavier_k": 1e100},
+        "xavier_k=1e+100 too large at width d=8: the squared gap norm can overflow",
+    ),
+    (
+        "fcn-sweep",
+        {"widths": [8], "trials": 1, "samples": 1, "xavier_k": 1e300},
+        "xavier_k=1e+300 too large at width d=8: the squared gap norm can overflow",
+    ),
+    (
+        "cnn-sweep",
+        {"channels": [4], "trials": 1, "samples": 1, "moment_c1": 1e300},
+        "moment_c1: value out of floating-point range",
+    ),
+    ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1, got 0"),
+    ("bounds", {"thm3": default_config("bounds")["thm3"] | {"extra": 1}}, "thm3.extra is not a known field"),
+    (
+        "bounds",
+        {"thm2": default_config("bounds")["thm2"] | {"l": 6, "widths": [8, 8]}},
+        "bounds: thm2.widths must list the l - 1 = 5 hidden widths, got 2",
+    ),
+    # Theorem 2's probability takes one width, so the widths must be thm2.d
+    (
+        "bounds",
+        {"thm2": default_config("bounds")["thm2"] | {"widths": [8, 8, 8]}},
+        "bounds: thm2.widths must all equal thm2.d = 1024, got width 8",
+    ),
+    (
+        "bounds",
+        {"thm2": default_config("bounds")["thm2"] | {"widths": [1024, 512, 1024]}},
+        "bounds: thm2.widths must all equal thm2.d = 1024, got width 512",
+    ),
+    ("fcn-sweep", {"extra": 1}, "extra is not a known field"),
+    ("fcn-sweep", {"scheme": "random-with-replacement", "widths": [2]}, "thm2_alpha_constraint: need d >= 3"),
+    # alpha is checked against the cap of Theorem 2 or 3 by one rule, 0 < alpha <= cap
+    (
+        "fcn-sweep",
+        {"scheme": "random-with-replacement", "alpha": -0.5},
+        "alpha=-0.5 inadmissible for random pruning at width d=64: requires 0 < alpha <= 0.669486",
+    ),
+    (
+        "cnn-sweep",
+        {"alpha": 0.7, "channels": [16]},
+        "alpha=0.7 inadmissible for filter pruning at d=16: requires 0 < alpha <= 0.610326",
+    ),
+    (
+        "bounds",
+        {"thm2": default_config("bounds")["thm2"] | {"alpha": 0.99}},
+        "bounds: alpha=0.99 inadmissible for random pruning at width d=1024: requires 0 < alpha <= 0.639588",
+    ),
+    (
+        "bounds",
+        {"thm3": default_config("bounds")["thm3"] | {"alpha": 0.7}},
+        "bounds: alpha=0.7 inadmissible for filter pruning at d=256: requires 0 < alpha <= 0.690393",
+    ),
+    ("bounds", {"thm1": default_config("bounds")["thm1"] | {"c0": 0}}, "thm1.c0 must be a number > 0"),
+    # deltas are failure probabilities; [-1] * 4 used to report probability 7.43
+    (
+        "bounds",
+        {"thm2": default_config("bounds")["thm2"] | {"deltas": [-1, -1, -1, -1]}},
+        "thm2.deltas must be a nonempty list of numbers in [0, 1], got [-1, -1, -1, -1]",
+    ),
+    (
+        "bounds",
+        {"thm2": default_config("bounds")["thm2"] | {"deltas": [0.01, 0.01, 0.01, 1.5]}},
+        "thm2.deltas must be a nonempty list of numbers in [0, 1], got [0.01, 0.01, 0.01, 1.5]",
+    ),
+    # one kernel rule for bounds and cnn-sweep; q 40 at p 32 used to report probability -71.77
+    ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 40}}, "bounds: kernel 40 must be below spatial size 32"),
+    ("bounds", {"thm3": default_config("bounds")["thm3"] | {"q": 32}}, "bounds: kernel 32 must be below spatial size 32"),
+    ("cnn-sweep", {"kernel": 8, "spatial": 8}, "kernel 8 must be below spatial size 8"),
+    # the squared draws underflowed to 0: exact, mc_mean, stderr and z all
+    # 0.0 and a vacuous within_3se
+    (
+        "order-stats",
+        {"half_width": 1e-200, "cases": [[4, 1, 1]], "trials": 10},
+        "order_stat_moment: value out of floating-point range",
+    ),
+    # the forward pass overflowed: sup_gap inf, with numpy warnings
+    (
+        "cnn-sweep",
+        {"channels": [4], "trials": 1, "samples": 5, "moment_c1": 1e150},
+        "moment_c1=1e+150 too large at d=4: the squared gap norm can overflow",
+    ),
+    # a report needs a row to take its columns from; this used to exit 0
+    # with a header-only report
+    ("bounds", {"thm1": None, "thm2": {}, "thm3": None}, "bounds: needs at least one of thm1, thm2, thm3"),
+]
+
+
+def _case_ids(cases: list) -> list:
+    """Each case's id: its kind and needle, and its body too where another
+    case has the same kind and needle.  Unlike pytest's positional ids,
+    these do not change when a case is inserted before them."""
+    ids = [f"{kind}-{needle}" for kind, _, needle in cases]
+    return [i if ids.count(i) == 1 else f"{i}-{json.dumps(body)}" for i, (_, body, _) in zip(ids, cases)]
+
+
+@pytest.mark.parametrize("kind, body, needle", BAD_CONFIGS, ids=_case_ids(BAD_CONFIGS))
 def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):
     assert main([kind, "--config", _config(tmp_path, body)]) == 1
     assert needle in _one_line_error(capsys)
@@ -242,7 +253,7 @@ def test_largest_admitted_xavier_k_gives_a_finite_gap():
     # the forward pass is finite up to 1e38 on this shape
     assert lo >= 1e38
     report = run(lo)
-    assert math.isfinite(report.rows[0][report.columns.index("sup_gap")])
+    assert math.isfinite(report.column("sup_gap")[0])
 
 
 @pytest.mark.filterwarnings("error")
@@ -265,7 +276,7 @@ def test_largest_admitted_moment_c1_gives_a_finite_gap(weight_kind):
     # the gaussian forward pass is still finite at 1e100 on this shape
     assert lo >= 1e97
     report = run(lo)
-    assert math.isfinite(report.rows[0][report.columns.index("sup_gap")])
+    assert math.isfinite(report.column("sup_gap")[0])
 
 
 def test_bounds_accepts_deltas_at_0_and_1(tmp_path, capsys):
@@ -311,8 +322,8 @@ def test_table3_fully_pruned_row_exits_0_with_c_zero(tmp_path):
     assert main(["table3", "--config", _config(tmp_path, body), "--out", str(out), "--format", "json"]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     (row,) = report["rows"]
-    assert dict(zip(report["columns"], row))["C"] == 0.0
-    assert row[3:7] == [0.0, 0.0, 0.0, 0.0]
+    record = dict(zip(report["columns"], row))
+    assert [record[c] for c in ("term1", "term2", "term3", "mean_norm", "C")] == [0.0] * 5
 
 
 def test_non_integer_workers_env_exits_1_with_one_line(monkeypatch, capsys):
@@ -339,3 +350,15 @@ def test_failed_report_write_exits_1_with_one_line(tmp_path, capsys):
     assert main(["bounds", "--out", path]) == 1
     err = _one_line_error(capsys)
     assert err.startswith(f"error: cannot write report {path}: ") and "too long" in err
+
+
+def test_rows_with_other_columns_than_the_first_are_rejected(monkeypatch):
+    # a report's columns are its first row's keys; a row that names others,
+    # or the same in another order, is an error in the runner, not a report
+    rows = [{"check": "a", "pass": True}, {"pass": True, "check": "b"}]
+    monkeypatch.setitem(harness._RUNNERS, "oracle-suite", lambda s, workers: (rows, {}))
+    with pytest.raises(ValueError, match="oracle-suite rows differ from the first row's columns"):
+        run_experiment("oracle-suite", default_config("oracle-suite"))
+    rows[1] = {"check": "b", "passed": True}
+    with pytest.raises(ValueError, match=r"\['check', 'pass'\]"):
+        run_experiment("oracle-suite", default_config("oracle-suite"))

@@ -8,8 +8,10 @@ in cache-sized tiles, the "balls-bins-chunks" ones from the code before the
 balls-into-bins kernel drew int32 throws and counted them in tiles, "cnn-64"
 from the code before the CNN conv step ran its FFT passes and activation in
 place, the "-svd-groups" ones from the code before the estimators stacked
-their SVDs, and the others (and the JSON digest) from the code before the
-two sweeps shared one loop and the config one schema.
+their SVDs, "fcn-depth-5" and the fcn JSON digest from the code before
+report rows became named records, and the others (and the cnn JSON digest)
+from the code before the two sweeps shared one loop and the config one
+schema.
 Every report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
 moves a number updates the digest here and says why.
 """
@@ -43,6 +45,13 @@ CASES = {
         "fcn-sweep",
         FCN | {"scheme": "random-without-replacement"},
         "54e6e67d3676f5568487d52af4b554d4d490915673974eefdb0f4032992584cb",
+    ),
+    # depth 5 has three pruned layers, so its rows reach the _l4 columns and
+    # its summary a third layer's sums
+    "fcn-depth-5": (
+        "fcn-sweep",
+        FCN | {"depth": 5},
+        "115bf180056cdead601681028124dc98d5bf51b5cd00a0983f1988d930f55f6a",
     ),
     # depth 4 has two pruned conv layers; 26 one-trial tasks, shared by the
     # workers at PRUNELAB_WORKERS=2
@@ -131,6 +140,10 @@ CASES = {
 # (kind, config body, sha256 of the --format json report)
 JSON_CASES = {
     "cnn": (CASES["cnn"][0], CASES["cnn"][1], "8b8b89c280734f7826065b2507489351f34bddf4f244d178bc7fb4efabd336ed"),
+    "fcn-random-without-replacement": (
+        *CASES["fcn-random-without-replacement"][:2],
+        "f0427b871aff175195a79e2bd12cdd629f6dde0be56a5172c6770706fba11ec9",
+    ),
 }
 
 

@@ -52,15 +52,15 @@ GROUPS = {
 def test_kernel_matches_chunk_loop_bitwise(group, workers):
     cases, trials, a = GROUPS[group]
     cfg = default_config("order-stats") | {"cases": cases, "trials": trials, "half_width": a}
-    rows = run_experiment("order-stats", cfg, workers).rows
+    report = run_experiment("order-stats", cfg, workers)
+    assert list(zip(*(report.column(c) for c in ("n", "r", "p", "a")))) == [(n, r, p, a) for n, r, p in cases]
     base = SeedSpec(cfg["seed"])
-    for i, ((n, r, p), row) in enumerate(zip(cases, rows)):
+    got = zip(report.column("exact"), report.column("mc_mean"), report.column("stderr"), report.column("z"))
+    for i, ((n, r, p), (exact, *row)) in enumerate(zip(cases, got)):
         mean, stderr = _oracle_row(n, r, p, a, trials, base.child(i).generator())
-        exact = row[4]
         z = (mean - exact) / stderr if stderr > 0 else 0.0
-        assert row[:4] == [n, r, p, a]
         # exact equality of the floats, not closeness
-        assert (row[5], row[6], row[7]) == (mean, stderr, z), (n, r, p)
+        assert row == [mean, stderr, z], (n, r, p)
 
 
 def test_kernel_peak_memory_is_tile_sized():

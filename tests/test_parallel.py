@@ -389,7 +389,7 @@ class TestFcnSweepTrials:
         monkeypatch.setattr(harness, "draw_matrix", lambda *args: 0.0 * draw(*args))
         rep = run_experiment("fcn-sweep", load_config("fcn-sweep", overrides=self.CFG | {"trials": 3}), 1)
         for col in ("norm_w_l2", "norm_diff_l2", "norm_diff_l3"):
-            values = [r[rep.columns.index(col)] for r in rep.rows]
+            values = rep.column(col)
             assert values == [0.0] * 6
             assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
