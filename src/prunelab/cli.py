@@ -97,11 +97,8 @@ def main(argv=None) -> int:
         return 1
     if args.out is None:
         sys.stdout.write(text)
-    failed = report.summary.get("all_pass") is False
-    if args.kind == "oracle-suite" and failed:
-        print("oracle-suite: FAIL", file=sys.stderr)
-        return 2
-    if failed:
+    if report.summary.get("all_pass") is False:
+        print(f"{args.kind}: FAIL", file=sys.stderr)
         return 2
     return 0
 

@@ -10,7 +10,8 @@ independent-entry moment terms
 
 with the expectations estimated empirically from the sampled matrices.  A
 pruned variant zeroes floor(d^(2-alpha)) entries (with replacement) per
-draw before measuring.
+draw before measuring.  Both estimators return report rows: dicts from
+column name to value, in column order.
 
 Norms use the LAPACK SVD; at these matrix sizes and trial counts the
 deterministic power-iteration routine would dominate the runtime budget.
@@ -24,7 +25,6 @@ within a block the norms go through `linalg.top_singular_values`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,41 +34,12 @@ from .pruning import filter_prune_count
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 
 __all__ = [
-    "Lemma3Row",
-    "LatalaRow",
     "delta0_from_quantile",
     "estimate_lemma3",
     "estimate_latala",
     "latala_ratio",
     "latala_terms",
-    "QUANTILES",
 ]
-
-QUANTILES = (0.95, 0.99, 0.999, 0.9999)
-
-
-@dataclass(frozen=True)
-class Lemma3Row:
-    """Norm statistics of one uniform-matrix configuration: the mean and std
-    of the spectral norm plus per-quantile (c0, delta0) pairs, where c0 is
-    the empirical q-quantile and delta0 = -ln((1-q)/2) / (4 max(n1, n2))."""
-
-    mean: float
-    std: float
-    quantiles: tuple  # of (q, c0, delta0)
-
-
-@dataclass(frozen=True)
-class LatalaRow:
-    """One estimated configuration: the three moment terms, the observed mean
-    norm, and their ratio C = mean_norm / (term1 + term2 + term3), or 0 when
-    all three terms are 0."""
-
-    term1: float
-    term2: float
-    term3: float
-    mean_norm: float
-    c: float
 
 
 def delta0_from_quantile(n: int, q: float) -> float:
@@ -91,11 +62,13 @@ def estimate_lemma3(
     k_scale: float,
     trials: int,
     seed: SeedSpec,
-    quantiles: tuple = QUANTILES,
+    quantiles: tuple,
     workers: int = 1,
-) -> Lemma3Row:
+) -> list[dict]:
     """Sample `trials` matrices with entries U[-K/sqrt(n), K/sqrt(n)],
-    n = max(n1, n2), and report norm statistics and quantile constants.
+    n = max(n1, n2), and return one row per quantile q: n1, n2, K, the mean
+    and std of the spectral norm, q, c0, the empirical q-quantile of the
+    norm, and delta0 = -ln((1-q)/2) / (4 n).
 
     Trial t draws from stream t of the seed, so any single trial can be
     reproduced in isolation and results do not depend on the worker count.
@@ -110,11 +83,9 @@ def estimate_lemma3(
 
     norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
     srt = np.sort(norms)
-    n = max(n1, n2)
-    quants = tuple(
-        (q, _quantile_order_stat(srt, q), delta0_from_quantile(n, q)) for q in quantiles
-    )
-    return Lemma3Row(float(norms.mean()), float(norms.std(ddof=1)), quants)
+    mean, std = float(norms.mean()), float(norms.std(ddof=1))
+    return [{"n1": n1, "n2": n2, "K": k_scale, "mean": mean, "std": std, "q": q, "c0": _quantile_order_stat(srt, q),
+             "delta0": delta0_from_quantile(max(n1, n2), q)} for q in quantiles]
 
 
 def latala_terms(sq_mean: np.ndarray, quad_mean: np.ndarray) -> tuple[float, float, float]:
@@ -139,10 +110,12 @@ def estimate_latala(
     seed: SeedSpec,
     prune_alpha: float | None = None,
     workers: int = 1,
-) -> LatalaRow:
+) -> dict:
     """Estimate the norm-to-moment-terms ratio C for d x d draws from `dist`,
     optionally zeroing floor(d^(2-alpha)) entries at random (with
-    replacement) per draw before measuring."""
+    replacement) per draw before measuring.  Returns term1, term2, term3,
+    the observed mean norm and C = mean_norm / (term1 + term2 + term3), which
+    is 0 when all three terms are 0."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
     n_prune = filter_prune_count(prune_alpha, d) if prune_alpha is not None else 0
@@ -175,7 +148,6 @@ def estimate_latala(
         sq_total += sq
         quad_total += quad
         all_norms.append(norms)
-    norms = np.concatenate(all_norms)
-    term1, term2, term3 = latala_terms(sq_total / trials, quad_total / trials)
-    mean_norm = float(norms.mean())
-    return LatalaRow(term1, term2, term3, mean_norm, latala_ratio(mean_norm, (term1, term2, term3)))
+    term1, term2, term3 = terms = latala_terms(sq_total / trials, quad_total / trials)
+    mean_norm = float(np.concatenate(all_norms).mean())
+    return {"term1": term1, "term2": term2, "term3": term3, "mean_norm": mean_norm, "C": latala_ratio(mean_norm, terms)}

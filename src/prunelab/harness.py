@@ -8,9 +8,12 @@ shortest round-trip repr, so a rerun with any worker count reproduces the
 report byte for byte.  Wall-clock timings never enter report files.
 
 Rows are named records: every runner returns (rows, summary), each row a
-dict from column name to value in report order.  The report's columns are
-the first row's keys, every row must have those keys in that order, and
-summaries and oracles read a column by its name, never by its position.
+dict from column name to value in report order, and the report keeps those
+dicts as given.  The estimators and the balls-into-bins check build their
+rows themselves; a runner only adds the columns it alone knows.  The
+report's columns are the first row's keys, every row must have those keys
+in that order, and summaries and oracles read a column by its name, never
+by its position.
 """
 
 from __future__ import annotations
@@ -45,18 +48,23 @@ __all__ = [
 
 @dataclass
 class Report:
-    """One experiment's output: resolved config, tabular rows, summary."""
+    """One experiment's output: resolved config, rows (dicts with the same
+    keys in the same order), summary."""
 
     kind: str
     config: dict
-    columns: list
     rows: list
     summary: dict = field(default_factory=dict)
 
+    @property
+    def columns(self) -> list:
+        return list(self.rows[0])
+
     def column(self, name: str) -> list:
         """The values of column `name`, in row order."""
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
+        if name not in self.rows[0]:
+            raise ValueError(f"{self.kind} has no column {name!r}")
+        return [row[name] for row in self.rows]
 
 
 @contextmanager
@@ -106,8 +114,8 @@ def render_report(report: Report, fmt: str = "csv") -> str:
         doc = {
             "kind": report.kind,
             "config": _jsonable(report.config),
-            "columns": list(report.columns),
-            "rows": _jsonable([list(r) for r in report.rows]),
+            "columns": report.columns,
+            "rows": _jsonable([list(r.values()) for r in report.rows]),
             "summary": _jsonable(report.summary),
         }
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
@@ -118,7 +126,7 @@ def render_report(report: Report, fmt: str = "csv") -> str:
         lines.append(f"# {key}={json.dumps(_jsonable(report.config[key]), sort_keys=True)}")
     lines.append(",".join(report.columns))
     for row in report.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(v) for v in row.values()))
     for key in sorted(report.summary):
         lines.append(f"# summary {key}={json.dumps(_jsonable(report.summary[key]), sort_keys=True)}")
     return "\n".join(lines) + "\n"
@@ -137,23 +145,37 @@ def write_report(report: Report, path, fmt: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 
 
+def _normal(*values: float) -> bool:
+    """Whether every value is finite and at least the smallest normal double:
+    a sum or power of weight scales off that range has lost its bits."""
+    return all(sys.float_info.min <= v < math.inf for v in values)
+
+
 def run_table2(s: SimpleNamespace, workers: int):
+    # a norm is of the order of K and at most K sqrt(min(n1, n2)): before any
+    # trial, the std's squared norms and their sum must be normal doubles
+    for n1, n2, k_scale in s.rows:
+        if not _normal(k_scale * k_scale, s.trials * k_scale * k_scale * min(n1, n2)):
+            raise ConfigError(f"K={k_scale:g} out of range for {n1} x {n2}: the squared norms overflow or underflow")
     rows = []
     for i, (n1, n2, k_scale) in enumerate(s.rows):
-        est = estimate_lemma3(n1, n2, k_scale, s.trials, SeedSpec(s.seed).sub(i), quantiles=s.quantiles, workers=workers)
-        rows += [{"n1": n1, "n2": n2, "K": k_scale, "mean": est.mean, "std": est.std, "q": q, "c0": c0, "delta0": d0}
-                 for q, c0, d0 in est.quantiles]
+        rows += estimate_lemma3(n1, n2, k_scale, s.trials, SeedSpec(s.seed).sub(i), s.quantiles, workers)
     return rows, {}
 
 
 def run_table3(s: SimpleNamespace, workers: int):
+    # an entry of variance v = scale / d lies within b = sqrt(3 v), or 40 sqrt(v)
+    # if gaussian (see cnn-sweep): before any trial, the fourth-moment sums, of
+    # the order of v^2 and at most trials d^2 b^4, must be normal doubles
+    for d, kind, scale, _ in s.rows:
+        v = scale / d
+        if not _normal(v * v, s.trials * d * d * (9.0 if kind == "uniform" else 2.56e6) * v * v):
+            raise ConfigError(f"scale={scale:g} out of range at d={d}: the fourth-moment sums overflow or underflow")
     rows = []
     for i, (d, kind, scale, alpha) in enumerate(s.rows):
         dist = DistributionSpec(kind, variance=scale / d)
         est = estimate_latala(d, dist, s.trials, SeedSpec(s.seed).sub(i), prune_alpha=alpha, workers=workers)
-        label = "U" if kind == "uniform" else f"N(0,{scale:g}/d)"
-        rows.append({"d": d, "dist": label, "alpha": alpha, "term1": est.term1, "term2": est.term2,
-                     "term3": est.term3, "mean_norm": est.mean_norm, "C": est.c})
+        rows.append({"d": d, "dist": "U" if kind == "uniform" else f"N(0,{scale:g}/d)", "alpha": alpha} | est)
     return rows, {}
 
 
@@ -176,7 +198,7 @@ def run_order_stats(s: SimpleNamespace, workers: int):
         exacts = [theory.order_stat_moment(a, n, r, p) for n, r, p in s.cases]
         # the standard error sums (x^p)^2 with x <= a^2 over the trials; below
         # the smallest normal double those squares lose their bits, down to 0
-        if not all(sys.float_info.min <= a ** (4 * p) and math.isfinite(trials * a ** (4 * p)) for _, _, p in s.cases):
+        if not all(_normal(a ** (4 * p), trials * a ** (4 * p)) for _, _, p in s.cases):
             raise OverflowError
 
     def one(case_index: int):
@@ -229,16 +251,9 @@ def run_balls_bins(s: SimpleNamespace, workers: int):
     base = SeedSpec(s.seed)
 
     def one(i: int):
-        n, nballs = s.cases[i]
-        res = theory.balls_in_bins_check(n, nballs, s.trials, base.child(i))
-        mc_ok = None
-        if res.exact is not None:
-            mc_ok = abs(res.empirical - res.exact) <= 3.0 * max(res.stderr, 1e-12)
-        return {
-            "bins": n, "balls": nballs, "threshold": res.threshold, "empirical": res.empirical,
-            "stderr": res.stderr, "exact": res.exact, "guarantee_applies": res.guarantee_applies,
-            "guarantee_floor": res.guarantee_floor, "guarantee_holds": res.guarantee_holds, "mc_matches_exact": mc_ok,
-        }
+        row = theory.balls_in_bins_check(*s.cases[i], s.trials, base.child(i))
+        exact, emp, err = row["exact"], row["empirical"], row["stderr"]
+        return row | {"mc_matches_exact": None if exact is None else abs(emp - exact) <= 3.0 * max(err, 1e-12)}
 
     rows = ordered_map(one, range(len(s.cases)), workers)
     return rows, {"all_pass": all(r["guarantee_holds"] and r["mc_matches_exact"] in (None, True) for r in rows)}
@@ -397,9 +412,14 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
     # most K sqrt(min(m, n)); every activation fixes 0 and is 1-Lipschitz.  On
     # the unit sphere the squared gap norm the estimate sums is then at most
     # 4 prod K^2 min(m, n), checked before any trial so it cannot overflow.
+    # The Latala payload's fourth powers, of the order of (K^2 / max(m, n))^2,
+    # are checked at the largest layer so they cannot underflow.
     for d in s.widths:
         if not math.isfinite(4.0 * math.prod(k_scale * k_scale * min(shape) for shape in shapes_for(d))):
             raise ConfigError(f"xavier_k={k_scale:g} too large at width d={d}: the squared gap norm can overflow")
+        b2 = k_scale * k_scale / max(map(max, shapes_for(d)))
+        if not _normal(b2 * b2):
+            raise ConfigError(f"xavier_k={k_scale:g} too small at width d={d}: the entries' fourth powers underflow")
 
     def one_trial(d: int, seed_t: SeedSpec):
         gw = seed_t.sub(0).generator()
@@ -549,13 +569,16 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     # q^2 b sqrt(d_k d_{k-1}), the dense layer b sqrt(d_out d p^2) and a cube
     # point sqrt(d_in p^2); relu fixes 0 and is 1-Lipschitz.  The squared gap
     # norm the estimate sums, at most 4 d_in p^2 prod ||W_k||^2, is checked
-    # before any trial so it cannot overflow.
+    # before any trial so it cannot overflow.  The Latala payload's fourth
+    # powers, of the order of v^2, and c2 ~ c1^2 are checked so they cannot underflow.
     for d in s.channels:
         b2 = (3.0 if s.weight_kind == "uniform" else 1600.0) * c1_const / (p * p * d)
         dims = [s.d_in] + [d] * (l - 1)
         layers = [q**4 * b2 * dims[k + 1] * dims[k] for k in range(l - 1)] + [b2 * s.d_out * d * p * p]
         if not math.isfinite(4.0 * s.d_in * p * p * math.prod(layers)):
             raise ConfigError(f"moment_c1={c1_const:g} too large at d={d}: the squared gap norm can overflow")
+        if not _normal((c1_const / (p * p * d)) ** 2, c1_const * c1_const):
+            raise ConfigError(f"moment_c1={c1_const:g} too small at d={d}: the entries' fourth powers underflow")
 
     def summarize(d: int, rows: list, sums: list) -> dict:
         layers = []
@@ -607,12 +630,11 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
 def run_bounds(s: SimpleNamespace, workers: int):
     if not (s.thm1 or s.thm2 or s.thm3):
         raise ConfigError("needs at least one of thm1, thm2, thm3")
-    rows = []  # (section, name, value)
+    sections = []  # (section, {name: value})
     t1 = s.thm1
     if t1:
         terms = theory.thm1_width_terms(t1.c0, t1.c2, t1.delta0, t1.l, t1.lipschitz, t1.alpha, t1.eps, t1.delta)
-        rows += [["thm1", name, val] for name, val in terms.items()]
-        rows.append(["thm1", "width_bound", math.ceil(max(terms.values()))])
+        sections.append(("thm1", terms | {"width_bound": math.ceil(max(terms.values()))}))
     t2 = s.thm2
     if t2:
         if len(t2.widths) != t2.l - 1:
@@ -624,21 +646,19 @@ def run_bounds(s: SimpleNamespace, workers: int):
         cap = theory.thm2_alpha_constraint(t2.d)
         _check_alpha(t2.alpha, cap, f"random pruning at width d={t2.d}")
         # with equal widths every pruned layer's row and column caps are one cap
-        for k in range(2, t2.l):
-            rows += [["thm2", f"alpha_max_rows_layer{k}", cap], ["thm2", f"alpha_max_cols_layer{k}", cap]]
-        rows.append(["thm2", "alpha_max_overall", cap])
+        caps = {f"alpha_max_{side}_layer{k}": cap for k in range(2, t2.l) for side in ("rows", "cols")}
         prob = theory.thm2_probability(t2.l, t2.d, t2.alpha, t2.c2, t2.deltas)
-        rows += [["thm2", "probability", prob], ["thm2", "non_vacuous", prob > 0.0]]
+        sections.append(("thm2", caps | {"alpha_max_overall": cap, "probability": prob, "non_vacuous": prob > 0.0}))
     t3 = s.thm3
     if t3:
         _check_kernel(t3.q, t3.p)
         cap = theory.thm3_alpha_constraint(t3.d)
         _check_alpha(t3.alpha, cap, f"filter pruning at d={t3.d}")
-        rows.append(["thm3", "alpha_max", cap])
-        rows.append(["thm3", "rhs", theory.thm3_rhs(t3.p, t3.d, t3.p0, t3.lipschitz, t3.l, t3.beta1, t3.beta2, t3.alpha)])
+        rhs = theory.thm3_rhs(t3.p, t3.d, t3.p0, t3.lipschitz, t3.l, t3.beta1, t3.beta2, t3.alpha)
         prob = theory.thm3_probability(t3.l, t3.d, t3.p, t3.q, t3.alpha, t3.beta1, t3.beta2, t3.c3, t3.c4, t3.c5)
-        rows += [["thm3", "probability", prob], ["thm3", "non_vacuous", prob > 0.0]]
-    return [{"section": section, "name": name, "value": value} for section, name, value in rows], {}
+        sections.append(("thm3", {"alpha_max": cap, "rhs": rhs, "probability": prob, "non_vacuous": prob > 0.0}))
+    return [{"section": section, "name": name, "value": value}
+            for section, values in sections for name, value in values.items()], {}
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +721,13 @@ _RUNNERS = {
 
 def run_experiment(kind: str, cfg: dict, workers: int = 1) -> Report:
     """Run one experiment kind on a config dict (as load_config returns it);
-    the report keeps the config as given, and its columns are the first
-    row's keys, which every row must repeat in that order."""
+    the report keeps the config and the runner's rows as given, and its
+    columns are the first row's keys, which every row must repeat in that
+    order."""
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    rows, summary = _RUNNERS[kind](parse_config(kind, cfg), workers)
-    columns = list(rows[0])
-    if any(list(row) != columns for row in rows):
+    report = Report(kind, cfg, *_RUNNERS[kind](parse_config(kind, cfg), workers))
+    columns = report.columns
+    if any(list(row) != columns for row in report.rows):
         raise ValueError(f"{kind} rows differ from the first row's columns {columns}")
-    return Report(kind, cfg, columns, [list(row.values()) for row in rows], summary)
+    return report

@@ -7,7 +7,8 @@ measured or assumed constants as plain floats, and every calculator
 returns a float (or a dict of named floats).  A probability is returned
 as-is and is vacuous when <= 0.  The `*_alpha_constraint` functions give
 the largest alpha Theorems 2 and 3 admit at width d; callers check
-0 < alpha <= that cap.
+0 < alpha <= that cap.  The balls-into-bins check returns the balls-bins
+report's row, a dict from column name to value.
 
 Natural logarithms throughout.
 """
@@ -15,7 +16,6 @@ Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "order_stat_moment_exact",
     "order_stat_moment",
     "balls_in_bins_exact",
-    "BallsBinsResult",
     "balls_in_bins_check",
     "thm1_width_terms",
     "thm2_alpha_constraint",
@@ -100,23 +99,6 @@ def balls_in_bins_exact(bins: int, balls: int, cap: float) -> Fraction:
     return favorable / Fraction(bins) ** balls
 
 
-@dataclass(frozen=True)
-class BallsBinsResult:
-    bins: int
-    balls: int
-    threshold: float  # 3N/n
-    empirical: float
-    stderr: float
-    trials: int
-    guarantee_applies: bool  # N >= n log n
-    guarantee_floor: float  # 1 - n^(-1/3)
-    exact: float | None = None  # exact probability when cheaply enumerable
-
-    @property
-    def guarantee_holds(self) -> bool:
-        return (not self.guarantee_applies) or self.empirical >= self.guarantee_floor
-
-
 # Entries a balls-into-bins tile counts at a time: the tile's rows times
 # max(balls, bins), so neither the loads nor bincount's intp copy of the
 # throws grows with the chunk or the bin count.
@@ -158,11 +140,12 @@ def _count_hits(throws: np.ndarray, bins: int, threshold: float) -> int:
     return hits
 
 
-def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> BallsBinsResult:
+def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> dict:
     """Monte Carlo frequency of {max load <= 3N/n}, with the guarantee branch
     (N >= n log n implies probability >= 1 - n^(-1/3)) checked and reported.
-
-    Also evaluates the exact probability when bins**balls <= 10^6.
+    Returns bins, balls, the threshold 3N/n, the empirical frequency and its
+    standard error, the exact probability (None unless bins**balls <= 10^6),
+    whether the guarantee applies, its floor, and whether it holds.
 
     Trials are drawn in chunks of about 2M throws, one `rng.integers` call
     each, and counted in tiles of at most `_BALLS_BINS_TILE` entries (one
@@ -194,17 +177,10 @@ def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> B
     # count first avoids a power with millions of digits at large inputs
     if bins == 1 or (balls < 20 and bins**balls <= 1e6):
         exact = float(balls_in_bins_exact(bins, balls, threshold))
-    return BallsBinsResult(
-        bins=bins,
-        balls=balls,
-        threshold=threshold,
-        empirical=emp,
-        stderr=stderr,
-        trials=trials,
-        guarantee_applies=applies,
-        guarantee_floor=floor,
-        exact=exact,
-    )
+    return {
+        "bins": bins, "balls": balls, "threshold": threshold, "empirical": emp, "stderr": stderr, "exact": exact,
+        "guarantee_applies": applies, "guarantee_floor": floor, "guarantee_holds": not applies or emp >= floor,
+    }
 
 
 # ---------------------------------------------------------------------------

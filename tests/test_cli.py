@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -75,6 +76,55 @@ def test_trials_flag_accepted_for_fcn_sweep(tmp_path, capsys):
 # thm3_rhs's bracket p^-b1 (p^-b1 + d^-b2)^(l-2) - p^-(l-1)b1 underflows to
 # 0 at this depth, so the bound evaluates non-positive
 UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
+
+# Weight scales whose squares or fourth powers overflow or underflow.  Each
+# used to exit 0 with a wrong report; the rejection comes before any trial.
+SCALE_CONFIGS = [
+    # std inf
+    (
+        "table2",
+        {"rows": [[8, 8, 1e200]], "trials": 100},
+        "K=1e+200 out of range for 8 x 8: the squared norms overflow or underflow",
+    ),
+    # std 0.0
+    ("table2", {"rows": [[8, 8, 1e-320]]}, "out of range for 8 x 8: the squared norms overflow or underflow"),
+    # the second row is checked before the first row's trials
+    (
+        "table2",
+        {"rows": [[8, 8, 1.0], [16, 8, 1e200]], "trials": 100},
+        "K=1e+200 out of range for 16 x 8: the squared norms overflow or underflow",
+    ),
+    # terms inf and C 0.0
+    (
+        "table3",
+        {"rows": [[8, "gaussian", 1e308, None]]},
+        "scale=1e+308 out of range at d=8: the fourth-moment sums overflow or underflow",
+    ),
+    # term3 inf and C 0.0
+    (
+        "table3",
+        {"rows": [[8, "uniform", 1e300, 0.5]]},
+        "scale=1e+300 out of range at d=8: the fourth-moment sums overflow or underflow",
+    ),
+    # term3 0.0 and C 0.824
+    (
+        "table3",
+        {"rows": [[8, "gaussian", 1e-320, None]]},
+        "out of range at d=8: the fourth-moment sums overflow or underflow",
+    ),
+    # latala_c_hat, c2_hat, mean_bound and sup_gap all 0.0
+    (
+        "fcn-sweep",
+        {"widths": [8], "trials": 2, "samples": 10, "xavier_k": 1e-200},
+        "xavier_k=1e-200 too small at width d=8: the entries' fourth powers underflow",
+    ),
+    # sup_gap 0.0, and c2 = 3 c1^2 underflowed to 0
+    (
+        "cnn-sweep",
+        {"channels": [4], "trials": 1, "samples": 10, "moment_c1": 1e-300},
+        "moment_c1=1e-300 too small at d=4: the entries' fourth powers underflow",
+    ),
+]
 
 
 BAD_CONFIGS = [
@@ -217,7 +267,7 @@ BAD_CONFIGS = [
     # a report needs a row to take its columns from; this used to exit 0
     # with a header-only report
     ("bounds", {"thm1": None, "thm2": {}, "thm3": None}, "bounds: needs at least one of thm1, thm2, thm3"),
-]
+] + SCALE_CONFIGS
 
 
 def _case_ids(cases: list) -> list:
@@ -232,6 +282,34 @@ def _case_ids(cases: list) -> list:
 def test_bad_sweep_config_exits_1_with_one_line(tmp_path, capsys, kind, body, needle):
     assert main([kind, "--config", _config(tmp_path, body)]) == 1
     assert needle in _one_line_error(capsys)
+
+
+class _TrialStarted(Exception):
+    pass
+
+
+def _start_trial(*args, **kwargs):
+    raise _TrialStarted
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Every trial of table2, table3 and the sweeps starts with one of these
+    calls, so reaching one means every check before the trials passed."""
+    for name in ("estimate_lemma3", "estimate_latala", "draw_matrix"):
+        monkeypatch.setattr(harness, name, _start_trial)
+
+
+@pytest.mark.parametrize("kind, body, needle", SCALE_CONFIGS, ids=_case_ids(SCALE_CONFIGS))
+def test_out_of_range_weight_scale_is_rejected_before_any_trial(no_trials, kind, body, needle):
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        run_experiment(kind, load_config(kind, overrides=body))
+
+
+@pytest.mark.parametrize("kind", ["table2", "table3", "fcn-sweep", "cnn-sweep"])
+def test_default_weight_scales_reach_the_trials(no_trials, kind):
+    with pytest.raises(_TrialStarted):
+        run_experiment(kind, default_config(kind))
 
 
 @pytest.mark.filterwarnings("error")
@@ -362,3 +440,28 @@ def test_rows_with_other_columns_than_the_first_are_rejected(monkeypatch):
     rows[1] = {"check": "b", "passed": True}
     with pytest.raises(ValueError, match=r"\['check', 'pass'\]"):
         run_experiment("oracle-suite", default_config("oracle-suite"))
+
+
+# Each kind with an all_pass gate exits 2 when it fails, with one line on
+# stderr naming the kind; when it passes, 0 with nothing on stderr.
+@pytest.mark.parametrize(
+    "kind, body, passes",
+    [
+        # one trial: a frequency of 0 or 1 misses the exact probability
+        ("balls-bins", {"cases": [[4, 8], [32, 111]], "trials": 1}, False),
+        ("balls-bins", {"cases": [[4, 8], [2, 12], [64, 267]], "trials": 2000}, True),
+        ("circulant-equiv", {"instances": 2, "forward_tol": -1.0}, False),
+        ("circulant-equiv", {"instances": 2}, True),
+    ],
+)
+def test_gated_kind_exit_code_follows_its_gate(tmp_path, capsys, kind, body, passes):
+    assert main([kind, "--config", _config(tmp_path, body)]) == (0 if passes else 2)
+    assert capsys.readouterr().err == ("" if passes else f"{kind}: FAIL\n")
+
+
+@pytest.mark.parametrize("passes", [False, True])
+def test_oracle_suite_exit_code_follows_its_gate(monkeypatch, capsys, passes):
+    rows = [{"check": "a", "pass": passes, "detail": 0.0}]
+    monkeypatch.setitem(harness._RUNNERS, "oracle-suite", lambda s, workers: (rows, {"all_pass": passes}))
+    assert main(["oracle-suite"]) == (0 if passes else 2)
+    assert capsys.readouterr().err == ("" if passes else "oracle-suite: FAIL\n")

@@ -4,10 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from prunelab.config import default_config
 from prunelab.estimators import (
-    QUANTILES,
-    LatalaRow,
-    Lemma3Row,
     _quantile_order_stat,
     delta0_from_quantile,
     estimate_latala,
@@ -17,6 +15,9 @@ from prunelab.estimators import (
 from prunelab.parallel import single_threaded_blas, trial_blocks
 from prunelab.pruning import filter_prune_count
 from prunelab.sampling import DistributionSpec, SeedSpec, draw_matrix
+
+# table2's default quantiles
+QUANTILES = tuple(default_config("table2")["quantiles"])
 
 
 @pytest.mark.parametrize("n", [1, 32, 512, 4096])
@@ -80,8 +81,12 @@ def one_call_per_trial_lemma3(n1, n2, k_scale, trials, base_seed):
     norms = np.concatenate(blocks)
     srt = np.sort(norms)
     n = max(n1, n2)
-    quants = tuple((q, _quantile_order_stat(srt, q), delta0_from_quantile(n, q)) for q in QUANTILES)
-    return Lemma3Row(float(norms.mean()), float(norms.std(ddof=1)), quants)
+    mean, std = float(norms.mean()), float(norms.std(ddof=1))
+    return [
+        {"n1": n1, "n2": n2, "K": k_scale, "mean": mean, "std": std, "q": q,
+         "c0": _quantile_order_stat(srt, q), "delta0": delta0_from_quantile(n, q)}
+        for q in QUANTILES
+    ]
 
 
 @functools.cache
@@ -114,19 +119,15 @@ def one_call_per_trial_latala(d, dist, trials, base_seed, prune_alpha):
     t1, t2, t3 = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(norms.mean())
     denom = t1 + t2 + t3
-    return LatalaRow(t1, t2, t3, mean_norm, mean_norm / denom if denom > 0 else 0.0)
+    return {"term1": t1, "term2": t2, "term3": t3, "mean_norm": mean_norm, "C": mean_norm / denom if denom > 0 else 0.0}
 
 
-def _bits(row):
-    # float fields as their IEEE bit patterns, so -0.0 != 0.0 and NaN == NaN
-    def enc(v):
-        if isinstance(v, float):
-            return np.float64(v).view(np.uint64).item()
-        if isinstance(v, tuple):
-            return tuple(enc(x) for x in v)
-        return v
-
-    return {k: enc(v) for k, v in vars(row).items()}
+def _bits(rows):
+    # every field of a row or of a list of rows, floats as their IEEE bit
+    # patterns, so -0.0 != 0.0 and NaN == NaN
+    if isinstance(rows, list):
+        return [_bits(row) for row in rows]
+    return {k: np.float64(v).view(np.uint64).item() if isinstance(v, float) else v for k, v in rows.items()}
 
 
 # SVD group sizes: n=1 -> 501 (the whole 25-trial block), 166 -> 4, 167 -> 3,
@@ -147,7 +148,7 @@ def _bits(row):
     ],
 )
 def test_lemma3_matches_one_svd_call_per_trial(n1, n2, k_scale, trials, workers):
-    got = estimate_lemma3(n1, n2, k_scale, trials, SeedSpec(41), workers=workers)
+    got = estimate_lemma3(n1, n2, k_scale, trials, SeedSpec(41), QUANTILES, workers=workers)
     assert _bits(got) == _bits(one_call_per_trial_lemma3(n1, n2, k_scale, trials, 41))
 
 

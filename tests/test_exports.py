@@ -57,3 +57,14 @@ def test_every_exported_name_has_a_caller(name):
     exported = [n for n in getattr(module, "__all__", ()) if n not in TEST_ORACLES]
     used = _references()
     assert [n for n in exported if n not in used] == []
+
+
+def test_config_imports_nothing_from_prunelab():
+    """The config format is the bottom layer: every other module may read
+    it, and it reads no other prunelab module."""
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    imported += [
+        "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ]
+    assert [m for m in imported if m.startswith((".", "prunelab"))] == []

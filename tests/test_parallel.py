@@ -286,8 +286,8 @@ def test_trial_scratch_dies_before_the_gap_estimate(kind):
 class TestEstimatorsAcrossWorkers:
     def test_lemma3_identical_at_one_and_two_workers(self):
         seed = SeedSpec(2024)
-        one = estimate_lemma3(128, 128, 1.0, 100, seed, workers=1)
-        two = estimate_lemma3(128, 128, 1.0, 100, seed, workers=2)
+        one = estimate_lemma3(128, 128, 1.0, 100, seed, (0.95, 0.99), workers=1)
+        two = estimate_lemma3(128, 128, 1.0, 100, seed, (0.95, 0.99), workers=2)
         assert one == two
 
     def test_latala_identical_at_one_and_two_workers(self):
@@ -307,7 +307,7 @@ class TestEstimatorsAcrossWorkers:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "draw_matrix", spy)
-        estimate_lemma3(16, 16, 1.0, 100, SeedSpec(5), workers=workers)
+        estimate_lemma3(16, 16, 1.0, 100, SeedSpec(5), (0.95,), workers=workers)
         estimate_latala(16, DistributionSpec("uniform", variance=1.0 / 16), 100, SeedSpec(5), workers=workers)
         return seen
 

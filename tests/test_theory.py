@@ -109,21 +109,21 @@ class TestBallsInBins:
 
     def test_single_bin(self):
         res = balls_in_bins_check(1, 20, 500, SEED)
-        assert res.empirical == 1.0
+        assert res["empirical"] == 1.0
 
     def test_monte_carlo_matches_exact(self):
         res = balls_in_bins_check(4, 8, 10_000, SEED.child(1))
-        assert res.exact == pytest.approx(1 - 100 / 65536)
-        assert abs(res.empirical - res.exact) <= 3 * res.stderr
+        assert res["exact"] == pytest.approx(1 - 100 / 65536)
+        assert abs(res["empirical"] - res["exact"]) <= 3 * res["stderr"]
 
     def test_guarantee_branch(self):
         n = 64
         balls = math.ceil(n * math.log(n))
         res = balls_in_bins_check(n, balls, 2_000, SEED.child(2))
-        assert res.guarantee_applies
-        assert res.guarantee_floor == pytest.approx(1 - 64 ** (-1 / 3))
-        assert res.empirical >= res.guarantee_floor
-        assert res.guarantee_holds
+        assert res["guarantee_applies"]
+        assert res["guarantee_floor"] == pytest.approx(1 - 64 ** (-1 / 3))
+        assert res["empirical"] >= res["guarantee_floor"]
+        assert res["guarantee_holds"]
 
 
 def _bounds(**sections) -> dict:
@@ -131,7 +131,7 @@ def _bounds(**sections) -> dict:
     given sections."""
     overrides = {"thm1": {}, "thm2": {}, "thm3": {}} | sections
     report = run_experiment("bounds", load_config("bounds", overrides=overrides))
-    return {(section, name): value for section, name, value in report.rows}
+    return {(r["section"], r["name"]): r["value"] for r in report.rows}
 
 
 class TestThm1WidthBound:
