@@ -151,9 +151,14 @@ def _normal(*values: float) -> bool:
     return all(sys.float_info.min <= v < math.inf for v in values)
 
 
+# b^2 / v for |entry| <= b at variance v: b = sqrt(3 v) if uniform, 40 sqrt(v) if gaussian
+# (far past the 12.3 standard deviations numpy's normal sampler can return)
+_ENTRY_B2 = {"uniform": 3.0, "gaussian": 1600.0}
+
+
 def run_table2(s: SimpleNamespace, workers: int):
-    # a norm is of the order of K and at most K sqrt(min(n1, n2)): before any
-    # trial, the std's squared norms and their sum must be normal doubles
+    # before any trial, the std's squared norms (of the order of K^2, at most
+    # K^2 min(n1, n2)) and their sum must be normal doubles
     for n1, n2, k_scale in s.rows:
         if not _normal(k_scale * k_scale, s.trials * k_scale * k_scale * min(n1, n2)):
             raise ConfigError(f"K={k_scale:g} out of range for {n1} x {n2}: the squared norms overflow or underflow")
@@ -164,12 +169,11 @@ def run_table2(s: SimpleNamespace, workers: int):
 
 
 def run_table3(s: SimpleNamespace, workers: int):
-    # an entry of variance v = scale / d lies within b = sqrt(3 v), or 40 sqrt(v)
-    # if gaussian (see cnn-sweep): before any trial, the fourth-moment sums, of
-    # the order of v^2 and at most trials d^2 b^4, must be normal doubles
+    # before any trial, the fourth-moment sums, of the order of v^2 (v = scale / d)
+    # and at most trials d^2 b^4 (b^2 = _ENTRY_B2[kind] v), must be normal doubles
     for d, kind, scale, _ in s.rows:
-        v = scale / d
-        if not _normal(v * v, s.trials * d * d * (9.0 if kind == "uniform" else 2.56e6) * v * v):
+        v, b2 = scale / d, _ENTRY_B2[kind] * scale / d
+        if not _normal(v * v, s.trials * d * d * b2 * b2):
             raise ConfigError(f"scale={scale:g} out of range at d={d}: the fourth-moment sums overflow or underflow")
     rows = []
     for i, (d, kind, scale, alpha) in enumerate(s.rows):
@@ -562,22 +566,19 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     with _theory_inputs("moment_c1"):
         c2_const = 3.0 * c1_const**2 if s.weight_kind == "gaussian" else 1.8 * c1_const**2
 
-    # An entry, of variance v = c1 / (p^2 d), lies within b = sqrt(3 v) if
-    # uniform; if gaussian, b = 40 sqrt(v) is taken, far past the 12.3
-    # standard deviations numpy's normal sampler can return.  A conv layer's
-    # map, q^2 shifted d_k x d_{k-1} blocks, then has norm at most
-    # q^2 b sqrt(d_k d_{k-1}), the dense layer b sqrt(d_out d p^2) and a cube
-    # point sqrt(d_in p^2); relu fixes 0 and is 1-Lipschitz.  The squared gap
-    # norm the estimate sums, at most 4 d_in p^2 prod ||W_k||^2, is checked
-    # before any trial so it cannot overflow.  The Latala payload's fourth
-    # powers, of the order of v^2, and c2 ~ c1^2 are checked so they cannot underflow.
+    # An entry, of variance v = c1 / (p^2 d), lies within b, b^2 = _ENTRY_B2[kind] v.
+    # A conv layer's map, q^2 shifted d_k x d_{k-1} blocks, then has norm at most
+    # q^2 b sqrt(d_k d_{k-1}), the dense layer b sqrt(d_out d p^2) and a cube point
+    # sqrt(d_in p^2); relu fixes 0 and is 1-Lipschitz.  Before any trial, the squared
+    # gap norm the estimate sums, at most 4 d_in p^2 prod ||W_k||^2, must not overflow,
+    # nor the Latala payload's fourth powers, of the order of v^2 <= c1^2 ~ c2, underflow.
     for d in s.channels:
-        b2 = (3.0 if s.weight_kind == "uniform" else 1600.0) * c1_const / (p * p * d)
+        b2 = _ENTRY_B2[s.weight_kind] * c1_const / (p * p * d)
         dims = [s.d_in] + [d] * (l - 1)
         layers = [q**4 * b2 * dims[k + 1] * dims[k] for k in range(l - 1)] + [b2 * s.d_out * d * p * p]
         if not math.isfinite(4.0 * s.d_in * p * p * math.prod(layers)):
             raise ConfigError(f"moment_c1={c1_const:g} too large at d={d}: the squared gap norm can overflow")
-        if not _normal((c1_const / (p * p * d)) ** 2, c1_const * c1_const):
+        if not _normal((c1_const / (p * p * d)) ** 2):
             raise ConfigError(f"moment_c1={c1_const:g} too small at d={d}: the entries' fourth powers underflow")
 
     def summarize(d: int, rows: list, sums: list) -> dict:

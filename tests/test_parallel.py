@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from prunelab import estimators, harness, networks, parallel
+from prunelab.config import default_config
 from prunelab.estimators import estimate_latala, estimate_lemma3
 from prunelab.harness import load_config, run_experiment
 from prunelab.parallel import ordered_imap, ordered_map, single_threaded_blas, startup_blas_threads, trial_blocks
 from prunelab.sampling import DistributionSpec, SeedSpec
+
+# table2's default quantiles
+QUANTILES = tuple(default_config("table2")["quantiles"])
 
 
 @pytest.fixture
@@ -286,8 +290,8 @@ def test_trial_scratch_dies_before_the_gap_estimate(kind):
 class TestEstimatorsAcrossWorkers:
     def test_lemma3_identical_at_one_and_two_workers(self):
         seed = SeedSpec(2024)
-        one = estimate_lemma3(128, 128, 1.0, 100, seed, (0.95, 0.99), workers=1)
-        two = estimate_lemma3(128, 128, 1.0, 100, seed, (0.95, 0.99), workers=2)
+        one = estimate_lemma3(128, 128, 1.0, 100, seed, QUANTILES, workers=1)
+        two = estimate_lemma3(128, 128, 1.0, 100, seed, QUANTILES, workers=2)
         assert one == two
 
     def test_latala_identical_at_one_and_two_workers(self):
@@ -307,7 +311,7 @@ class TestEstimatorsAcrossWorkers:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "draw_matrix", spy)
-        estimate_lemma3(16, 16, 1.0, 100, SeedSpec(5), (0.95,), workers=workers)
+        estimate_lemma3(16, 16, 1.0, 100, SeedSpec(5), QUANTILES, workers=workers)
         estimate_latala(16, DistributionSpec("uniform", variance=1.0 / 16), 100, SeedSpec(5), workers=workers)
         return seen
 
