@@ -156,7 +156,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "order-stats": {
         "cases": (_ORDER_STAT_DEFAULT_CASES, _list("[n, r, p] cases with integers 1 <= r <= n and p >= 1", _order_case)),
-        "trials": (100_000, _int(1)),
+        "trials": (100_000, _int(2)),  # one trial gives no standard error
         "half_width": (1.0, _num(0)),
         "seed": _SEED,
     },
@@ -229,7 +229,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "oracle-suite": {
         "seed": _SEED,
-        "trials": (20_000, _int(1)),
+        "trials": (20_000, _int(2)),  # handed to its order-stats sub-run
     },
 }
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import top_singular_values
 from .parallel import ordered_imap, ordered_map, trial_blocks
-from .pruning import filter_prune_count
+from .pruning import _zero_random_pairs, filter_prune_count
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 
 __all__ = [
@@ -126,10 +126,7 @@ def estimate_latala(
             for t in block:
                 rng = seed.child(t).generator()
                 a = draw_matrix(dist, d, d, rng)
-                if n_prune:
-                    rows = rng.integers(0, d, size=n_prune)
-                    cols = rng.integers(0, d, size=n_prune)
-                    a[rows, cols] = 0.0
+                _zero_random_pairs(a, n_prune, rng)
                 a2 = a * a
                 sq += a2
                 quad += a2 * a2

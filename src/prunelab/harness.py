@@ -151,11 +151,6 @@ def _normal(*values: float) -> bool:
     return all(sys.float_info.min <= v < math.inf for v in values)
 
 
-# b^2 / v for |entry| <= b at variance v: b = sqrt(3 v) if uniform, 40 sqrt(v) if gaussian
-# (far past the 12.3 standard deviations numpy's normal sampler can return)
-_ENTRY_B2 = {"uniform": 3.0, "gaussian": 1600.0}
-
-
 def run_table2(s: SimpleNamespace, workers: int):
     # before any trial, the std's squared norms (of the order of K^2, at most
     # K^2 min(n1, n2)) and their sum must be normal doubles
@@ -170,10 +165,11 @@ def run_table2(s: SimpleNamespace, workers: int):
 
 def run_table3(s: SimpleNamespace, workers: int):
     # before any trial, the fourth-moment sums, of the order of v^2 (v = scale / d)
-    # and at most trials d^2 b^4 (b^2 = _ENTRY_B2[kind] v), must be normal doubles
+    # and at most trials d^2 b^4 (|entry| <= b = DistributionSpec.bound), must be normal doubles
     for d, kind, scale, _ in s.rows:
-        v, b2 = scale / d, _ENTRY_B2[kind] * scale / d
-        if not _normal(v * v, s.trials * d * d * b2 * b2):
+        v = scale / d
+        b = DistributionSpec(kind, variance=v).bound(d, d) if v > 0 else 0.0
+        if not _normal(v * v, s.trials * d * d * b * b * b * b):
             raise ConfigError(f"scale={scale:g} out of range at d={d}: the fourth-moment sums overflow or underflow")
     rows = []
     for i, (d, kind, scale, alpha) in enumerate(s.rows):
@@ -281,7 +277,7 @@ def run_circulant_equiv(s: SimpleNamespace, workers: int):
         x = rng.standard_normal((d_in, p, p))
         kpad = circulant.pad_kernel(f, p)
         w = circulant.build_full_map(kpad)
-        svd_norm = float(np.linalg.svd(w, compute_uv=False)[0])
+        svd_norm = float(top_singular_values([w], *w.shape)[0])
         dft_norm = circulant.spectral_norm_via_dft(kpad)
         power_norm = spectral_norm(w, tol=1e-10)
         fwd_err = float(np.max(np.abs(w @ circulant.flatten_maps(x) - circulant.flatten_maps(circulant.conv2d_wrap(x, f)))))
@@ -525,12 +521,12 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
             # the one SVD off the one-thread rule: from n=768 its bits
             # depend on the thread count (see the parallel module)
             with startup_blas_threads():
-                explicit_norm = float(np.linalg.svd(w_full, compute_uv=False)[0])
+                explicit_norm = float(top_singular_values([w_full], *w_full.shape)[0])
         # per-kernel-position slices of the target and difference tensors
         slices = kernel.transpose(2, 3, 0, 1).reshape(q * q, d, d)
         dslices = slices * (1.0 - fmask)[None, :, :]
-        s_norms = np.linalg.svd(slices, compute_uv=False)[:, 0]
-        ds_norms = np.linalg.svd(dslices, compute_uv=False)[:, 0]
+        s_norms = top_singular_values(slices, d, d)
+        ds_norms = top_singular_values(dslices, d, d)
         entries = {"count": count, "norm_w_dft": norm_w, "norm_diff_dft": norm_diff, "norm_w_explicit": explicit_norm,
                    "bins_event": _bins_event(fmask, count), "w_event": norm_w <= p ** (-s.beta1),
                    "diff_event": norm_diff <= float(d) ** (-s.beta2)}
@@ -566,19 +562,20 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     with _theory_inputs("moment_c1"):
         c2_const = 3.0 * c1_const**2 if s.weight_kind == "gaussian" else 1.8 * c1_const**2
 
-    # An entry, of variance v = c1 / (p^2 d), lies within b, b^2 = _ENTRY_B2[kind] v.
+    # An entry, of variance v = c1 / (p^2 d), lies within b = DistributionSpec.bound.
     # A conv layer's map, q^2 shifted d_k x d_{k-1} blocks, then has norm at most
     # q^2 b sqrt(d_k d_{k-1}), the dense layer b sqrt(d_out d p^2) and a cube point
     # sqrt(d_in p^2); relu fixes 0 and is 1-Lipschitz.  Before any trial, the squared
     # gap norm the estimate sums, at most 4 d_in p^2 prod ||W_k||^2, must not overflow,
     # nor the Latala payload's fourth powers, of the order of v^2 <= c1^2 ~ c2, underflow.
     for d in s.channels:
-        b2 = _ENTRY_B2[s.weight_kind] * c1_const / (p * p * d)
+        v = c1_const / (p * p * d)
+        b = DistributionSpec(s.weight_kind, variance=v).bound(d, d) if v > 0 else 0.0
         dims = [s.d_in] + [d] * (l - 1)
-        layers = [q**4 * b2 * dims[k + 1] * dims[k] for k in range(l - 1)] + [b2 * s.d_out * d * p * p]
+        layers = [q**4 * b * b * dims[k + 1] * dims[k] for k in range(l - 1)] + [b * b * s.d_out * d * p * p]
         if not math.isfinite(4.0 * s.d_in * p * p * math.prod(layers)):
             raise ConfigError(f"moment_c1={c1_const:g} too large at d={d}: the squared gap norm can overflow")
-        if not _normal((c1_const / (p * p * d)) ** 2):
+        if not _normal(v * v):
             raise ConfigError(f"moment_c1={c1_const:g} too small at d={d}: the entries' fourth powers underflow")
 
     def summarize(d: int, rows: list, sums: list) -> dict:
@@ -682,7 +679,7 @@ def run_oracle_suite(s: SimpleNamespace, workers: int):
     mats = [rng.standard_normal((n, max(1, n - 1))) for n in (1, 2, 3, 5, 8, 13, 21, 32)]
 
     def rel_err(a: np.ndarray) -> float:
-        ref = float(np.linalg.svd(a, compute_uv=False)[0])
+        ref = float(top_singular_values([a], *a.shape)[0])
         return abs(spectral_norm(a, tol=1e-12) - ref) / max(ref, 1e-300)
 
     worst = max([0.0] + ordered_map(rel_err, mats, workers))

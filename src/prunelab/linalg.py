@@ -1,10 +1,10 @@
 """Top singular values: grouped LAPACK SVDs, and a power-iteration check.
 
-`top_singular_values` is the LAPACK kernel of the Monte Carlo estimators and
-of fcn-sweep.  `spectral_norm` is the power-iteration cross-check that
-circulant-equiv and oracle-suite compare against the LAPACK SVD.  It rejects
-non-finite entries and raises ConvergenceError when it hits its iteration
-cap.
+`top_singular_values` is the package's one top-singular-value kernel: no
+other module calls `np.linalg.svd`.  `spectral_norm` is the power-iteration
+cross-check that circulant-equiv and oracle-suite compare against it.  It
+rejects non-finite entries and raises ConvergenceError when it hits its
+iteration cap.
 """
 
 from __future__ import annotations
@@ -44,29 +44,35 @@ def svd_group_size(m: int, n: int) -> int:
 
 def top_singular_values(mats, m: int, n: int) -> np.ndarray:
     """Largest singular value of each m x n matrix that `mats` yields, in
-    order, by LAPACK SVD.
+    order, by LAPACK SVD.  The matrices are float64 or complex128, all of
+    the first one's dtype.
 
     The matrices are stacked in groups of `svd_group_size(m, n)` (the last
     group may be smaller) and each group is one `np.linalg.svd` call, so
     threads running this overlap.  From min(m, n) = 501 on a group is one
     matrix, passed as it is; below, the stack holds k * m * n <= (500 +
-    min(m, n)) * max(m, n) doubles, 4 MB at 500 x 500.  numpy copies every
-    stacked matrix into its own buffer for the same `gesdd` call as a lone
-    matrix gets, so each value has the bits of
-    `np.linalg.svd(a, compute_uv=False)[0]`.  `mats` is consumed in order,
-    one group ahead of the SVDs at most.
+    min(m, n)) * max(m, n) entries, 4 MB of doubles at 500 x 500.  numpy
+    copies every stacked matrix into its own buffer for the same `gesdd`
+    (`zgesdd` if complex) call as a lone matrix gets, so each value has the
+    bits of `np.linalg.svd(a, compute_uv=False)[0]`.  `mats` is consumed in
+    order, one group ahead of the SVDs at most.
     """
     k = svd_group_size(m, n)
-    # a group of one is the matrix itself, with no buffer to copy it into
+    # a group of one is the matrix itself, with no buffer to copy it into;
+    # the float64 stack is made before the first matrix is drawn
     stack = np.empty((k, m, n)) if k > 1 else None
+    dtype = None
     out = []
     filled = 0
     for a in mats:
-        if a.shape != (m, n):
-            raise ValueError(f"expected {m} x {n} matrices, got shape {a.shape}")
+        dtype = a.dtype if dtype is None else dtype
+        if a.shape != (m, n) or a.dtype != dtype:
+            raise ValueError(f"expected {m} x {n} {dtype} matrices, got {a.dtype} of shape {a.shape}")
         if stack is None:
             out.append(np.linalg.svd(a, compute_uv=False)[:1])
             continue
+        if stack.dtype != dtype:  # the first matrix is not float64
+            stack = np.empty_like(stack, dtype=dtype)
         stack[filled] = a
         filled += 1
         if filled == k:

@@ -31,8 +31,8 @@ benchmark's cnn-sweep workload at 1 worker on a 2-core host (medians of
 their second thread.  Its default config at 2 workers went from 32-34 to
 23-24 s wall.
 `np.linalg.svd` releases the interpreter lock only when one call returns
-more than 500 singular values, so the norms go through
-`linalg.top_singular_values`, which stacks such matrices into calls past
+more than 500 singular values, so every SVD is a call of the one kernel,
+`linalg.top_singular_values`, which stacks the matrices into calls past
 that count.  Numpy's FFT and einsum release the lock: two threads of
 `np.fft.rfft2` on a (256, 64, 8, 8) batch, one BLAS thread, ran at 1.9
 times the speed of one, and the conv einsum on the same shapes at 2.1
@@ -87,14 +87,15 @@ _OPENBLAS_SYMBOLS = (
 
 
 def resolve_workers() -> int:
-    """PRUNELAB_WORKERS, at least 1; 1 when it is not set."""
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return 1
+    """PRUNELAB_WORKERS, an integer >= 1; 1 when it is not set."""
+    raw = os.environ.get(_ENV_VAR, "1")
     try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def trial_blocks(trials: int) -> list[range]:

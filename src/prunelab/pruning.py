@@ -76,19 +76,24 @@ def _check_layers(shapes, counts, replace: bool):
     return shapes, counts
 
 
+def _zero_random_pairs(a: np.ndarray, count: int, rng: np.random.Generator) -> None:
+    """Zero `count` uniform (row, column) pairs of `a` in place, drawn with
+    replacement from `rng`, rows then columns: at most `count` zeros."""
+    m, n = a.shape
+    rows = rng.integers(0, m, size=count)
+    cols = rng.integers(0, n, size=count)
+    a[rows, cols] = 0.0
+
+
 def _with_replacement(shapes, counts, seed: SeedSpec) -> tuple:
-    """One m x n mask per layer: in each internal layer, `count` uniform
-    (row, column) pairs drawn independently from one stream; repeated pairs
-    collapse, so at most `count` zeros."""
+    """One m x n mask per layer: each internal layer's pairs come from
+    `_zero_random_pairs`, every layer drawing from one stream."""
     shapes, counts = _check_layers(shapes, counts, replace=True)
     rng = seed.generator()
     masks = [np.ones(shapes[0])]
     for (m, n), c in zip(shapes[1:-1], counts):
-        mask = np.ones((m, n))
-        rows = rng.integers(0, m, size=c)
-        cols = rng.integers(0, n, size=c)
-        mask[rows, cols] = 0.0
-        masks.append(mask)
+        masks.append(np.ones((m, n)))
+        _zero_random_pairs(masks[-1], c, rng)
     masks.append(np.ones(shapes[-1]))
     return tuple(masks)
 

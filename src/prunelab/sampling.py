@@ -91,10 +91,11 @@ class DistributionSpec:
         if self.variance is not None and self.variance <= 0:
             raise ValueError("variance must be positive")
 
-    def bound(self, rows: int, cols: int) -> float | None:
-        """Half-width of the uniform support for an m x n draw (None for gaussian)."""
+    def bound(self, rows: int, cols: int) -> float:
+        """b >= |entry| for an m x n draw: the uniform half-width, or 40 standard
+        deviations (numpy's normal sampler returns at most 12.3) for gaussian."""
         if self.kind != "uniform":
-            return None
+            return 40.0 * float(np.sqrt(self.variance))
         if self.xavier_k is not None:
             return self.xavier_k / np.sqrt(max(rows, cols))
         return float(np.sqrt(3.0 * self.variance))

@@ -3,7 +3,9 @@
 `ordered_imap` caps every mapped task at one BLAS thread, so no other module
 sets the count: none references `single_threaded_blas` or `_openblas_threads`.
 The one exception, `startup_blas_threads`, wraps cnn-sweep's explicit-map
-SVD and nothing else.  Strings and docstrings do not count.
+SVD and nothing else.  Every SVD goes through `linalg.top_singular_values`:
+no module but `linalg` calls `np.linalg.svd`.  Strings and docstrings do
+not count.
 """
 
 import ast
@@ -40,14 +42,12 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / module).read_text(encoding="utf-8"))
 
 
-def _is_svd_call(node: ast.AST) -> bool:
-    # np.linalg.svd(...)
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "svd"
-        and isinstance(node.func.value, ast.Attribute)
-        and node.func.value.attr == "linalg"
+def _is_kernel_call(node: ast.AST) -> bool:
+    # top_singular_values(...), by its imported name or as an attribute
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        isinstance(func, ast.Name) and func.id == "top_singular_values"
+        or isinstance(func, ast.Attribute) and func.attr == "top_singular_values"
     )
 
 
@@ -92,9 +92,22 @@ def test_the_exception_wraps_only_the_explicit_map_svd():
     (_, _, with_stmt) = uses[0]
     assert with_stmt is not None, "the exception must be entered as a with statement"
     assert len(with_stmt.items) == 1 and len(with_stmt.body) == 1
-    assert any(_is_svd_call(n) for n in ast.walk(with_stmt.body[0]))
+    kernel_calls = [n for n in ast.walk(with_stmt.body[0]) if _is_kernel_call(n)]
+    assert len(kernel_calls) == 1
     # the SVD is of the explicit map
-    assert "w_full" in _names(with_stmt.body[0])
+    assert "w_full" in _names(kernel_calls[0])
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "linalg.py"])
+def test_no_module_but_linalg_calls_the_lapack_svd(module):
+    # no np.linalg.svd call, nor a name bound to it
+    assert "svd" not in _names(_tree(module))
+
+
+def test_linalg_calls_the_lapack_svd_in_the_kernel_alone():
+    # the top-level statements of linalg that name it
+    users = [getattr(n, "name", None) for n in _tree("linalg.py").body if "svd" in _names(n)]
+    assert users == ["top_singular_values"]
 
 
 def test_parallel_calls_the_exception_nowhere():

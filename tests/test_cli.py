@@ -30,9 +30,9 @@ def _one_line_error(capsys) -> str:
         (["table3", "--trials", "50"], "trials must be an integer >= 100"),
         (["fcn-sweep", "--trials", "0"], "trials must be an integer >= 1"),
         (["cnn-sweep", "--trials", "0"], "trials must be an integer >= 1"),
-        (["order-stats", "--trials", "0"], "trials must be an integer >= 1"),
+        (["order-stats", "--trials", "0"], "trials must be an integer >= 2"),
         (["balls-bins", "--trials", "0"], "trials must be an integer >= 1"),
-        (["oracle-suite", "--trials", "0"], "trials must be an integer >= 1"),
+        (["oracle-suite", "--trials", "0"], "trials must be an integer >= 2"),
         (["table2", "--seed", "-5"], "seed must be an integer in [0, 2^64)"),
         (["order-stats", "--seed", str(2**64)], "seed must be an integer in [0, 2^64)"),
         (["circulant-equiv", "--trials", "3"], "--trials does not apply to circulant-equiv"),
@@ -112,6 +112,18 @@ SCALE_CONFIGS = [
         {"rows": [[8, "gaussian", 1e-320, None]]},
         "out of range at d=8: the fourth-moment sums overflow or underflow",
     ),
+    # the variance scale / d underflows to 0, which DistributionSpec rejects
+    # with a ValueError, not a ConfigError
+    (
+        "table3",
+        {"rows": [[2, "gaussian", 5e-324, None]]},
+        "scale=4.94066e-324 out of range at d=2: the fourth-moment sums overflow or underflow",
+    ),
+    (
+        "table3",
+        {"rows": [[2, "uniform", 5e-324, None]]},
+        "scale=4.94066e-324 out of range at d=2: the fourth-moment sums overflow or underflow",
+    ),
     # latala_c_hat, c2_hat, mean_bound and sup_gap all 0.0
     (
         "fcn-sweep",
@@ -123,6 +135,17 @@ SCALE_CONFIGS = [
         "cnn-sweep",
         {"channels": [4], "trials": 1, "samples": 10, "moment_c1": 1e-300},
         "moment_c1=1e-300 too small at d=4: the entries' fourth powers underflow",
+    ),
+    # the variance c1 / (p^2 d) underflows to 0, as in table3
+    (
+        "cnn-sweep",
+        {"channels": [4], "trials": 1, "samples": 10, "moment_c1": 5e-324},
+        "moment_c1=4.94066e-324 too small at d=4: the entries' fourth powers underflow",
+    ),
+    (
+        "cnn-sweep",
+        {"channels": [4], "trials": 1, "samples": 10, "moment_c1": 5e-324, "weight_kind": "uniform"},
+        "moment_c1=4.94066e-324 too small at d=4: the entries' fourth powers underflow",
     ),
 ]
 
@@ -195,6 +218,10 @@ BAD_CONFIGS = [
         "moment_c1: value out of floating-point range",
     ),
     ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1, got 0"),
+    # one trial gave stderr 0.0, z 0.0 and a vacuous within_3se; oracle-suite
+    # hands its trials to an order-stats sub-run
+    ("order-stats", {"cases": [[4, 1, 1], [64, 32, 2]], "trials": 1}, "trials must be an integer >= 2, got 1"),
+    ("oracle-suite", {"trials": 1}, "trials must be an integer >= 2, got 1"),
     ("bounds", {"thm3": default_config("bounds")["thm3"] | {"extra": 1}}, "thm3.extra is not a known field"),
     (
         "bounds",
@@ -407,7 +434,15 @@ def test_table3_fully_pruned_row_exits_0_with_c_zero(tmp_path):
 def test_non_integer_workers_env_exits_1_with_one_line(monkeypatch, capsys):
     monkeypatch.setenv("PRUNELAB_WORKERS", "abc")
     assert main(["bounds"]) == 1
-    assert _one_line_error(capsys) == "error: PRUNELAB_WORKERS must be an integer, got 'abc'\n"
+    assert _one_line_error(capsys) == "error: PRUNELAB_WORKERS must be an integer >= 1, got 'abc'\n"
+
+
+# 0 and -3 used to run on one worker and exit 0
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", ""])
+def test_workers_env_below_1_or_not_an_integer_exits_1_with_one_line(monkeypatch, capsys, value):
+    monkeypatch.setenv("PRUNELAB_WORKERS", value)
+    assert main(["bounds"]) == 1
+    assert _one_line_error(capsys) == f"error: PRUNELAB_WORKERS must be an integer >= 1, got {value!r}\n"
 
 
 def _no_run(*args):

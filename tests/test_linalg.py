@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,9 +146,45 @@ class TestTopSingularValues:
         assert top_singular_values(mats(), 2, 2).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert seen == list(range(5))
 
+    @pytest.mark.parametrize(
+        "m, n, count",
+        [(1, 1, 1003), (3, 2, 600), (2, 5, 251), (16, 16, 40), (64, 64, 9), (64, 64, 64), (3, 64, 20), (167, 167, 7)],
+    )
+    def test_complex_bitwise_equal_to_one_call_per_matrix(self, m, n, count):
+        # full groups and a partial one, and the DFT blocks' shapes: a
+        # (p^2, d, d) stack at d = 16 and 64, p = 8, and the slices' 9 x d x d
+        mats = RNG.standard_normal((count, m, n)) + 1j * RNG.standard_normal((count, m, n))
+        want = [np.linalg.svd(a, compute_uv=False)[0] for a in mats]
+        got = top_singular_values(mats, m, n)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    def test_the_float64_stack_is_made_before_the_first_matrix(self):
+        # it must not add to the first matrix's peak
+        m, n = 100, 120
+        seen = []
+
+        def mats():
+            seen.append(tracemalloc.get_traced_memory()[0])
+            yield np.ones((m, n))
+
+        tracemalloc.start()
+        try:
+            top_singular_values(mats(), m, n)
+        finally:
+            tracemalloc.stop()
+        assert seen[0] >= svd_group_size(m, n) * m * n * 8
+
     def test_rejects_a_wrong_shape(self):
         with pytest.raises(ValueError, match="4 x 4"):
             top_singular_values([np.ones((4, 4)), np.ones((1, 4))], 4, 4)
+
+    @pytest.mark.parametrize("first, second", [(np.float64, np.complex128), (np.complex128, np.float64)])
+    @pytest.mark.parametrize("m, n", [(4, 1), (501, 501)])  # stacked, then passed alone
+    def test_rejects_a_dtype_other_than_the_first(self, first, second, m, n):
+        mats = [np.eye(m, n, dtype=first), np.eye(m, n, dtype=second)]
+        with pytest.raises(ValueError, match=f"{m} x {n} {np.dtype(first)} matrices, got {np.dtype(second)}"):
+            top_singular_values(mats, m, n)
 
 
 def _spinner_coverage(call, margin: float) -> tuple[float, float]:

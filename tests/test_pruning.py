@@ -9,6 +9,7 @@ from prunelab.pruning import (
     mask_magnitude_layerwise,
     mask_random_with_replacement,
     mask_random_without_replacement,
+    _zero_random_pairs,
 )
 from prunelab.sampling import SeedSpec
 
@@ -141,6 +142,19 @@ def test_build_mask_checks():
 
 def zeros_per_layer(mask) -> list:
     return [int((m == 0.0).sum()) for m in mask]
+
+
+def test_zero_random_pairs_draws_rows_then_columns():
+    # the with-replacement masks and table3's pruned draws both take their
+    # pairs this way, so their streams are pinned by one draw
+    a = np.arange(1.0, 36.0).reshape(5, 7)
+    rng = SeedSpec(3).generator()
+    _zero_random_pairs(a, 12, rng)
+    ref = SeedSpec(3).generator()
+    want = np.arange(1.0, 36.0).reshape(5, 7)
+    want[ref.integers(0, 5, size=12), ref.integers(0, 7, size=12)] = 0.0
+    np.testing.assert_array_equal(a, want)
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -54,6 +54,11 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec("uniform", xavier_k=1.0, variance=1.0)
 
+    def test_bound_is_uniform_half_width_or_40_gaussian_standard_deviations(self):
+        assert DistributionSpec("uniform", variance=3.0).bound(8, 8) == 3.0
+        assert DistributionSpec("uniform", xavier_k=2.0).bound(4, 16) == 0.5
+        assert DistributionSpec("gaussian", variance=0.25).bound(8, 8) == 20.0
+
     def test_xavier_is_uniform_only(self):
         with pytest.raises(ValueError):
             DistributionSpec("gaussian", xavier_k=1.0)
