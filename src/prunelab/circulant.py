@@ -47,7 +47,8 @@ def wrap_index(k: int, n: int) -> int:
 
 
 def as_conv_tensor(data) -> np.ndarray:
-    """Validate a (out_channels, in_channels, q, q) filter bank."""
+    """The one check of a (out_channels, in_channels, q, q) filter bank:
+    4-d, square nonempty kernels, finite entries."""
     f = np.asarray(data, dtype=np.float64)
     if f.ndim != 4:
         raise ValueError(f"conv tensor must be 4-d, got ndim={f.ndim}")
@@ -155,14 +156,13 @@ def conv2d_wrap(x, f) -> np.ndarray:
     the explicit matrix route.
     """
     x = np.asarray(x, dtype=np.float64)
-    f = as_conv_tensor(f)
-    d_out, d_in, q, _ = f.shape
-    if x.ndim < 3 or x.shape[-3] != d_in or x.shape[-1] != x.shape[-2]:
-        raise ValueError(f"feature maps of shape {x.shape} do not match {d_in} input channels")
+    if x.ndim < 3 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"feature maps of shape {x.shape} are not (..., d_in, p, p)")
     p = x.shape[-1]
-    if q > p:
-        raise ValueError(f"kernel size {q} exceeds spatial size {p}")
-    return apply_kernel_transform(np.fft.rfft2(x, axes=(-2, -1)), kernel_transform(f, p), p)
+    khat = kernel_transform(f, p)  # checks f and q <= p
+    if x.shape[-3] != khat.shape[1]:
+        raise ValueError(f"feature maps of shape {x.shape} do not match {khat.shape[1]} input channels")
+    return apply_kernel_transform(np.fft.rfft2(x, axes=(-2, -1)), khat, p)
 
 
 def kernel_transform(f, p: int) -> np.ndarray:

@@ -4,8 +4,9 @@ One subcommand per experiment kind; common flags select the config file,
 seed, trial count, output path, and format.  The PRUNELAB_WORKERS
 environment variable sets the worker count and never affects results.
 
-Exit codes: 0 success, 1 usage or config error or unwritable report path,
-2 oracle or acceptance failure, 3 numerical non-convergence.
+Exit codes: 0 success, 1 usage or config error, unwritable report path or
+a config too large for memory (one `error:` line on stderr), 2 oracle or
+acceptance failure, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -51,50 +52,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_error(path: str) -> str | None:
-    """Why a report cannot be written to `path`, found before the
-    experiment runs, or None."""
+def _check_out(path: str) -> None:
+    """Raise ConfigError, before the experiment runs, if a report cannot be written to `path`."""
     if os.path.isdir(path):
-        return f"cannot write report {path}: is a directory"
+        raise ConfigError(f"cannot write report {path}: is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        return f"cannot write report {path}: no directory {parent}"
-    return None
+        raise ConfigError(f"cannot write report {path}: no directory {parent}")
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         workers = resolve_workers()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.out is not None and (reason := _out_error(args.out)):
-        print(f"error: {reason}", file=sys.stderr)
-        return 1
-    overrides = {}
-    for field in ("seed", "trials"):
-        value = getattr(args, field)
-        if value is None:
-            continue
-        if field not in default_config(args.kind):
-            print(f"error: --{field} does not apply to {args.kind}", file=sys.stderr)
-            return 1
-        overrides[field] = value
-    try:
-        cfg = load_config(args.kind, args.config, overrides)
-        report = run_experiment(args.kind, cfg, workers)
+        if args.out is not None:
+            _check_out(args.out)
+        overrides = {field: value for field in ("seed", "trials") if (value := getattr(args, field)) is not None}
+        for field in overrides:
+            if field not in default_config(args.kind):
+                raise ConfigError(f"--{field} does not apply to {args.kind}")
+        report = run_experiment(args.kind, load_config(args.kind, args.config, overrides), workers)
+        try:
+            text = write_report(report, args.out, args.format)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {args.out}: {exc}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return 3
-    try:
-        text = write_report(report, args.out, args.format)
-    except OSError as exc:
-        print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
-        return 1
     if args.out is None:
         sys.stdout.write(text)
     if report.summary.get("all_pass") is False:

@@ -236,24 +236,29 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 EXPERIMENT_KINDS = tuple(_SCHEMA)
 
 
-def default_config(kind: str) -> dict:
+def _fields(kind: str) -> dict:
+    """The field table of `kind`; the one check that the kind is known."""
     if kind not in _SCHEMA:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {', '.join(EXPERIMENT_KINDS)}")
+    return _SCHEMA[kind]
+
+
+def default_config(kind: str) -> dict:
     # deep copy through JSON
-    return json.loads(json.dumps({key: default for key, (default, _) in _SCHEMA[kind].items()}))
+    return json.loads(json.dumps({key: default for key, (default, _) in _fields(kind).items()}))
 
 
 def load_config(kind: str, path=None, overrides: dict | None = None) -> dict:
     """Defaults, overlaid with an optional JSON file, overlaid with explicit
-    overrides.  Unknown keys and invalid values are rejected; the config
-    keeps the values as given."""
+    overrides.  A file that cannot be read, decoded or parsed, unknown keys
+    and invalid values are rejected; the config keeps the values as given."""
     cfg = default_config(kind)
     layers = []
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 layers.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if overrides:
         layers.append({k: v for k, v in overrides.items() if v is not None})
@@ -268,6 +273,4 @@ def load_config(kind: str, path=None, overrides: dict | None = None) -> dict:
 def parse_config(kind: str, cfg: dict) -> SimpleNamespace:
     """The values the runner of `kind` uses, one attribute per field; a
     bounds section is a namespace or None."""
-    if kind not in _SCHEMA:
-        raise ConfigError(f"unknown experiment kind {kind!r}; choose from {', '.join(EXPERIMENT_KINDS)}")
-    return _parse(_SCHEMA[kind], cfg)
+    return _parse(_fields(kind), cfg)

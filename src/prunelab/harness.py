@@ -722,9 +722,8 @@ def run_experiment(kind: str, cfg: dict, workers: int = 1) -> Report:
     the report keeps the config and the runner's rows as given, and its
     columns are the first row's keys, which every row must repeat in that
     order."""
-    if kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    report = Report(kind, cfg, *_RUNNERS[kind](parse_config(kind, cfg), workers))
+    s = parse_config(kind, cfg)  # before the runner lookup: it rejects an unknown kind
+    report = Report(kind, cfg, *_RUNNERS[kind](s, workers))
     columns = report.columns
     if any(list(row) != columns for row in report.rows):
         raise ValueError(f"{kind} rows differ from the first row's columns {columns}")

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .circulant import apply_kernel_transform, flatten_maps, kernel_transform, rfft2_inplace, unflatten_maps
+from .circulant import apply_kernel_transform, as_conv_tensor, flatten_maps, kernel_transform, rfft2_inplace, unflatten_maps
 from .circulant import conv2d_wrap  # noqa: F401  perfbench/tracer.py wraps networks.conv2d_wrap
 from .sampling import SeedSpec, sample_unit_cube, sample_unit_sphere
 
@@ -113,17 +113,11 @@ class CnnModel:
     p: int
 
     def __post_init__(self):
-        fs = []
-        for k, f in enumerate(self.conv_tensors):
-            f = np.asarray(f, dtype=np.float64)
-            if f.ndim != 4 or f.shape[2] != f.shape[3]:
-                raise ValueError(f"conv tensor {k + 1} must be (d_out, d_in, q, q)")
-            if not np.all(np.isfinite(f)):
-                raise ValueError(f"conv tensor {k + 1} has non-finite entries")
+        fs = tuple(map(as_conv_tensor, self.conv_tensors))
+        for f in fs:
             if f.shape[2] >= self.p:
                 raise ValueError(f"kernel size {f.shape[2]} must be below spatial size {self.p}")
-            fs.append(f)
-        object.__setattr__(self, "conv_tensors", tuple(fs))
+        object.__setattr__(self, "conv_tensors", fs)
         object.__setattr__(self, "final_dense", _check_weight(self.final_dense, "final dense layer"))
         if len(fs) < 2:
             raise ValueError("depth must be at least 3 (two conv layers plus dense)")

@@ -63,6 +63,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .config import ConfigError
+
 __all__ = [
     "resolve_workers",
     "ordered_map",
@@ -87,14 +89,14 @@ _OPENBLAS_SYMBOLS = (
 
 
 def resolve_workers() -> int:
-    """PRUNELAB_WORKERS, an integer >= 1; 1 when it is not set."""
+    """PRUNELAB_WORKERS, an integer >= 1 (else a ConfigError); 1 when it is not set."""
     raw = os.environ.get(_ENV_VAR, "1")
     try:
         workers = int(raw)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(f"{_ENV_VAR} must be an integer >= 1, got {raw!r}")
+        raise ConfigError(f"{_ENV_VAR} must be an integer >= 1, got {raw!r}")
     return workers
 
 

@@ -445,6 +445,32 @@ def test_workers_env_below_1_or_not_an_integer_exits_1_with_one_line(monkeypatch
     assert _one_line_error(capsys) == f"error: PRUNELAB_WORKERS must be an integer >= 1, got {value!r}\n"
 
 
+def test_non_utf8_config_exits_1_with_one_line(tmp_path, capsys):
+    # a UnicodeDecodeError used to end in a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["bounds", "--config", str(path)]) == 1
+    assert _one_line_error(capsys).startswith(f"error: cannot read config {path}: ")
+
+
+def test_out_of_memory_exits_1_with_one_line(monkeypatch, capsys):
+    # numpy's message for an order-stats case of n = 10^12, which used to end
+    # in a traceback; raised here, so nothing is allocated
+    message = "Unable to allocate 7.28 TiB for an array with shape (1, 1000000000000) and data type float64"
+
+    def runner(s, workers):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(harness._RUNNERS, "order-stats", runner)
+    assert main(["order-stats"]) == 1
+    assert _one_line_error(capsys) == f"error: out of memory: {message}\n"
+
+
+def test_unknown_kind_is_rejected_by_the_config_module():
+    with pytest.raises(ConfigError, match=re.escape("unknown experiment kind 'nope'; choose from table2, table3, ")):
+        run_experiment("nope", {})
+
+
 def _no_run(*args):
     raise AssertionError("the experiment ran")
 

@@ -122,6 +122,13 @@ def small_cnn(d_in=2, d=3, d_out=2, p=4, q=2, l=3, act=None):
     return CnnModel(tensors, dense, act, p)
 
 
+def test_cnn_model_rejects_an_empty_kernel():
+    # q = 0 passed the model's own q < p rule; as_conv_tensor rejects it
+    tensors = (np.zeros((3, 2, 0, 0)), np.zeros((3, 3, 0, 0)))
+    with pytest.raises(ValueError, match="kernels must be square and nonempty"):
+        CnnModel(tensors, np.zeros((2, 3 * 4 * 4)), RELU, 4)
+
+
 class TestForwardCnn:
     def test_scalar_filter_composition(self):
         c, p = 1.5, 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from prunelab import estimators, harness, networks, parallel
-from prunelab.config import default_config
+from prunelab.config import ConfigError, default_config
 from prunelab.estimators import estimate_latala, estimate_lemma3
 from prunelab.harness import load_config, run_experiment
 from prunelab.parallel import ordered_imap, ordered_map, single_threaded_blas, startup_blas_threads, trial_blocks
@@ -16,6 +17,13 @@ from prunelab.sampling import DistributionSpec, SeedSpec
 
 # table2's default quantiles
 QUANTILES = tuple(default_config("table2")["quantiles"])
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_resolve_workers_raises_config_error(monkeypatch, value):
+    monkeypatch.setenv("PRUNELAB_WORKERS", value)
+    with pytest.raises(ConfigError, match=re.escape(f"PRUNELAB_WORKERS must be an integer >= 1, got {value!r}")):
+        parallel.resolve_workers()
 
 
 @pytest.fixture
