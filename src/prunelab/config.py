@@ -128,6 +128,9 @@ _ORDER_STAT_DEFAULT_CASES = [
 ]
 
 _SEED = (DEFAULT_SEED, _int(0, 2**64, "an integer in [0, 2^64)"))
+# numpy's index range: the gap estimate draws its samples chunk by chunk, so
+# no array bounds them, and a sweep's depth sizes its list of layers
+_INDEX = 2**63
 
 # kind -> field -> (default, check)
 _SCHEMA: dict[str, dict[str, tuple]] = {
@@ -178,7 +181,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "norm_rel_tol": (1e-8, _num()),
     },
     "fcn-sweep": {
-        "depth": (4, _int(3)),
+        "depth": (4, _int(3, _INDEX, "an integer >= 3 and < 2^63")),
         "widths": ([64, 128, 256], _list("integers >= 1", _int(1))),
         "d_in": (16, _int(1)),
         "d_out": (16, _int(1)),
@@ -190,11 +193,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "activation": ("relu", _choice("relu", "tanh", "identity")),
         "xavier_k": (1.0, _num(0)),
         "trials": (50, _int(1)),
-        "samples": (1000, _int(1)),
+        "samples": (1000, _int(1, _INDEX, "an integer >= 1 and < 2^63")),
         "seed": _SEED,
     },
     "cnn-sweep": {
-        "depth": (3, _int(3)),
+        "depth": (3, _int(3, _INDEX, "an integer >= 3 and < 2^63")),
         # thm3_alpha_constraint is defined for d >= 3
         "channels": ([16, 32, 64], _list("integers >= 3", _int(3))),
         "d_in": (3, _int(1)),
@@ -205,7 +208,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "moment_c1": (1.0, _num(0)),
         "weight_kind": ("gaussian", _choice("gaussian", "uniform")),
         "trials": (30, _int(1)),
-        "samples": (1000, _int(1)),
+        "samples": (1000, _int(1, _INDEX, "an integer >= 1 and < 2^63")),
         "beta1": (0.1, _num()),
         "beta2": (0.05, _num()),
         "explicit_norm_limit": (1500, _int(0)),

@@ -31,7 +31,7 @@ import numpy as np
 from . import circulant, networks, pruning, theory
 from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config, parse_config
 from .estimators import estimate_lemma3, estimate_latala, latala_ratio, latala_terms
-from .linalg import spectral_norm, top_singular_values
+from .linalg import spectral_norm, svd_group_size, top_singular_values
 from .parallel import ordered_imap, ordered_map, startup_blas_threads
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 
@@ -151,10 +151,29 @@ def _normal(*values: float) -> bool:
     return all(sys.float_info.min <= v < math.inf for v in values)
 
 
+# numpy makes no array of more than 2^63 - 1 bytes: past that, or past its
+# index type in one dimension, it raises "array is too big" or "Maximum
+# allowed dimension exceeded" mid-run.  Every kind checks its largest arrays
+# against this bound before any trial.  An array below it that does not fit
+# in memory ends in MemoryError, which the CLI reports in one line.
+_MAX_ARRAY_BYTES = 2**63 - 1
+
+
+def _check_size(fields: str, nbytes: int) -> None:
+    """The one size bound: `fields` names the config values that size an
+    array of `nbytes` bytes."""
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ConfigError(f"{fields} too large: an array of {nbytes} bytes is past numpy's limit of 2^63 - 1 bytes")
+
+
 def run_table2(s: SimpleNamespace, workers: int):
-    # before any trial, the std's squared norms (of the order of K^2, at most
-    # K^2 min(n1, n2)) and their sum must be normal doubles
+    # before any trial: the largest arrays, the trials' norms and a group of
+    # SVD inputs (one matrix from min(n1, n2) = 501 on), must fit numpy, and
+    # the std's squared norms (of the order of K^2, at most K^2 min(n1, n2))
+    # and their sum must be normal doubles
+    _check_size(f"trials={s.trials}", s.trials * 8)
     for n1, n2, k_scale in s.rows:
+        _check_size(f"rows n1={n1}, n2={n2}", svd_group_size(n1, n2) * n1 * n2 * 8)
         if not _normal(k_scale * k_scale, s.trials * k_scale * k_scale * min(n1, n2)):
             raise ConfigError(f"K={k_scale:g} out of range for {n1} x {n2}: the squared norms overflow or underflow")
     rows = []
@@ -164,9 +183,12 @@ def run_table2(s: SimpleNamespace, workers: int):
 
 
 def run_table3(s: SimpleNamespace, workers: int):
-    # before any trial, the fourth-moment sums, of the order of v^2 (v = scale / d)
-    # and at most trials d^2 b^4 (|entry| <= b = DistributionSpec.bound), must be normal doubles
+    # before any trial: the largest arrays, as in table2, must fit numpy, and
+    # the fourth-moment sums, of the order of v^2 (v = scale / d) and at most
+    # trials d^2 b^4 (|entry| <= b = DistributionSpec.bound), must be normal doubles
+    _check_size(f"trials={s.trials}", s.trials * 8)
     for d, kind, scale, _ in s.rows:
+        _check_size(f"rows d={d}", svd_group_size(d, d) * d * d * 8)
         v = scale / d
         b = DistributionSpec(kind, variance=v).bound(d, d) if v > 0 else 0.0
         if not _normal(v * v, s.trials * d * d * b * b * b * b):
@@ -192,6 +214,8 @@ _ORDER_STAT_TILE = 16_384
 def run_order_stats(s: SimpleNamespace, workers: int):
     base = SeedSpec(s.seed)
     trials, a = s.trials, s.half_width
+    for n, _, _ in s.cases:
+        _check_size(f"cases n={n}", max(1, _ORDER_STAT_TILE // n) * n * 8)  # a tile of draws
 
     # evaluated before any trial runs, so a moment out of range fails fast
     with _theory_inputs("order_stat_moment"):
@@ -231,7 +255,9 @@ def run_order_stats(s: SimpleNamespace, workers: int):
                 elif r == n:
                     u.max(axis=1, out=x[lo:hi])
                 else:
-                    x[lo:hi] = np.partition(u, r - 1, axis=1)[:, r - 1]
+                    # u is this tile's own scratch: select in place, no copy
+                    u.partition(r - 1, axis=1)
+                    x[lo:hi] = u[:, r - 1]
             vals = x[:b] if p == 1 else x[:b] ** p
             total += float(vals.sum())
             total_sq += float((vals * vals).sum())
@@ -249,6 +275,8 @@ def run_order_stats(s: SimpleNamespace, workers: int):
 
 def run_balls_bins(s: SimpleNamespace, workers: int):
     base = SeedSpec(s.seed)
+    for _, balls in s.cases:
+        _check_size(f"cases balls={balls}", balls * 4)  # one trial's int32 throws
 
     def one(i: int):
         row = theory.balls_in_bins_check(*s.cases[i], s.trials, base.child(i))
@@ -266,6 +294,9 @@ def run_balls_bins(s: SimpleNamespace, workers: int):
 
 def run_circulant_equiv(s: SimpleNamespace, workers: int):
     base = SeedSpec(s.seed)
+    # the explicit map of the widest instance: p^2 d x p^2 d doubles
+    _check_size(f"max_channels={s.max_channels}, max_spatial={s.max_spatial}",
+                (s.max_spatial**2 * s.max_channels) ** 2 * 8)
 
     def one(i: int):
         rng = base.child(i).generator()
@@ -408,13 +439,17 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         dims = [s.d_in] + [d] * (l - 1) + [s.d_out]
         return [(dims[k + 1], dims[k]) for k in range(l)]
 
-    # An m x n layer's entries lie within K/sqrt(max(m, n)), so its norm is at
-    # most K sqrt(min(m, n)); every activation fixes 0 and is 1-Lipschitz.  On
-    # the unit sphere the squared gap norm the estimate sums is then at most
-    # 4 prod K^2 min(m, n), checked before any trial so it cannot overflow.
-    # The Latala payload's fourth powers, of the order of (K^2 / max(m, n))^2,
-    # are checked at the largest layer so they cannot underflow.
+    # Before any trial: the largest arrays, a weight matrix or a chunk's
+    # points or activations, must fit numpy.  An m x n layer's entries lie
+    # within K/sqrt(max(m, n)), so its norm is at most K sqrt(min(m, n));
+    # every activation fixes 0 and is 1-Lipschitz.  On the unit sphere the
+    # squared gap norm the estimate sums is then at most 4 prod K^2 min(m, n),
+    # checked so it cannot overflow.  The Latala payload's fourth powers, of
+    # the order of (K^2 / max(m, n))^2, are checked at the largest layer so
+    # they cannot underflow.
     for d in s.widths:
+        largest = max(max(m * n for m, n in shapes_for(d)), networks._GAP_CHUNK * max(s.d_in, d, s.d_out))
+        _check_size(f"widths d={d} with d_in={s.d_in}, d_out={s.d_out}", largest * 8)
         if not math.isfinite(4.0 * math.prod(k_scale * k_scale * min(shape) for shape in shapes_for(d))):
             raise ConfigError(f"xavier_k={k_scale:g} too large at width d={d}: the squared gap norm can overflow")
         b2 = k_scale * k_scale / max(map(max, shapes_for(d)))
@@ -500,7 +535,14 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
 def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     l, p, q, alpha = s.depth, s.spatial, s.kernel, s.alpha
     _check_kernel(q, p)
+    # the largest arrays: a kernel transform or a chunk's spectrum (d_k x p x
+    # (p // 2 + 1) complex per filter or point), the dense layer, and the
+    # explicit map where it is built
     for d in s.channels:
+        spectra = max(d, networks._GAP_CHUNK) * max(s.d_in, d) * p * (p // 2 + 1) * 16
+        explicit = (p * p * d) ** 2 * 8 if p * p * d <= s.explicit_norm_limit else 0
+        largest = max(spectra, s.d_out * d * p * p * 8, explicit)
+        _check_size(f"channels d={d} with spatial={p}, d_in={s.d_in}, d_out={s.d_out}", largest)
         _check_alpha(alpha, theory.thm3_alpha_constraint(d), f"filter pruning at d={d}")
     # evaluated before any trial runs, so a bound out of range fails fast
     with _theory_inputs("thm3_rhs"):

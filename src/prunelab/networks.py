@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .circulant import apply_kernel_transform, as_conv_tensor, flatten_maps, kernel_transform, rfft2_inplace, unflatten_maps
+from .circulant import apply_kernel_transform, as_conv_tensor, kernel_transform, rfft2_inplace, unflatten_maps
 from .circulant import conv2d_wrap  # noqa: F401  perfbench/tracer.py wraps networks.conv2d_wrap
 from .sampling import SeedSpec, sample_unit_cube, sample_unit_sphere
 
@@ -171,16 +171,108 @@ def _dense_layer(h: np.ndarray, w: np.ndarray, act: Activation | None) -> np.nda
     return z if act is None else act.apply_inplace(z)
 
 
-def _conv_layer(xhat: np.ndarray, khat: np.ndarray, act: Activation, p: int, last: bool) -> np.ndarray:
-    """One conv layer from the rfft2 of its input maps.  It returns the rfft2
-    of its output maps, which the next conv layer takes, or for the last
-    conv layer the flattened output maps, which the dense layer takes."""
-    maps = act.apply_inplace(apply_kernel_transform(xhat, khat, p))
-    return flatten_maps(maps) if last else rfft2_inplace(maps)
+@dataclass(frozen=True, eq=False)
+class _ConvStep:
+    """One conv layer of a CNN's steps: the kernel transform of its
+    (masked) filters, the shared activation and the spatial size.  The last
+    conv layer's output maps go to the dense layer flattened; every other
+    conv layer's go to the next conv layer as their rfft2."""
+
+    khat: np.ndarray
+    act: Activation
+    p: int
+    last: bool
+
+
+# The conv runner's blocks hold as many points as give about this many
+# bytes of einsum output in the widest conv layer of the run: 64 points at
+# d = 64, p = 8.  A layer small enough runs the whole batch as one block
+# (1600 points at d = 4), so the block count, and with it the per-block
+# call overhead, grows only with the width.
+_CONV_BLOCK_BYTES = 4 * 2**20
+# Blocks hold a multiple of this many points, so each starts at a multiple
+# of it.  The einsum is a batched matmul whose zgemm calls tile the points,
+# and a block that starts where a tile of the whole-batch product starts
+# gives each point the bits it gets in that product.  With OpenBLAS 0.3.31
+# (SkylakeX kernels), blocks of 4, 8, 16, 32, 64, 100 and 128 points gave
+# bit-identical forward passes and estimates; blocks of 2, 3, 5, 7, 13 and
+# 50 points did not.  64 keeps a margin over the 4-point tile.
+_CONV_BLOCK_ALIGN = 64
+
+
+def _conv_block(convs: list, xhat: np.ndarray) -> np.ndarray:
+    """Run the conv steps on one block of points from xhat, the rfft2 of
+    their input maps; returns the last step's output maps, or their rfft2
+    when the last step is not the model's last conv layer."""
+    for conv in convs:
+        maps = conv.act.apply_inplace(apply_kernel_transform(xhat, conv.khat, conv.p))
+        xhat = maps if conv.last else rfft2_inplace(maps)
+    return xhat
+
+
+def _run_convs(convs: list, xhat: np.ndarray, buffers: dict) -> np.ndarray:
+    """Run consecutive conv steps on a batch from xhat, the rfft2 of its
+    input maps, one block of points at a time.
+
+    A block holds the largest multiple of `_CONV_BLOCK_ALIGN` points
+    whose einsum output fits in `_CONV_BLOCK_BYTES`, one multiple at
+    least, so every block starts at a multiple of 64 points and keeps the
+    bits of one product over the whole batch; the last block holds the
+    rest.  Each block's output is copied into its rows of the result and
+    freed, so no einsum or inverse-FFT output of more than one block
+    exists.
+
+    The result is the first rows of an array in `buffers`, keyed by the
+    last step's channel count and whether it is the model's last conv
+    layer, allocated on first use and reused by later calls with the same
+    dict.  The sup-gap estimate passes one dict for all its chunks, so
+    results are not allocated and freed chunk by chunk: that let glibc trim
+    the heap and fault it back in every chunk, 20k minor faults per
+    1000-point d = 32 estimate against 2.5k with whole-chunk passes, and
+    the estimate ran 1.3x slower.  A batch of one block whose key has no
+    array yet returns that block's output instead.
+
+    After the last conv layer the result is the dense layer's operand: the
+    flattened output maps in C order, one row per point, as the dense
+    matmul takes them.  Otherwise it is the rfft2 of the output maps, laid
+    out frequency-major with the points fastest, as an einsum output is,
+    so a block of its rows is a matmul operand with unit stride for the
+    next conv step.
+    """
+    n = xhat.shape[0]
+    d, p = convs[-1].khat.shape[0], convs[-1].p
+    # one point's einsum output in the widest layer: d_out x p x (p // 2 + 1) complex
+    point_bytes = max(conv.khat.shape[0] for conv in convs) * p * (p // 2 + 1) * 16
+    block = max(1, _CONV_BLOCK_BYTES // (point_bytes * _CONV_BLOCK_ALIGN)) * _CONV_BLOCK_ALIGN
+    # a lone last point joins the block before it: a one-point block makes
+    # the einsum's matmul a matrix-vector product, which rounds differently
+    stops = [*range(block, n - 1, block), n]
+    last = convs[-1].last
+    if len(stops) == 1 and (d, last) not in buffers:
+        # no copy but the flattening, as a whole-batch pass: copying the
+        # block into a buffer, even one reused across chunks, let glibc trim
+        # and re-fault the heap every chunk, and a 4-channel CNN's
+        # 30,000-point estimate took 36 times the page faults, 1.25x the time
+        y = _conv_block(convs, xhat)
+        return y.reshape(n, -1) if last else y
+    out = buffers.get((d, last))
+    if out is None or len(out) < n:
+        if last:
+            out = np.empty((n, d * p * p))
+        else:
+            out = np.empty((p, p // 2 + 1, d, n), dtype=complex).transpose(3, 2, 0, 1)
+        buffers[(d, last)] = out
+    out = out[:n]
+    for lo, hi in zip([0] + stops, stops):
+        y = _conv_block(convs, xhat[lo:hi])
+        out[lo:hi].reshape(y.shape)[...] = y
+        del y  # freed before the next block starts
+    return out
 
 
 def _layer_steps(model, mask: tuple | None = None, target: list | None = None) -> list:
-    """One callable per layer of the model, masked by `mask` when given.
+    """One step per layer of the model, masked by `mask` when given: a
+    `_ConvStep` per conv layer, a callable per dense layer.
 
     The masked weights and, for conv layers, the kernel transforms are
     computed here, once per call.  With `target`, the model's unmasked
@@ -198,8 +290,7 @@ def _layer_steps(model, mask: tuple | None = None, target: list | None = None) -
             steps.append(partial(_dense_layer, w=w, act=model.activations[k] if k < l - 1 else None))
         elif k < l - 1:
             f = model.conv_tensors[k] if m is None else model.conv_tensors[k] * m[:, :, None, None]
-            khat = kernel_transform(f, model.p)
-            steps.append(partial(_conv_layer, khat=khat, act=model.act, p=model.p, last=k == l - 2))
+            steps.append(_ConvStep(kernel_transform(f, model.p), model.act, model.p, k == l - 2))
         else:
             w = model.final_dense if m is None else m * model.final_dense
             steps.append(partial(_dense_layer, w=w, act=None))
@@ -214,8 +305,13 @@ def _first_input(model, h: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(unflatten_maps(h, model.channels[0], model.p), axes=(-2, -1))
 
 
-def _run(steps: list, h: np.ndarray) -> np.ndarray:
-    for step in steps:
+def _run(steps: list, h: np.ndarray, buffers: dict) -> np.ndarray:
+    """Run consecutive layer steps on a batch: the conv steps, which come
+    first, through `_run_convs` with its `buffers`, then the dense steps."""
+    convs = [step for step in steps if isinstance(step, _ConvStep)]
+    if convs:
+        h = _run_convs(convs, h, buffers)
+    for step in steps[len(convs) :]:
         h = step(h)
     return h
 
@@ -228,7 +324,7 @@ def _forward(model, x, mask, dim_name: str) -> np.ndarray:
     h = a[None, :] if single else a
     if h.ndim != 2 or h.shape[1] != model.input_dim:
         raise ValueError(f"input dim {h.shape[-1]} does not match {dim_name}={model.input_dim}")
-    out = _run(_layer_steps(model, mask), _first_input(model, h))
+    out = _run(_layer_steps(model, mask), _first_input(model, h), {})
     return out[0] if single else out
 
 
@@ -273,11 +369,16 @@ def estimate_sup_gap(model, mask, domain: str, n: int, seed: SeedSpec) -> float:
     estimate is bitwise the max over chunks of
     norm(forward(x, mask) - forward(x)).
 
-    Each conv step writes its inverse transform's first pass over the
-    einsum's output and its activation over the maps that pass returns, so
-    a chunk's peak is in the irfft pass of a branch's conv layer, with three
-    chunk-sized arrays alive: the shared spectrum, the einsum's output and
-    the new real maps (10.5 + 10.5 + 8.4 MB at d = 64, p = 8).
+    Each chunk's points are drawn from the seed's one generator when the
+    loop reaches the chunk; the samplers' draws are chunk-invariant, so
+    they are the rows a one-shot draw of all n points gives.  A chunk's
+    points and shared activations are dropped before the next chunk starts,
+    and the CNN conv layers run in blocks of points into result arrays
+    that every chunk reuses (`_run_convs`), so memory depends on the chunk
+    and the layer widths, not on n.  The peak is in a branch's last conv
+    layer, with the shared spectrum, the branch's dense operand and one
+    block's einsum output and real maps alive: 10.5 + 8.4 + 2.6 + 2.1 MB
+    at d = 64, p = 8.
 
     Nested runs with the same seed sample prefix-identical points, so the
     estimate is exactly nondecreasing in n from any n that is a multiple of
@@ -293,10 +394,14 @@ def estimate_sup_gap(model, mask, domain: str, n: int, seed: SeedSpec) -> float:
     target = _layer_steps(model)
     pruned = _layer_steps(model, mask, target)
     split = next((k for k in range(model.depth) if pruned[k] is not target[k]), model.depth)
-    pts = (sample_unit_sphere if domain == "sphere" else sample_unit_cube)(model.input_dim, n, seed)
+    sample = sample_unit_sphere if domain == "sphere" else sample_unit_cube
+    rng = seed.generator()
+    buffers = {}
     best = 0.0
     for lo in range(0, n, _GAP_CHUNK):
-        shared = _run(target[:split], _first_input(model, pts[lo : lo + _GAP_CHUNK]))
-        diff = _run(pruned[split:], shared) - _run(target[split:], shared)
+        pts = sample(model.input_dim, min(_GAP_CHUNK, n - lo), rng)
+        shared = _run(target[:split], _first_input(model, pts), buffers)
+        diff = _run(pruned[split:], shared, buffers) - _run(target[split:], shared, buffers)
+        del pts, shared  # dropped before the next chunk's arrays are made
         best = max(best, float(np.linalg.norm(diff, axis=1).max()))
     return best

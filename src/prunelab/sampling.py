@@ -122,15 +122,20 @@ def draw_matrix(dist: DistributionSpec, rows: int, cols: int, rng: np.random.Gen
     return rng.normal(0.0, np.sqrt(dist.variance), size=(rows, cols))
 
 
-def sample_unit_sphere(dim: int, n: int, seed: SeedSpec) -> np.ndarray:
-    """n points uniform on the unit sphere in R^dim (rows of the result).
+def sample_unit_sphere(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points uniform on the unit sphere in R^dim (rows of the result),
+    drawn from an existing generator.
 
-    Gaussian-normalize construction; the first k rows for a given seed are a
-    prefix of any longer sample from the same seed.
+    Gaussian-normalize construction: row i takes the generator's next dim
+    normal draws and is divided by its own norm.  So n1 rows and then n2
+    rows from one generator are bit for bit the rows of one draw of
+    n1 + n2: a caller can draw a long sample chunk by chunk, and the first
+    k rows from a generator state are a prefix of any longer sample from
+    the same state.
     """
     if dim < 1 or n < 1:
         raise ValueError("dim and n must be >= 1")
-    g = seed.generator().standard_normal((n, dim))
+    g = rng.standard_normal((n, dim))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     # A zero gaussian row has probability zero; regenerating would break the
     # prefix property, so treat it as the error it is.
@@ -139,8 +144,11 @@ def sample_unit_sphere(dim: int, n: int, seed: SeedSpec) -> np.ndarray:
     return g / norms
 
 
-def sample_unit_cube(dim: int, n: int, seed: SeedSpec) -> np.ndarray:
-    """n points with i.i.d. U[0,1] coordinates (rows of the result)."""
+def sample_unit_cube(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points with i.i.d. U[0,1] coordinates (rows of the result), drawn
+    from an existing generator.  Row i takes its next dim uniform draws,
+    so chunked draws from one generator equal one draw of all the rows,
+    and a shorter sample is a prefix of a longer one from the same state."""
     if dim < 1 or n < 1:
         raise ValueError("dim and n must be >= 1")
-    return seed.generator().random((n, dim))
+    return rng.random((n, dim))

@@ -77,6 +77,26 @@ def test_trials_flag_accepted_for_fcn_sweep(tmp_path, capsys):
 # 0 at this depth, so the bound evaluates non-positive
 UNDERFLOW = {"l": 5000, "beta1": 0.9, "beta2": 0.14}
 
+# Sizes whose largest array is past numpy's limit of 2^63 - 1 bytes, or
+# whose dimension is past its index type.  Each ended in a traceback: a
+# TypeError from np.sqrt of the width, or numpy's "Maximum allowed dimension
+# exceeded" or "array is too big"; the rejection comes before any trial.
+BIG = 10**30
+SIZE_CONFIGS = [
+    ("fcn-sweep", {"widths": [BIG]}, f"widths d={BIG} with d_in=16, d_out=16 too large"),
+    ("fcn-sweep", {"widths": [2**31], "d_in": 2**31}, "widths d=2147483648 with d_in=2147483648, d_out=16 too large"),
+    ("fcn-sweep", {"widths": [8], "d_out": BIG}, f"widths d=8 with d_in=16, d_out={BIG} too large"),
+    ("order-stats", {"cases": [[BIG, 1, 1]]}, f"cases n={BIG} too large"),
+    ("table2", {"rows": [[BIG, 8, 1.0]]}, f"rows n1={BIG}, n2=8 too large"),
+    ("table2", {"rows": [[2**31, 2**31, 1.0]]}, "rows n1=2147483648, n2=2147483648 too large"),
+    ("table2", {"trials": BIG}, f"trials={BIG} too large"),
+    ("table3", {"rows": [[3037000500, "uniform", 1.0, None]]}, "rows d=3037000500 too large"),
+    ("balls-bins", {"cases": [[4, BIG]]}, f"cases balls={BIG} too large"),
+    ("cnn-sweep", {"channels": [BIG]}, f"channels d={BIG} with spatial=8, d_in=3, d_out=10 too large"),
+    ("cnn-sweep", {"spatial": BIG}, f"channels d=16 with spatial={BIG}, d_in=3, d_out=10 too large"),
+    ("circulant-equiv", {"max_channels": BIG}, f"max_channels={BIG}, max_spatial=8 too large"),
+]
+
 # Weight scales whose squares or fourth powers overflow or underflow.  Each
 # used to exit 0 with a wrong report; the rejection comes before any trial.
 SCALE_CONFIGS = [
@@ -294,7 +314,12 @@ BAD_CONFIGS = [
     # a report needs a row to take its columns from; this used to exit 0
     # with a header-only report
     ("bounds", {"thm1": None, "thm2": {}, "thm3": None}, "bounds: needs at least one of thm1, thm2, thm3"),
-] + SCALE_CONFIGS
+    # no array grows with the samples, which are drawn chunk by chunk, so
+    # numpy's index range bounds them; a depth sizes a list of layers
+    ("fcn-sweep", {"samples": BIG}, f"samples must be an integer >= 1 and < 2^63, got {BIG}"),
+    ("cnn-sweep", {"samples": 2**63}, "samples must be an integer >= 1 and < 2^63, got 9223372036854775808"),
+    ("fcn-sweep", {"depth": BIG}, f"depth must be an integer >= 3 and < 2^63, got {BIG}"),
+] + SCALE_CONFIGS + SIZE_CONFIGS
 
 
 def _case_ids(cases: list) -> list:
@@ -321,9 +346,9 @@ def _start_trial(*args, **kwargs):
 
 @pytest.fixture
 def no_trials(monkeypatch):
-    """Every trial of table2, table3 and the sweeps starts with one of these
-    calls, so reaching one means every check before the trials passed."""
-    for name in ("estimate_lemma3", "estimate_latala", "draw_matrix"):
+    """Every trial of every kind but bounds starts with one of these calls,
+    so reaching one means every check before the trials passed."""
+    for name in ("estimate_lemma3", "estimate_latala", "draw_matrix", "ordered_map"):
         monkeypatch.setattr(harness, name, _start_trial)
 
 
@@ -333,7 +358,20 @@ def test_out_of_range_weight_scale_is_rejected_before_any_trial(no_trials, kind,
         run_experiment(kind, load_config(kind, overrides=body))
 
 
-@pytest.mark.parametrize("kind", ["table2", "table3", "fcn-sweep", "cnn-sweep"])
+@pytest.mark.parametrize("kind, body, needle", SIZE_CONFIGS, ids=_case_ids(SIZE_CONFIGS))
+def test_array_past_numpys_limit_is_rejected_before_any_trial(no_trials, kind, body, needle):
+    with pytest.raises(ConfigError, match=re.escape(needle) + ".* past numpy's limit of 2\\^63 - 1 bytes"):
+        run_experiment(kind, load_config(kind, overrides=body))
+
+
+def test_size_bound_is_numpys_largest_array():
+    harness._check_size("n=1", 2**63 - 1)
+    with pytest.raises(ConfigError, match="n=2 too large: an array of 9223372036854775808 bytes"):
+        harness._check_size("n=2", 2**63)
+
+
+# every check before the trials, of sizes and of weight scales, admits the defaults
+@pytest.mark.parametrize("kind", ["table2", "table3", "order-stats", "balls-bins", "circulant-equiv", "fcn-sweep", "cnn-sweep"])
 def test_default_weight_scales_reach_the_trials(no_trials, kind):
     with pytest.raises(_TrialStarted):
         run_experiment(kind, default_config(kind))

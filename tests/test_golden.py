@@ -69,6 +69,15 @@ CASES = {
         {"channels": [64], "spatial": 8, "trials": 1, "samples": 300},
         "af24b06f76f85cacd2b5c6a70caee54da5fd6e4d3aac72987ee3d63ec50dd75e",
     ),
+    # two pruned d = 64 conv layers at p = 8: 325 points are a full chunk
+    # and a 69-point one, which the conv runner splits into 64-point blocks
+    # and a 5-point last block; taken from the code before the conv layers
+    # ran in blocks and the points were drawn chunk by chunk
+    "cnn-64-depth-4": (
+        "cnn-sweep",
+        {"depth": 4, "channels": [64], "spatial": 8, "trials": 1, "samples": 325},
+        "26b94c76e424f84b590cb457a5db89de5c2d2545ddea3cfa27dd76c3c6f78301",
+    ),
     # integer K: the config block shows 1, the rows 1.0
     "table2": (
         "table2",

@@ -5,6 +5,7 @@ import pytest
 
 from prunelab.circulant import build_full_map, flatten_maps, pad_kernel
 from prunelab.networks import (
+    _CONV_BLOCK_BYTES,
     _GAP_CHUNK,
     Activation,
     CnnModel,
@@ -230,7 +231,7 @@ class TestEstimateSupGap:
         masks = [np.ones_like(w) for w in m.weights]
         masks[1] = np.zeros_like(masks[1])
         mask = tuple(masks)
-        pts = sample_unit_sphere(4, 64, SEED.sub(2))
+        pts = sample_unit_sphere(4, 64, SEED.sub(2).generator())
         want = float(np.linalg.norm(forward_fcn(m, pts), axis=1).max())
         got = estimate_sup_gap(m, mask, "sphere", 64, SEED.sub(2))
         assert got == pytest.approx(want, rel=1e-12)
@@ -245,7 +246,7 @@ class TestEstimateSupGap:
         mask = tuple(masks)
         delta = (masks[1] - 1.0) * weights[1]
         comp = weights[2] @ delta @ weights[0]
-        pts = sample_unit_sphere(d, 100, SEED.sub(3))
+        pts = sample_unit_sphere(d, 100, SEED.sub(3).generator())
         want = float(np.linalg.norm(pts @ comp.T, axis=1).max())
         got = estimate_sup_gap(m, mask, "sphere", 100, SEED.sub(3))
         assert got == pytest.approx(want, rel=1e-10)
@@ -300,23 +301,46 @@ class TestEstimateSupGap:
             estimate_sup_gap(m, all_ones_masks(m), "disk", 8, SEED)
 
 
-def test_cnn_sup_gap_peak_memory():
-    """The widest CNN of the cnn-sweep benchmark workload (d = 64, p = 8,
-    depth 3, 1000 cube points): with every FFT pass and activation
-    allocating a fresh array the estimator peaked at 47 MB traced; in
-    place it peaks near 37 MB."""
-    rng = np.random.default_rng(64)
-    d, p, q = 64, 8, 3
-    tensors = (rng.standard_normal((d, 3, q, q)), rng.standard_normal((d, d, q, q)))
+def cnn_case(d: int, depth: int, seed: int):
+    """A cnn-sweep-shaped model at p = 8 (3 input channels, 3 x 3 kernels,
+    10 outputs) with every internal conv layer filter-pruned."""
+    rng = np.random.default_rng(seed)
+    p, q = 8, 3
+    chans = [3] + [d] * (depth - 1)
+    tensors = tuple(rng.standard_normal((chans[k + 1], chans[k], q, q)) for k in range(depth - 1))
     model = CnnModel(tensors, rng.standard_normal((10, d * p * p)), RELU, p)
-    mask = build_mask(model, "filter-random", (filter_prune_count(0.6, d),), SEED.sub(8))
+    mask = build_mask(model, "filter-random", (filter_prune_count(0.6, d),) * (depth - 2), SEED.sub(8))
+    return model, mask
+
+
+def traced_gap_peak(model, mask, n: int) -> int:
     tracemalloc.start()
     try:
-        estimate_sup_gap(model, mask, "cube", 1000, SEED.sub(9))
-        peak = tracemalloc.get_traced_memory()[1]
+        estimate_sup_gap(model, mask, "cube", n, SEED.sub(9))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+
+
+def test_cnn_sup_gap_peak_memory():
+    """The widest CNN of the cnn-sweep benchmark workload (d = 64, p = 8,
+    depth 3, 1000 cube points).  With every FFT pass and activation
+    allocating a fresh array the estimator peaked at 47 MB traced, in
+    place at 36.9 MB; with the conv layers run in blocks of points into
+    reused result arrays and the points drawn per chunk, it peaks at
+    29.9 MB."""
+    model, mask = cnn_case(64, 3, seed=64)
+    assert traced_gap_peak(model, mask, 1000) < 32e6
+
+
+def test_sup_gap_peak_does_not_grow_with_samples():
+    """Eight times the points leave the estimate's traced peak where it
+    was, at 8.1 MB for this d = 16 CNN; when all the points were drawn
+    up front it rose from 9.8 to 20.5 MB."""
+    model, mask = cnn_case(16, 3, seed=16)
+    small = traced_gap_peak(model, mask, 1000)
+    large = traced_gap_peak(model, mask, 8000)
+    assert large - small <= 2**20, (small, large)
 
 
 def pre_change_forward(model, xs, mask):
@@ -336,7 +360,7 @@ def pre_change_forward(model, xs, mask):
 def pre_change_sup_gap(model, mask, domain, n, seed, chunk_size=256):
     """Bitwise oracle for estimate_sup_gap: the loop it replaced, with two
     independent full forward passes per chunk."""
-    pts = (sample_unit_sphere if domain == "sphere" else sample_unit_cube)(model.input_dim, n, seed)
+    pts = (sample_unit_sphere if domain == "sphere" else sample_unit_cube)(model.input_dim, n, seed.generator())
     best = 0.0
     for lo in range(0, n, chunk_size):
         xs = pts[lo : lo + chunk_size]
@@ -399,6 +423,21 @@ class TestSupGapOracle:
         fwd = forward_fcn if kind == "fcn" else forward_cnn
         np.testing.assert_array_equal(fwd(model, xs, mask), pre_change_forward(model, xs, mask))
         np.testing.assert_array_equal(fwd(model, xs), pre_change_forward(model, xs, None))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 232, 256, 325])
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_conv_blocks_bitwise_equal_to_pre_change_loop(self, depth, n):
+        # at d = 64, p = 8 a chunk's einsum output (256 x 64 x 8 x 5 complex)
+        # is past the block size, so the conv runner splits each chunk into
+        # 64-point blocks, the last one partial when n is not a multiple of
+        # 64; at 65 and 129 a lone last point joins the block before it
+        assert 256 * 64 * 8 * 5 * 16 > _CONV_BLOCK_BYTES
+        model, mask = cnn_case(64, depth, seed=depth)
+        seed = SEED.sub(depth, n)
+        assert estimate_sup_gap(model, mask, "cube", n, seed) == pre_change_sup_gap(model, mask, "cube", n, seed)
+        xs = np.random.default_rng(n).random((n, model.input_dim))
+        np.testing.assert_array_equal(forward_cnn(model, xs, mask), pre_change_forward(model, xs, mask))
+        np.testing.assert_array_equal(forward_cnn(model, xs), pre_change_forward(model, xs, None))
 
     def test_rejects_mask_of_other_kind(self):
         fcn, fcn_mask = oracle_case("fcn", 3, "ones", seed=0)

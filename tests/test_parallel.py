@@ -295,6 +295,16 @@ def test_trial_scratch_dies_before_the_gap_estimate(kind):
     assert peak <= bound, peak / 2**20
 
 
+def test_cnn_trial_peak_with_blocked_conv_layers():
+    """The d = 64 cnn-sweep trial of GAP_PEAK_CASES again, bounded below the
+    37.0 MiB it peaked at while the estimate drew all its points up front,
+    ran each conv layer on whole chunks and kept a chunk's shared spectrum
+    into the next chunk; it now peaks at 30.4 MiB."""
+    cfg, _ = GAP_PEAK_CASES["cnn-sweep"]
+    peak = _traced_peak("cnn-sweep", cfg, 1)
+    assert peak <= 32 * 2**20, peak / 2**20
+
+
 class TestEstimatorsAcrossWorkers:
     def test_lemma3_identical_at_one_and_two_workers(self):
         seed = SeedSpec(2024)

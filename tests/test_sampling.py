@@ -126,39 +126,73 @@ class TestDrawMatrix:
 
 class TestSphere:
     def test_dim_one_gives_signs(self):
-        pts = sample_unit_sphere(1, 64, SEED)
+        pts = sample_unit_sphere(1, 64, SEED.generator())
         assert set(np.unique(pts)) <= {-1.0, 1.0}
 
     def test_unit_norms(self):
-        pts = sample_unit_sphere(7, 500, SEED)
+        pts = sample_unit_sphere(7, 500, SEED.generator())
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
     def test_coordinate_symmetry(self):
-        pts = sample_unit_sphere(3, 100_000, SEED)
+        pts = sample_unit_sphere(3, 100_000, SEED.generator())
         assert np.all(np.abs(pts.mean(axis=0)) < 0.02)
 
     def test_prefix_property(self):
-        full = sample_unit_sphere(5, 100, SEED.child(3))
-        head = sample_unit_sphere(5, 40, SEED.child(3))
+        full = sample_unit_sphere(5, 100, SEED.child(3).generator())
+        head = sample_unit_sphere(5, 40, SEED.child(3).generator())
         assert np.array_equal(full[:40], head)
+
+
+def _split(total: int):
+    """Chunk sizes that add up to total: whole 256-row chunks and a partial
+    one, then ragged sizes."""
+    yield [256] * (total // 256) + ([total % 256] if total % 256 else [])
+    yield [1, 63, 64, 65, total - 193]
+
+
+SAMPLERS = [sample_unit_sphere, sample_unit_cube]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 192, 257])
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=["sphere", "cube"])
+def test_chunked_draws_equal_one_shot_draw(sampler, dim):
+    # the sup-gap estimate draws its points chunk by chunk from one
+    # generator; its reports hold only if that gives the one-shot rows
+    want = sampler(dim, 700, SEED.child(5).generator())
+    for sizes in _split(700):
+        rng = SEED.child(5).generator()
+        got = np.concatenate([sampler(dim, k, rng) for k in sizes])
+        assert got.tobytes() == want.tobytes()
+
+
+class _ZeroNormals:
+    """A generator stand-in whose normal draws are all zero."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_sphere_rejects_a_zero_draw():
+    with pytest.raises(RuntimeError, match="degenerate zero draw"):
+        sample_unit_sphere(4, 3, _ZeroNormals())
 
 
 class TestCube:
     def test_support(self):
-        pts = sample_unit_cube(4, 1000, SEED)
+        pts = sample_unit_cube(4, 1000, SEED.generator())
         assert np.all((pts >= 0.0) & (pts <= 1.0))
 
     def test_coordinate_mean(self):
-        pts = sample_unit_cube(2, 100_000, SEED)
+        pts = sample_unit_cube(2, 100_000, SEED.generator())
         assert np.all(np.abs(pts.mean(axis=0) - 0.5) < 0.01)
 
     def test_determinism_and_prefix(self):
-        a = sample_unit_cube(3, 64, SEED.child(1))
-        b = sample_unit_cube(3, 64, SEED.child(1))
+        a = sample_unit_cube(3, 64, SEED.child(1).generator())
+        b = sample_unit_cube(3, 64, SEED.child(1).generator())
         assert np.array_equal(a, b)
-        head = sample_unit_cube(3, 16, SEED.child(1))
+        head = sample_unit_cube(3, 16, SEED.child(1).generator())
         assert np.array_equal(a[:16], head)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            sample_unit_cube(0, 5, SEED)
+            sample_unit_cube(0, 5, SEED.generator())
