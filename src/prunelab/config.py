@@ -128,9 +128,13 @@ _ORDER_STAT_DEFAULT_CASES = [
 ]
 
 _SEED = (DEFAULT_SEED, _int(0, 2**64, "an integer in [0, 2^64)"))
-# numpy's index range: the gap estimate draws its samples chunk by chunk, so
-# no array bounds them, and a sweep's depth sizes its list of layers
-_INDEX = 2**63
+
+
+def _count(lo: int) -> _Check:
+    # numpy's index range bounds the counts no array grows with: samples,
+    # trials and instances run chunk by chunk, a depth sizes a list of layers
+    return _int(lo, 2**63, f"an integer >= {lo} and < 2^63")
+
 
 # kind -> field -> (default, check)
 _SCHEMA: dict[str, dict[str, tuple]] = {
@@ -159,7 +163,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "order-stats": {
         "cases": (_ORDER_STAT_DEFAULT_CASES, _list("[n, r, p] cases with integers 1 <= r <= n and p >= 1", _order_case)),
-        "trials": (100_000, _int(2)),  # one trial gives no standard error
+        "trials": (100_000, _count(2)),  # one trial gives no standard error
         "half_width": (1.0, _num(0)),
         "seed": _SEED,
     },
@@ -169,11 +173,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
             [[4, 8], [32, 111], [64, 267]],
             _list("[bins, balls] pairs of integers >= 1 with bins < 2^31", _row(_int(1, 2**31), _int(1))),
         ),
-        "trials": (10_000, _int(1)),
+        "trials": (10_000, _count(1)),
         "seed": _SEED,
     },
     "circulant-equiv": {
-        "instances": (50, _int(1)),
+        "instances": (50, _count(1)),
         "max_channels": (3, _int(1)),
         "max_spatial": (8, _int(2)),
         "seed": _SEED,
@@ -181,7 +185,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "norm_rel_tol": (1e-8, _num()),
     },
     "fcn-sweep": {
-        "depth": (4, _int(3, _INDEX, "an integer >= 3 and < 2^63")),
+        "depth": (4, _count(3)),
         "widths": ([64, 128, 256], _list("integers >= 1", _int(1))),
         "d_in": (16, _int(1)),
         "d_out": (16, _int(1)),
@@ -192,12 +196,12 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         ),
         "activation": ("relu", _choice("relu", "tanh", "identity")),
         "xavier_k": (1.0, _num(0)),
-        "trials": (50, _int(1)),
-        "samples": (1000, _int(1, _INDEX, "an integer >= 1 and < 2^63")),
+        "trials": (50, _count(1)),
+        "samples": (1000, _count(1)),
         "seed": _SEED,
     },
     "cnn-sweep": {
-        "depth": (3, _int(3, _INDEX, "an integer >= 3 and < 2^63")),
+        "depth": (3, _count(3)),
         # thm3_alpha_constraint is defined for d >= 3
         "channels": ([16, 32, 64], _list("integers >= 3", _int(3))),
         "d_in": (3, _int(1)),
@@ -207,8 +211,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "alpha": (0.6, _num()),
         "moment_c1": (1.0, _num(0)),
         "weight_kind": ("gaussian", _choice("gaussian", "uniform")),
-        "trials": (30, _int(1)),
-        "samples": (1000, _int(1, _INDEX, "an integer >= 1 and < 2^63")),
+        "trials": (30, _count(1)),
+        "samples": (1000, _count(1)),
         "beta1": (0.1, _num()),
         "beta2": (0.05, _num()),
         "explicit_norm_limit": (1500, _int(0)),
@@ -232,7 +236,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "oracle-suite": {
         "seed": _SEED,
-        "trials": (20_000, _int(2)),  # handed to its order-stats sub-run
+        "trials": (20_000, _count(2)),  # handed to its order-stats sub-run
     },
 }
 

@@ -338,11 +338,10 @@ def run_circulant_equiv(s: SimpleNamespace, workers: int):
 
 
 def _bins_event(mask_matrix: np.ndarray, count: int) -> bool:
+    # the rows, then the columns, are the bins of the balls-into-bins lemma
     zeros = mask_matrix == 0.0
-    m, n = mask_matrix.shape
-    row_ok = zeros.sum(axis=1).max() <= 3.0 * count / m
-    col_ok = zeros.sum(axis=0).max() <= 3.0 * count / n
-    return bool(row_ok and col_ok)
+    return all(zeros.sum(axis=1 - a).max() <= theory.balls_in_bins_lemma(bins, count)[0]
+               for a, bins in enumerate(zeros.shape))
 
 
 def _gap_sweep(s, widths, workers: int, one_trial, summarize):

@@ -3,8 +3,8 @@
 `top_singular_values` is the package's one top-singular-value kernel: no
 other module calls `np.linalg.svd`.  `spectral_norm` is the power-iteration
 cross-check that circulant-equiv and oracle-suite compare against it.  It
-rejects non-finite entries and raises ConvergenceError when it hits its
-iteration cap.
+rejects non-finite entries and raises ConvergenceError when neither it
+nor a Rayleigh-Ritz step at its iteration cap converges.
 """
 
 from __future__ import annotations
@@ -116,6 +116,23 @@ def _start_vectors(n: int):
         yield e
 
 
+def _ritz_top(a: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float) -> float | None:
+    """Top Gram eigenvalue of the plane of v and its residual (w = A^T A v),
+    or None if that Ritz pair's residual is not below tol times the value.
+    When the top two singular values nearly coincide (`[[1, 1e-5], [1e-5,
+    1]]`), v settles in their plane but turns in it too slowly to converge."""
+    lam = v @ w
+    q = w - lam * v
+    q -= (q @ v) * v
+    q /= _norm(q)
+    gq = a.T @ (a @ q)
+    # angle of the top eigenvector of the plane's 2 x 2 projection
+    phi = 0.5 * math.atan2(2.0 * (q @ w), lam - q @ gq)
+    y, gy = math.cos(phi) * v + math.sin(phi) * q, math.cos(phi) * w + math.sin(phi) * gq
+    mu = y @ gy
+    return mu if _norm(gy - mu * y) <= tol * mu else None
+
+
 def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000) -> float:
     """Largest singular value by power iteration on the Gram operator.
 
@@ -125,7 +142,9 @@ def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000) -> float:
     below tol * lam, which pins the eigenvalue estimate to relative
     accuracy ~tol whenever the top of the spectrum is resolvable.
 
-    Raises ConvergenceError (carrying the last iterate) if the cap is hit.
+    At the cap, one Rayleigh-Ritz step on the last iterate's plane
+    (`_ritz_top`) resolves a near-degenerate top pair; if its residual does
+    not pass either, raises ConvergenceError carrying the last iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -158,12 +177,12 @@ def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000) -> float:
             v = w / nw
             w = a.T @ (a @ v)
             nw = _norm(w)
+        if (mu := _ritz_top(a, v, w, tol)) is not None:
+            return float(np.sqrt(mu)) * scale
         raise ConvergenceError(
             f"power iteration did not converge in {max_iter} iterations",
             last_estimate=float(np.sqrt(max(lam, 0.0))) * scale,
             last_vector=v,
         )
     # Unreachable for nonzero matrices: some basis vector has A e_i != 0.
-    raise ConvergenceError(
-        "no admissible start vector found", last_estimate=0.0, last_vector=v
-    )
+    raise ConvergenceError("no admissible start vector found", last_estimate=0.0, last_vector=v)

@@ -302,7 +302,7 @@ def _first_input(model, h: np.ndarray) -> np.ndarray:
     batch itself for an FCN, the rfft2 of its feature maps for a CNN."""
     if isinstance(model, FcnModel):
         return h
-    return np.fft.rfft2(unflatten_maps(h, model.channels[0], model.p), axes=(-2, -1))
+    return rfft2_inplace(unflatten_maps(h, model.channels[0], model.p))
 
 
 def _run(steps: list, h: np.ndarray, buffers: dict) -> np.ndarray:

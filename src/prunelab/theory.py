@@ -7,7 +7,8 @@ measured or assumed constants as plain floats, and every calculator
 returns a float (or a dict of named floats).  A probability is returned
 as-is and is vacuous when <= 0.  The `*_alpha_constraint` functions give
 the largest alpha Theorems 2 and 3 admit at width d; callers check
-0 < alpha <= that cap.  The balls-into-bins check returns the balls-bins
+0 < alpha <= that cap.  `balls_in_bins_lemma` states the lemma they rest
+on for every caller.  The balls-into-bins check returns the balls-bins
 report's row, a dict from column name to value.
 
 Natural logarithms throughout.
@@ -26,6 +27,7 @@ __all__ = [
     "order_stat_moment_exact",
     "order_stat_moment",
     "balls_in_bins_exact",
+    "balls_in_bins_lemma",
     "balls_in_bins_check",
     "thm1_width_terms",
     "thm2_alpha_constraint",
@@ -99,44 +101,33 @@ def balls_in_bins_exact(bins: int, balls: int, cap: float) -> Fraction:
     return favorable / Fraction(bins) ** balls
 
 
-# Entries a balls-into-bins tile counts at a time: the tile's rows times
-# max(balls, bins), so neither the loads nor bincount's intp copy of the
-# throws grows with the chunk or the bin count.
+def balls_in_bins_lemma(bins: int, balls: int) -> tuple[float, bool, float]:
+    """The lemma behind Theorems 2 and 3: N >= n log n balls in n bins give
+    P(max load <= 3N/n) >= 1 - n^(-1/3).  Returns the cap 3N/n, whether
+    N >= n log n, and the floor 1 - n^(-1/3), which needs no ball count."""
+    return 3.0 * balls / bins, balls >= bins * math.log(bins), 1.0 - bins ** (-1.0 / 3.0)
+
+
+# Entries a balls-into-bins tile sorts at a time: the tile's rows times the
+# ball count, so no temporary grows with the chunk or the bin count.
 _BALLS_BINS_TILE = 65_536
 
 
-def _count_hits(throws: np.ndarray, bins: int, threshold: float) -> int:
-    """Rows of a (rows, balls) int32 array of bin indices whose max load is
-    at most threshold; overwrites throws."""
+def _count_hits(throws: np.ndarray, cap: float) -> int:
+    """Rows of a (rows, balls) array of bin indices whose max load is at
+    most cap; sorts throws in place.  A sorted row has a load of k or more
+    iff some entry equals the one k - 1 places on."""
     b, balls = throws.shape
+    k = math.floor(cap) + 1
+    if k > balls:
+        return b
+    rows = max(1, _BALLS_BINS_TILE // balls)
     hits = 0
-    if bins > _BALLS_BINS_TILE:
-        # a sorted row has a load of k or more iff some entry equals the one
-        # k - 1 places on; sorting in place keeps every temporary tile-sized
-        # where a bincount would take `bins` counts per row
-        k = math.floor(threshold) + 1
-        if k > balls:
-            return b
-        rows = max(1, _BALLS_BINS_TILE // balls)
-        for lo in range(0, b, rows):
-            t = throws[lo : lo + rows]
-            t.sort(axis=1)
-            over = (t[:, k - 1 :] == t[:, : balls - k + 1]).any(axis=1)
-            hits += len(t) - int(np.count_nonzero(over))
-        return hits
-    rows = max(1, _BALLS_BINS_TILE // max(balls, bins))
-    # row i of a tile counts into bins [i * bins, (i + 1) * bins)
-    offsets = np.arange(0, rows * bins, bins, dtype=np.int32)[:, None]
     for lo in range(0, b, rows):
         t = throws[lo : lo + rows]
-        h = len(t)
-        t += offsets[:h]
-        # a row longer than the tile is counted in tile-sized pieces
-        flat = t.ravel()
-        counts = np.bincount(flat[:_BALLS_BINS_TILE], minlength=h * bins)
-        for c in range(_BALLS_BINS_TILE, flat.size, _BALLS_BINS_TILE):
-            counts += np.bincount(flat[c : c + _BALLS_BINS_TILE], minlength=h * bins)
-        hits += int(np.count_nonzero(counts.reshape(h, bins).max(axis=1) <= threshold))
+        t.sort(axis=1)
+        over = (t[:, k - 1 :] == t[:, : balls - k + 1]).any(axis=1)
+        hits += len(t) - int(np.count_nonzero(over))
     return hits
 
 
@@ -148,7 +139,7 @@ def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> d
     whether the guarantee applies, its floor, and whether it holds.
 
     Trials are drawn in chunks of about 2M throws, one `rng.integers` call
-    each, and counted in tiles of at most `_BALLS_BINS_TILE` entries (one
+    each, and sorted in tiles of at most `_BALLS_BINS_TILE` entries (one
     row at least), so memory grows with neither the trial nor the bin
     count.  The throws are drawn as int32, so bins is at most 2^31: PCG64
     serves any range below 2^32 from buffered 32-bit words for int32 and
@@ -158,20 +149,16 @@ def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> d
     """
     if bins < 1 or balls < 1 or trials < 1:
         raise ValueError("bins, balls, trials must be >= 1")
-    threshold = 3.0 * balls / bins
+    threshold, applies, floor = balls_in_bins_lemma(bins, balls)
     rng = seed.generator()
     hits = 0
     chunk = max(1, min(trials, int(2e6) // max(balls, 1)))
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         b = min(chunk, trials - done)
         # the last chunk's throws are freed before the next are drawn
-        hits += _count_hits(rng.integers(0, bins, size=(b, balls), dtype=np.int32), bins, threshold)
-        done += b
+        hits += _count_hits(rng.integers(0, bins, size=(b, balls), dtype=np.int32), threshold)
     emp = hits / trials
     stderr = math.sqrt(max(emp * (1.0 - emp), 0.0) / trials)
-    applies = balls >= bins * math.log(bins) if bins > 1 else True
-    floor = 1.0 - bins ** (-1.0 / 3.0)
     exact = None
     # bins**balls > 10^6 once bins >= 2 and balls >= 20; testing the ball
     # count first avoids a power with millions of digits at large inputs
@@ -254,10 +241,9 @@ def thm2_probability(
         raise ValueError(f"expected {l} per-layer probabilities, got {len(deltas)}")
     if c2 <= 0:
         raise ValueError("c2 must be positive")
-    mask_part = (1.0 - d ** (-1.0 / 3.0)) ** (2 * (l - 2))
     tail = sum((l - i) * deltas[i - 1] for i in range(1, l))
     bracket = 1.0 - (l - 2) * c2 * d ** (-alpha / 4.0) - tail
-    return mask_part * (1.0 - deltas[l - 1]) * bracket
+    return balls_in_bins_lemma(d, 0)[2] ** (2 * (l - 2)) * (1.0 - deltas[l - 1]) * bracket
 
 
 def thm3_alpha_constraint(d: int) -> float:
@@ -332,5 +318,4 @@ def thm3_probability(
         - ((l * l - l - 2) / 2.0) * c3 * q * q / p ** (1.0 - beta1)
         - c5 / p ** (1.0 - beta1)
     )
-    mask_part = (1.0 - d ** (-1.0 / 3.0)) ** (2 * (l - 2))
-    return mask_part * pbar
+    return balls_in_bins_lemma(d, 0)[2] ** (2 * (l - 2)) * pbar

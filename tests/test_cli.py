@@ -237,11 +237,11 @@ BAD_CONFIGS = [
         {"channels": [4], "trials": 1, "samples": 1, "moment_c1": 1e300},
         "moment_c1: value out of floating-point range",
     ),
-    ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1, got 0"),
+    ("circulant-equiv", {"instances": 0}, "instances must be an integer >= 1 and < 2^63, got 0"),
     # one trial gave stderr 0.0, z 0.0 and a vacuous within_3se; oracle-suite
     # hands its trials to an order-stats sub-run
-    ("order-stats", {"cases": [[4, 1, 1], [64, 32, 2]], "trials": 1}, "trials must be an integer >= 2, got 1"),
-    ("oracle-suite", {"trials": 1}, "trials must be an integer >= 2, got 1"),
+    ("order-stats", {"cases": [[4, 1, 1], [64, 32, 2]], "trials": 1}, "trials must be an integer >= 2 and < 2^63, got 1"),
+    ("oracle-suite", {"trials": 1}, "trials must be an integer >= 2 and < 2^63, got 1"),
     ("bounds", {"thm3": default_config("bounds")["thm3"] | {"extra": 1}}, "thm3.extra is not a known field"),
     (
         "bounds",
@@ -319,6 +319,15 @@ BAD_CONFIGS = [
     ("fcn-sweep", {"samples": BIG}, f"samples must be an integer >= 1 and < 2^63, got {BIG}"),
     ("cnn-sweep", {"samples": 2**63}, "samples must be an integer >= 1 and < 2^63, got 9223372036854775808"),
     ("fcn-sweep", {"depth": BIG}, f"depth must be an integer >= 3 and < 2^63, got {BIG}"),
+    # trial and instance counts, which no array bounds either: the first
+    # three ran until stopped, the others ended in an OverflowError from
+    # the task list of the parallel map
+    ("order-stats", {"trials": BIG}, f"trials must be an integer >= 2 and < 2^63, got {BIG}"),
+    ("balls-bins", {"trials": BIG}, f"trials must be an integer >= 1 and < 2^63, got {BIG}"),
+    ("oracle-suite", {"trials": BIG}, f"trials must be an integer >= 2 and < 2^63, got {BIG}"),
+    ("fcn-sweep", {"trials": BIG}, f"trials must be an integer >= 1 and < 2^63, got {BIG}"),
+    ("cnn-sweep", {"trials": BIG}, f"trials must be an integer >= 1 and < 2^63, got {BIG}"),
+    ("circulant-equiv", {"instances": BIG}, f"instances must be an integer >= 1 and < 2^63, got {BIG}"),
 ] + SCALE_CONFIGS + SIZE_CONFIGS
 
 
@@ -502,6 +511,16 @@ def test_out_of_memory_exits_1_with_one_line(monkeypatch, capsys):
     monkeypatch.setitem(harness._RUNNERS, "order-stats", runner)
     assert main(["order-stats"]) == 1
     assert _one_line_error(capsys) == f"error: out of memory: {message}\n"
+
+
+def test_out_of_memory_without_a_message_exits_1_with_one_line(monkeypatch, capsys):
+    # a list of 2^62 tasks raises a MemoryError with no message
+    def runner(s, workers):
+        raise MemoryError
+
+    monkeypatch.setitem(harness._RUNNERS, "fcn-sweep", runner)
+    assert main(["fcn-sweep"]) == 1
+    assert _one_line_error(capsys) == "error: out of memory\n"
 
 
 def test_unknown_kind_is_rejected_by_the_config_module():

@@ -12,16 +12,26 @@ their SVDs, "fcn-depth-5" and the fcn JSON digest from the code before
 report rows became named records, and the others (and the cnn JSON digest)
 from the code before the two sweeps shared one loop and the config one
 schema.
-Every report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.  A change that
-moves a number updates the digest here and says why.
+Every report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.
+
+Each case's report is stored in golden/<case>.<csv|json>, whose sha256 is
+the digest here: a run must give the stored bytes, and a mismatch names
+the columns that moved and the largest relative drift of each.  A change
+that moves a number rewrites the stored reports with golden/regenerate.py,
+updates the digests here and says why.
 """
 
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
 from prunelab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FCN = {"widths": [8, 16], "trials": 3, "samples": 300}
 
@@ -156,24 +166,149 @@ JSON_CASES = {
 }
 
 
-def _digest(tmp_path, monkeypatch, workers, kind, body, fmt) -> str:
-    config = tmp_path / "config.json"
+def render(workdir: Path, kind: str, body: dict, fmt: str) -> bytes:
+    """The report of one run of the CLI on `body`, at the PRUNELAB_WORKERS
+    of the environment."""
+    config = workdir / "config.json"
     config.write_text(json.dumps(body), encoding="utf-8")
-    out = tmp_path / f"report.{fmt}"
-    monkeypatch.setenv("PRUNELAB_WORKERS", workers)
+    out = workdir / f"report.{fmt}"
     assert main([kind, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return out.read_bytes()
+
+
+# Copied from perfbench/run.py, so that tier-1 does not import the benchmark.
+_CELL = re.compile(r"[^,=\[\]{}:\s\"]+")
+
+
+def max_relative_drift(expected: str, actual: str) -> float | None:
+    """Largest relative difference between corresponding numeric cells of two
+    reports (summary lines included); None when their layout differs."""
+    a, b = _CELL.findall(expected), _CELL.findall(actual)
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            return None
+        scale = max(abs(fx), abs(fy))
+        worst = max(worst, abs(fx - fy) / scale if math.isfinite(scale) and scale > 0 else math.inf)
+    return worst
+
+
+def _leaves(name: str, value, columns: dict) -> None:
+    # a nested entry's leaves, keyed by their path; list positions share a column
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _leaves(f"{name}.{key}", v, columns)
+    elif isinstance(value, list):
+        for v in value:
+            _leaves(name, v, columns)
+    else:
+        columns.setdefault(name, []).append(json.dumps(value))
+
+
+def report_columns(text: str, fmt: str) -> dict:
+    """A rendered report's cells by column, in order: the rows' columns by
+    their header names, the config and summary entries by their paths, such
+    as `config.seed` or `summary.per_width.layers.c2_hat`."""
+    columns = {}
+    if fmt == "json":
+        doc = json.loads(text)
+        for row in doc.pop("rows"):
+            for name, cell in zip(doc["columns"], row):
+                columns.setdefault(name, []).append(json.dumps(cell))
+        for key, value in doc.items():
+            _leaves(key, value, columns)
+        return columns
+    header = None
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            section, _, key = key.rpartition(" ")
+            try:
+                value = json.loads(value)
+            except ValueError:  # the kind line is not JSON
+                pass
+            _leaves(f"{section or 'config'}.{key}", value, columns)
+        elif header is None:
+            header = line.split(",")
+            columns["columns"] = header
+        else:
+            for name, cell in zip(header, line.split(",")):
+                columns.setdefault(name, []).append(cell)
+    return columns
+
+
+def report_diff(expected: str, actual: str, fmt: str) -> str:
+    """One line per column that differs between two rendered reports, with
+    the largest relative drift of its numeric cells."""
+    old, new = report_columns(expected, fmt), report_columns(actual, fmt)
+    lines = [f"{name}: only in the stored report" for name in old if name not in new]
+    lines += [f"{name}: only in the new report" for name in new if name not in old]
+    for name in old.keys() & new.keys():
+        a, b = old[name], new[name]
+        if a == b:
+            continue
+        drift = max_relative_drift("\n".join(a), "\n".join(b)) if len(a) == len(b) else None
+        changed = sum(x != y for x, y in zip(a, b)) if len(a) == len(b) else f"{len(a)} -> {len(b)}"
+        what = "non-numeric or reshaped" if drift is None else f"largest relative drift {drift:.3g}"
+        lines.append(f"{name}: {changed} cells differ, {what}")
+    return "\n".join(sorted(lines)) or "same cells, other bytes"
+
+
+def _check(case: str, fmt: str, digest: str, report: bytes) -> None:
+    path = GOLDEN / f"{case}.{fmt}"
+    stored = path.read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == digest, f"{path.name} is not the report of digest {digest}"
+    if report != stored:
+        pytest.fail(f"report differs from {path.name}:\n{report_diff(stored.decode(), report.decode(), fmt)}")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_digest(tmp_path, monkeypatch, case, workers):
     kind, body, digest = CASES[case]
-    assert _digest(tmp_path, monkeypatch, workers, kind, body, "csv") == digest
+    monkeypatch.setenv("PRUNELAB_WORKERS", workers)
+    _check(case, "csv", digest, render(tmp_path, kind, body, "csv"))
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(JSON_CASES))
 def test_json_report_digest(tmp_path, monkeypatch, case, workers):
     kind, body, digest = JSON_CASES[case]
-    assert _digest(tmp_path, monkeypatch, workers, kind, body, "json") == digest
+    monkeypatch.setenv("PRUNELAB_WORKERS", workers)
+    _check(case, "json", digest, render(tmp_path, kind, body, "json"))
+
+
+def _alter_cell(text: str, column: str) -> str:
+    # scale the first data row's cell of `column` by 1 + 1e-9
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    at = lines[first].rstrip("\n").split(",").index(column)
+    cells = lines[first + 1].rstrip("\n").split(",")
+    cells[at] = repr(float(cells[at]) * (1 + 1e-9))
+    lines[first + 1] = ",".join(cells) + "\n"
+    return "".join(lines)
+
+
+def test_mismatch_names_the_changed_column():
+    stored = (GOLDEN / "fcn-magnitude-layerwise.csv").read_text(encoding="utf-8")
+    message = report_diff(stored, _alter_cell(stored, "norm_diff_l3"), "csv")
+    assert re.fullmatch(r"norm_diff_l3: 1 cells differ, largest relative drift 1e-09", message), message
+
+
+def test_mismatch_names_a_changed_summary_entry():
+    stored = json.loads((GOLDEN / "cnn.json").read_text(encoding="utf-8"))
+    stored["summary"]["per_width"][1]["gap_q75"] *= 2
+    altered = json.dumps(stored, sort_keys=True, indent=1) + "\n"
+    message = report_diff((GOLDEN / "cnn.json").read_text(encoding="utf-8"), altered, "json")
+    assert message == "summary.per_width.gap_q75: 1 cells differ, largest relative drift 0.5", message
+
+
+def test_every_stored_report_belongs_to_a_case():
+    stored = {path.name for path in GOLDEN.iterdir() if path.suffix in (".csv", ".json")}
+    assert stored == {f"{c}.csv" for c in CASES} | {f"{c}.json" for c in JSON_CASES}
