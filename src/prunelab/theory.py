@@ -108,27 +108,9 @@ def balls_in_bins_lemma(bins: int, balls: int) -> tuple[float, bool, float]:
     return 3.0 * balls / bins, balls >= bins * math.log(bins), 1.0 - bins ** (-1.0 / 3.0)
 
 
-# Entries a balls-into-bins tile sorts at a time: the tile's rows times the
-# ball count, so no temporary grows with the chunk or the bin count.
+# Entries a balls-into-bins tile draws and sorts at a time: the tile's rows
+# times the ball count, so no array grows with the trial or the bin count.
 _BALLS_BINS_TILE = 65_536
-
-
-def _count_hits(throws: np.ndarray, cap: float) -> int:
-    """Rows of a (rows, balls) array of bin indices whose max load is at
-    most cap; sorts throws in place.  A sorted row has a load of k or more
-    iff some entry equals the one k - 1 places on."""
-    b, balls = throws.shape
-    k = math.floor(cap) + 1
-    if k > balls:
-        return b
-    rows = max(1, _BALLS_BINS_TILE // balls)
-    hits = 0
-    for lo in range(0, b, rows):
-        t = throws[lo : lo + rows]
-        t.sort(axis=1)
-        over = (t[:, k - 1 :] == t[:, : balls - k + 1]).any(axis=1)
-        hits += len(t) - int(np.count_nonzero(over))
-    return hits
 
 
 def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> dict:
@@ -138,26 +120,29 @@ def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> d
     standard error, the exact probability (None unless bins**balls <= 10^6),
     whether the guarantee applies, its floor, and whether it holds.
 
-    Trials are drawn in chunks of about 2M throws, one `rng.integers` call
-    each, and sorted in tiles of at most `_BALLS_BINS_TILE` entries (one
-    row at least), so memory grows with neither the trial nor the bin
-    count.  The throws are drawn as int32, so bins is at most 2^31: PCG64
-    serves any range below 2^32 from buffered 32-bit words for int32 and
-    int64 alike, so the values and the generator state after the call are
-    those of an int64 draw.  A call's leftover odd word is dropped, so the stream
-    depends on the call sizes, and the chunks must not be split.
+    Trials are drawn and counted in tiles of at most `_BALLS_BINS_TILE`
+    throws (one row at least), one `rng.integers` call each, so memory grows
+    with neither the trial nor the bin count.  The throws are drawn as
+    int32, so bins is at most 2^31: PCG64 serves any range below 2^32 from
+    32-bit words for int32 and int64 alike, and keeps a call's leftover odd
+    word for the next call, so the values and the generator state do not
+    depend on the call sizes and equal those of one int64 draw.  A row
+    sorted in place has a load of k or more iff some entry equals the one
+    k - 1 places on.
     """
     if bins < 1 or balls < 1 or trials < 1:
         raise ValueError("bins, balls, trials must be >= 1")
     threshold, applies, floor = balls_in_bins_lemma(bins, balls)
     rng = seed.generator()
-    hits = 0
-    chunk = max(1, min(trials, int(2e6) // max(balls, 1)))
-    for done in range(0, trials, chunk):
-        b = min(chunk, trials - done)
-        # the last chunk's throws are freed before the next are drawn
-        hits += _count_hits(rng.integers(0, bins, size=(b, balls), dtype=np.int32), threshold)
-    emp = hits / trials
+    k = math.floor(threshold) + 1
+    rows = max(1, _BALLS_BINS_TILE // balls)
+    misses = 0
+    for done in range(0, trials, rows):
+        t = rng.integers(0, bins, size=(min(rows, trials - done), balls), dtype=np.int32)
+        if k <= balls:  # else no row can hold k balls in one bin
+            t.sort(axis=1)
+            misses += int(np.count_nonzero((t[:, k - 1 :] == t[:, : balls - k + 1]).any(axis=1)))
+    emp = (trials - misses) / trials
     stderr = math.sqrt(max(emp * (1.0 - emp), 0.0) / trials)
     exact = None
     # bins**balls > 10^6 once bins >= 2 and balls >= 20; testing the ball

@@ -129,15 +129,18 @@ CASES = {
         {"cases": [[4, 8], [8, 30]], "trials": 2000},
         "063993b07c5a80175e9df29697e995956b1991bcc9e348b53b66ac5c47ead22f",
     ),
-    # 2500 trials of 1000 balls are two draw chunks (2000 rows + 500) and
-    # 65-row tiles, the last of each chunk partial
+    # 2500 trials of 1000 balls: 65-row tiles, the last of 30 rows, drawn
+    # one call each; the digest was taken from a loop that drew two chunks
+    # (2000 rows + 500), and a tile straddles that edge
     "balls-bins-chunks": (
         "balls-bins",
         {"cases": [[16, 1000], [3, 7]], "trials": 2500},
         "11d06090cffcdc04175b17f26b886a042b60b63734ad5086c4b6a076efcf3203",
     ),
-    # the same with frequencies away from 0 and 1: 7490 + 3 rows at 267
-    # balls, and at 2003 balls eight chunks of 998 rows and 32-row tiles
+    # the same with frequencies away from 0 and 1: 245-row tiles at 267
+    # balls and 32-row tiles at 2003, the last of 143 and 5 rows; the old
+    # loop's chunk edges (7490 + 3 rows, and seven chunks of 998 rows and
+    # one of 507) fall inside tiles
     "balls-bins-chunks-hits": (
         "balls-bins",
         {"cases": [[64, 267], [1000, 2003]], "trials": 7493},
@@ -243,6 +246,66 @@ def report_columns(text: str, fmt: str) -> dict:
     return columns
 
 
+def _drop(value, path: list) -> None:
+    # drop the entry at `path` from a decoded JSON value; list positions
+    # share a path, as in report_columns
+    if isinstance(value, list):
+        for v in value:
+            _drop(v, path)
+    elif isinstance(value, dict) and path[0] in value:
+        if len(path) == 1:
+            del value[path[0]]
+        else:
+            _drop(value[path[0]], path[1:])
+
+
+def strip_report(text: str, fmt: str, names) -> str:
+    """A rendered report without the named entries, as the renderer would
+    write it: row columns by their header names, config and summary entries
+    by their report_columns paths, such as `config.explicit_norm_limit` or
+    `summary.per_width.layers.c3_hat`.  A change that deletes entries keeps
+    every other byte when the stored report, stripped of them, is its new
+    report.  Raises KeyError on a name the report does not have."""
+    names = set(names)
+    paths = report_columns(text, fmt).keys()
+    missing = {n for n in names if not any(p == n or p.startswith(n + ".") for p in paths)}
+    if missing:
+        raise KeyError(sorted(missing))
+    if fmt == "json":
+        doc = json.loads(text)
+        keep = [i for i, name in enumerate(doc["columns"]) if name not in names]
+        doc["columns"] = [doc["columns"][i] for i in keep]
+        doc["rows"] = [[row[i] for i in keep] for row in doc["rows"]]
+        for name in names:
+            _drop(doc, name.split("."))
+        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    lines, header, keep = [], None, None
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            section, _, key = key.rpartition(" ")
+            path = f"{section or 'config'}.{key}"
+            if path in names:
+                continue
+            inner = [n[len(path) + 1 :].split(".") for n in names if n.startswith(path + ".")]
+            if inner:
+                value = json.loads(value)
+                for rest in inner:
+                    _drop(value, rest)
+                line = f"{line.partition('=')[0]}={json.dumps(value, sort_keys=True)}"
+        elif header is None:
+            header = line.split(",")
+            keep = [i for i, name in enumerate(header) if name not in names]
+            line = ",".join(header[i] for i in keep)
+        elif len(keep) < len(header):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"row of {len(cells)} cells under {len(header)} columns: {line}")
+            line = ",".join(cells[i] for i in keep)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def report_diff(expected: str, actual: str, fmt: str) -> str:
     """One line per column that differs between two rendered reports, with
     the largest relative drift of its numeric cells."""
@@ -307,6 +370,38 @@ def test_mismatch_names_a_changed_summary_entry():
     altered = json.dumps(stored, sort_keys=True, indent=1) + "\n"
     message = report_diff((GOLDEN / "cnn.json").read_text(encoding="utf-8"), altered, "json")
     assert message == "summary.per_width.gap_q75: 1 cells differ, largest relative drift 0.5", message
+
+
+def test_strip_drops_only_the_named_columns():
+    stored = (GOLDEN / "cnn.csv").read_text(encoding="utf-8")
+    names = {"norm_w_explicit_l2", "norm_w_explicit_l3"}
+    before = report_columns(stored, "csv")
+    after = report_columns(strip_report(stored, "csv", names), "csv")
+    assert after.pop("columns") == [name for name in before.pop("columns") if name not in names]
+    assert after == {name: cells for name, cells in before.items() if name not in names}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_strip_drops_only_the_named_config_and_summary_entries(fmt):
+    stored = (GOLDEN / f"cnn.{fmt}").read_text(encoding="utf-8")
+    names = {"config.explicit_norm_limit", "summary.per_width.layers", "summary.per_width.gap_q75"}
+    before = report_columns(stored, fmt)
+    after = report_columns(strip_report(stored, fmt, names), fmt)
+    dropped = {p for p in before if any(p == n or p.startswith(n + ".") for n in names)}
+    assert dropped >= {"config.explicit_norm_limit", "summary.per_width.layers.c3_hat"}
+    assert after == {name: cells for name, cells in before.items() if name not in dropped}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.iterdir() if path.suffix in (".csv", ".json")))
+def test_strip_nothing_gives_the_stored_bytes(name):
+    stored = (GOLDEN / name).read_text(encoding="utf-8")
+    assert strip_report(stored, name.rpartition(".")[2], ()) == stored
+
+
+def test_strip_rejects_a_name_the_report_lacks():
+    stored = (GOLDEN / "cnn.csv").read_text(encoding="utf-8")
+    with pytest.raises(KeyError, match="norm_w_explicit_l9"):
+        strip_report(stored, "csv", ["norm_w_explicit_l2", "norm_w_explicit_l9"])
 
 
 def test_every_stored_report_belongs_to_a_case():
