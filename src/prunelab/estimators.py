@@ -49,13 +49,6 @@ def delta0_from_quantile(n: int, q: float) -> float:
     return -math.log((1.0 - q) / 2.0) / (4.0 * n)
 
 
-def _quantile_order_stat(sorted_values: np.ndarray, q: float) -> float:
-    # order statistic at 1-based index ceil(q * N)
-    n = sorted_values.size
-    idx = max(1, math.ceil(q * n))
-    return float(sorted_values[idx - 1])
-
-
 def estimate_lemma3(
     n1: int,
     n2: int,
@@ -67,8 +60,8 @@ def estimate_lemma3(
 ) -> list[dict]:
     """Sample `trials` matrices with entries U[-K/sqrt(n), K/sqrt(n)],
     n = max(n1, n2), and return one row per quantile q: n1, n2, K, the mean
-    and std of the spectral norm, q, c0, the empirical q-quantile of the
-    norm, and delta0 = -ln((1-q)/2) / (4 n).
+    and std of the spectral norm, q, c0, the norms' order statistic at
+    1-based index ceil(q * trials), and delta0 = -ln((1-q)/2) / (4 n).
 
     Trial t draws from stream t of the seed, so any single trial can be
     reproduced in isolation and results do not depend on the worker count.
@@ -82,10 +75,10 @@ def estimate_lemma3(
         return top_singular_values(draws, n1, n2)
 
     norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
-    srt = np.sort(norms)
     mean, std = float(norms.mean()), float(norms.std(ddof=1))
-    return [{"n1": n1, "n2": n2, "K": k_scale, "mean": mean, "std": std, "q": q, "c0": _quantile_order_stat(srt, q),
-             "delta0": delta0_from_quantile(max(n1, n2), q)} for q in quantiles]
+    c0 = np.quantile(norms, quantiles, method="inverted_cdf")
+    return [{"n1": n1, "n2": n2, "K": k_scale, "mean": mean, "std": std, "q": q, "c0": float(c),
+             "delta0": delta0_from_quantile(max(n1, n2), q)} for q, c in zip(quantiles, c0)]
 
 
 def latala_terms(sq_mean: np.ndarray, quad_mean: np.ndarray) -> tuple[float, float, float]:

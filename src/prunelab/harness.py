@@ -95,40 +95,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+# A numpy float is a float, which json writes with float.__repr__; the other
+# numpy scalars (bool_, integers) go in as their Python values.
+_dumps = partial(json.dumps, sort_keys=True, default=np.generic.item)
 
 
 def render_report(report: Report, fmt: str = "csv") -> str:
     if fmt == "json":
         doc = {
             "kind": report.kind,
-            "config": _jsonable(report.config),
+            "config": report.config,
             "columns": report.columns,
-            "rows": _jsonable([list(r.values()) for r in report.rows]),
-            "summary": _jsonable(report.summary),
+            "rows": [list(r.values()) for r in report.rows],
+            "summary": report.summary,
         }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return _dumps(doc, indent=1) + "\n"
     if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
     lines = [f"# kind={report.kind}"]
     for key in sorted(report.config):
-        lines.append(f"# {key}={json.dumps(_jsonable(report.config[key]), sort_keys=True)}")
+        lines.append(f"# {key}={_dumps(report.config[key])}")
     lines.append(",".join(report.columns))
     for row in report.rows:
         lines.append(",".join(_fmt(v) for v in row.values()))
     for key in sorted(report.summary):
-        lines.append(f"# summary {key}={json.dumps(_jsonable(report.summary[key]), sort_keys=True)}")
+        lines.append(f"# summary {key}={_dumps(report.summary[key])}")
     return "\n".join(lines) + "\n"
 
 

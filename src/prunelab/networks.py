@@ -225,12 +225,12 @@ def _run_convs(convs: list, xhat: np.ndarray, buffers: dict) -> np.ndarray:
     The result is the first rows of an array in `buffers`, keyed by the
     last step's channel count and whether it is the model's last conv
     layer, allocated on first use and reused by later calls with the same
-    dict.  The sup-gap estimate passes one dict for all its chunks, so
-    results are not allocated and freed chunk by chunk: that let glibc trim
-    the heap and fault it back in every chunk, 20k minor faults per
-    1000-point d = 32 estimate against 2.5k with whole-chunk passes, and
-    the estimate ran 1.3x slower.  A batch of one block whose key has no
-    array yet returns that block's output instead.
+    dict, also for a batch of one block.  The sup-gap estimate passes one
+    dict for all its chunks, so no result is allocated and freed chunk by
+    chunk, which let glibc trim the heap and fault it back in every chunk:
+    per-call results took a 1000-point d = 32 estimate 20k minor faults
+    against 2.5k and 1.3x the time, and one-block batches that returned
+    their own output took a d = 16 one of as many points 8.1k against 2.5k.
 
     After the last conv layer the result is the dense layer's operand: the
     flattened output maps in C order, one row per point, as the dense
@@ -248,13 +248,6 @@ def _run_convs(convs: list, xhat: np.ndarray, buffers: dict) -> np.ndarray:
     # the einsum's matmul a matrix-vector product, which rounds differently
     stops = [*range(block, n - 1, block), n]
     last = convs[-1].last
-    if len(stops) == 1 and (d, last) not in buffers:
-        # no copy but the flattening, as a whole-batch pass: copying the
-        # block into a buffer, even one reused across chunks, let glibc trim
-        # and re-fault the heap every chunk, and a 4-channel CNN's
-        # 30,000-point estimate took 36 times the page faults, 1.25x the time
-        y = _conv_block(convs, xhat)
-        return y.reshape(n, -1) if last else y
     out = buffers.get((d, last))
     if out is None or len(out) < n:
         if last:

@@ -1,16 +1,17 @@
 """Deterministic trial-level parallelism and the BLAS threading policy.
 
-Work is split into fixed-size blocks that do not depend on the worker
-count, and block results are folded in block order, so reports are
-byte-identical for any number of workers.  The worker count comes from the
-PRUNELAB_WORKERS environment variable and affects wall time only.
+Each kind maps tasks that do not depend on the worker count (a sweep's
+trial, a Monte Carlo check's case or instance, and for table2 and table3
+a block of `BLOCK_SIZE` trials) and folds their results in task order, so
+reports are byte-identical for any number of workers.  The worker count
+comes from the PRUNELAB_WORKERS environment variable and affects wall time only.
 
-Callers fold results as they arrive: `ordered_imap` yields each block's
-result in block order as soon as it is ready, and the Monte Carlo loops
-add it to their running sums and drop it, so memory does not grow with the
+Callers fold results as they arrive: `ordered_imap` yields each task's
+result in task order as soon as it is ready, and the sweeps and table3 add
+it to their running sums and drop it, so memory does not grow with the
 trial count.  The sums take the same additions in the same order as a fold
 over the finished list would, so the bits do not depend on when a result
-arrives.  At most `2 * workers` blocks run or wait ahead of the consumer,
+arrives.  At most `2 * workers` tasks run or wait ahead of the consumer,
 so a consumer that falls behind holds that many finished results at most.
 
 Threading policy: every mapped task runs on one BLAS thread.
@@ -151,29 +152,36 @@ _BLAS_LOCK = threading.Lock()
 
 
 @functools.cache
-def _openblas_threads() -> _Blas | None:
-    """Thread-count functions of the OpenBLAS bundled with numpy and the
-    count it had at this first lookup, or None when there is none.  Looked
-    up on first use, not at import."""
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS library bundled with numpy, or None when there is none.
+    Looked up on first use, not at import."""
     import numpy
 
     pkg = Path(numpy.__file__).resolve().parent
     # numpy.libs/ holds the Linux and Windows wheel libraries, .dylibs/ the macOS ones
     for path in sorted(pkg.parent.glob("numpy.libs/*openblas*")) + sorted(pkg.glob(".dylibs/*openblas*")):
         try:
-            lib = ctypes.CDLL(str(path))
+            return ctypes.CDLL(str(path))
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is None or set_ is None:
-                continue
-            get.argtypes = []
-            get.restype = ctypes.c_int
-            set_.argtypes = [ctypes.c_int]
-            set_.restype = None
-            return _Blas(get, set_, get())
+    return None
+
+
+@functools.cache
+def _openblas_threads() -> _Blas | None:
+    """Thread-count functions of the OpenBLAS bundled with numpy and the
+    count it had at this first lookup, or None when there is none."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        get = getattr(lib, get_name, None)
+        set_ = getattr(lib, set_name, None)
+        if get is None or set_ is None:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _Blas(get, set_, get())
     return None
 
 

@@ -85,37 +85,34 @@ def _zero_random_pairs(a: np.ndarray, count: int, rng: np.random.Generator) -> N
     a[rows, cols] = 0.0
 
 
-def _with_replacement(shapes, counts, seed: SeedSpec) -> tuple:
-    """One m x n mask per layer: each internal layer's pairs come from
-    `_zero_random_pairs`, every layer drawing from one stream."""
-    shapes, counts = _check_layers(shapes, counts, replace=True)
-    rng = seed.generator()
-    masks = [np.ones(shapes[0])]
-    for (m, n), c in zip(shapes[1:-1], counts):
-        masks.append(np.ones((m, n)))
-        _zero_random_pairs(masks[-1], c, rng)
-    masks.append(np.ones(shapes[-1]))
-    return tuple(masks)
+def _framed(shapes, internal) -> tuple:
+    """The internal layers' masks between the all-ones first and last ones."""
+    return (np.ones(shapes[0]), *internal, np.ones(shapes[-1]))
 
 
 def mask_random_with_replacement(shapes, counts, seed: SeedSpec) -> tuple:
     """`count` uniform (row, column) pairs drawn with replacement per
-    internal layer, so at most `count` zeros."""
-    return _with_replacement(shapes, counts, seed)
+    internal layer, so at most `count` zeros: each layer's pairs come from
+    `_zero_random_pairs`, every layer drawing from one stream."""
+    shapes, counts = _check_layers(shapes, counts, replace=True)
+    rng = seed.generator()
+    internal = [np.ones(shape) for shape in shapes[1:-1]]
+    for mask, c in zip(internal, counts):
+        _zero_random_pairs(mask, c, rng)
+    return _framed(shapes, internal)
 
 
 def mask_random_without_replacement(shapes, counts, seed: SeedSpec) -> tuple:
     """Exactly `count` zeros per internal layer, uniform over index subsets."""
     shapes, counts = _check_layers(shapes, counts, replace=False)
     rng = seed.generator()
-    masks = [np.ones(shapes[0])]
+    internal = []
     for (m, n), c in zip(shapes[1:-1], counts):
         mask = np.ones(m * n)
         if c > 0:
             mask[rng.choice(m * n, size=c, replace=False)] = 0.0
-        masks.append(mask.reshape(m, n))
-    masks.append(np.ones(shapes[-1]))
-    return tuple(masks)
+        internal.append(mask.reshape(m, n))
+    return _framed(shapes, internal)
 
 
 def _smallest_indices(a: np.ndarray, count: int) -> np.ndarray:
@@ -143,13 +140,12 @@ def mask_magnitude_layerwise(weights, counts) -> tuple:
     """Zero the `count` smallest-magnitude entries of each internal layer."""
     ws = [np.asarray(w, dtype=np.float64) for w in weights]
     shapes, counts = _check_layers([w.shape for w in ws], counts, replace=False)
-    masks = [np.ones(shapes[0])]
+    internal = []
     for w, c in zip(ws[1:-1], counts):
         mask = np.ones(w.size)
         mask[_smallest_indices(_magnitudes(w), c)] = 0.0
-        masks.append(mask.reshape(w.shape))
-    masks.append(np.ones(shapes[-1]))
-    return tuple(masks)
+        internal.append(mask.reshape(w.shape))
+    return _framed(shapes, internal)
 
 
 def mask_magnitude_global(weights, total_count: int) -> tuple:
@@ -168,15 +164,14 @@ def mask_magnitude_global(weights, total_count: int) -> tuple:
     pooled[_smallest_indices(flat, total_count)] = 0.0
     # each internal layer's mask is a view of its part of the pool
     parts = np.split(pooled, np.cumsum([w.size for w in ws[1:-2]]))
-    internal = (part.reshape(w.shape) for part, w in zip(parts, ws[1:-1]))
-    return (np.ones(ws[0].shape), *internal, np.ones(ws[-1].shape))
+    return _framed([ws[0].shape, ws[-1].shape], (part.reshape(w.shape) for part, w in zip(parts, ws[1:-1])))
 
 
 def mask_filter_random(conv_shapes, dense_shape, counts, seed: SeedSpec) -> tuple:
     """Random filter pruning for CNNs: draw `count` (out, in) channel pairs
     with replacement per internal conv layer and zero those whole kernels.
     The first conv layer and the final dense layer are never pruned."""
-    return _with_replacement([*conv_shapes, dense_shape], counts, seed)
+    return mask_random_with_replacement([*conv_shapes, dense_shape], counts, seed)
 
 
 def build_mask(model, scheme: str, counts, seed: SeedSpec | None = None) -> tuple:

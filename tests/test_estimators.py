@@ -6,7 +6,6 @@ import pytest
 
 from prunelab.config import default_config
 from prunelab.estimators import (
-    _quantile_order_stat,
     delta0_from_quantile,
     estimate_latala,
     estimate_lemma3,
@@ -34,29 +33,6 @@ def test_delta0_rejects_bad_inputs(n, q):
         delta0_from_quantile(n, q)
 
 
-SORTED = np.sort(np.random.default_rng(7).random(100))
-
-
-@pytest.mark.parametrize(
-    "q, index",
-    [
-        (0.95, 95),  # q N = 95 exactly: the 95th, not the 96th
-        (0.99, 99),
-        (0.999, 100),  # q N = 99.9 rounds up
-        (0.9999, 100),
-        (0.951, 96),
-        (0.004, 1),  # q N = 0.4 rounds up to the first
-        (0.0, 1),  # the floor at index 1
-    ],
-)
-def test_quantile_is_the_ceil_qn_order_statistic(q, index):
-    assert _quantile_order_stat(SORTED, q) == SORTED[index - 1]
-
-
-def test_quantile_of_one_value():
-    assert _quantile_order_stat(np.array([2.5]), 0.95) == 2.5
-
-
 # ---------------------------------------------------------------------------
 # Bitwise oracle: the estimators as they ran before their SVDs were stacked,
 # one LAPACK call per trial, with the same blocks and the same folds.
@@ -68,7 +44,7 @@ def _top_sv(a):
 
 
 @functools.cache
-def one_call_per_trial_lemma3(n1, n2, k_scale, trials, base_seed):
+def one_call_per_trial_norms(n1, n2, k_scale, trials, base_seed):
     seed = SeedSpec(base_seed)
     dist = DistributionSpec("uniform", xavier_k=k_scale)
     blocks = []
@@ -78,15 +54,40 @@ def one_call_per_trial_lemma3(n1, n2, k_scale, trials, base_seed):
             for i, t in enumerate(block):
                 out[i] = _top_sv(draw_matrix(dist, n1, n2, seed.child(t).generator()))
             blocks.append(out)
-    norms = np.concatenate(blocks)
+    return np.concatenate(blocks)
+
+
+def one_call_per_trial_lemma3(n1, n2, k_scale, trials, base_seed):
+    norms = one_call_per_trial_norms(n1, n2, k_scale, trials, base_seed)
     srt = np.sort(norms)
     n = max(n1, n2)
     mean, std = float(norms.mean()), float(norms.std(ddof=1))
+    # c0 is the order statistic at 1-based index ceil(q * trials)
     return [
         {"n1": n1, "n2": n2, "K": k_scale, "mean": mean, "std": std, "q": q,
-         "c0": _quantile_order_stat(srt, q), "delta0": delta0_from_quantile(n, q)}
+         "c0": float(srt[math.ceil(q * trials) - 1]), "delta0": delta0_from_quantile(n, q)}
         for q in QUANTILES
     ]
+
+
+@pytest.mark.parametrize(
+    "q, index",
+    [
+        (0.95, 95),  # q N = 95 exactly: the 95th, not the 96th
+        (0.99, 99),
+        (0.999, 100),  # q N = 99.9 rounds up
+        (0.9999, 100),
+        (0.5, 50),
+        (0.951, 96),
+        (0.004, 1),  # q N = 0.4 rounds up to the first
+    ],
+)
+def test_quantile_is_the_ceil_qn_order_statistic(q, index):
+    # estimate_lemma3's c0 over N = 100 trials
+    srt = np.sort(one_call_per_trial_norms(8, 8, 1.0, 100, 5))
+    assert np.unique(srt).size == srt.size  # so no neighbour holds the same value
+    (row,) = estimate_lemma3(8, 8, 1.0, 100, SeedSpec(5), (q,))
+    assert row["c0"] == srt[index - 1]
 
 
 @functools.cache

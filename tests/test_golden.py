@@ -16,9 +16,10 @@ Every report must stay byte-identical at PRUNELAB_WORKERS 1 and 2.
 
 Each case's report is stored in golden/<case>.<csv|json>, whose sha256 is
 the digest here: a run must give the stored bytes, and a mismatch names
-the columns that moved and the largest relative drift of each.  A change
-that moves a number rewrites the stored reports with golden/regenerate.py,
-updates the digests here and says why.
+the columns that moved and the largest relative drift of each, and the
+OpenBLAS core the stored reports were taken on beside the running one.  A
+change that moves a number rewrites the stored reports with
+golden/regenerate.py, updates the digests here and says why.
 """
 
 import hashlib
@@ -32,6 +33,11 @@ import pytest
 from prunelab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The OpenBLAS core type the stored reports were taken on.  Another core
+# (OPENBLAS_CORETYPE=Haswell on the same wheel and host, say) rounds BLAS
+# products in other last bits, and every kind with one then differs.
+STORED_CORE = "SkylakeX"
 
 FCN = {"widths": [8, 16], "trials": 3, "samples": 300}
 
@@ -323,28 +329,31 @@ def report_diff(expected: str, actual: str, fmt: str) -> str:
     return "\n".join(sorted(lines)) or "same cells, other bytes"
 
 
-def _check(case: str, fmt: str, digest: str, report: bytes) -> None:
+def _check(case: str, fmt: str, digest: str, report: bytes, core: str) -> None:
     path = GOLDEN / f"{case}.{fmt}"
     stored = path.read_bytes()
     assert hashlib.sha256(stored).hexdigest() == digest, f"{path.name} is not the report of digest {digest}"
     if report != stored:
-        pytest.fail(f"report differs from {path.name}:\n{report_diff(stored.decode(), report.decode(), fmt)}")
+        pytest.fail(
+            f"report differs from {path.name}, stored on OpenBLAS core {STORED_CORE}, run on {core}:\n"
+            f"{report_diff(stored.decode(), report.decode(), fmt)}"
+        )
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_digest(tmp_path, monkeypatch, case, workers):
+def test_report_digest(tmp_path, monkeypatch, blas_core, case, workers):
     kind, body, digest = CASES[case]
     monkeypatch.setenv("PRUNELAB_WORKERS", workers)
-    _check(case, "csv", digest, render(tmp_path, kind, body, "csv"))
+    _check(case, "csv", digest, render(tmp_path, kind, body, "csv"), blas_core)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(JSON_CASES))
-def test_json_report_digest(tmp_path, monkeypatch, case, workers):
+def test_json_report_digest(tmp_path, monkeypatch, blas_core, case, workers):
     kind, body, digest = JSON_CASES[case]
     monkeypatch.setenv("PRUNELAB_WORKERS", workers)
-    _check(case, "json", digest, render(tmp_path, kind, body, "json"))
+    _check(case, "json", digest, render(tmp_path, kind, body, "json"), blas_core)
 
 
 def _alter_cell(text: str, column: str) -> str:
@@ -362,6 +371,17 @@ def test_mismatch_names_the_changed_column():
     stored = (GOLDEN / "fcn-magnitude-layerwise.csv").read_text(encoding="utf-8")
     message = report_diff(stored, _alter_cell(stored, "norm_diff_l3"), "csv")
     assert re.fullmatch(r"norm_diff_l3: 1 cells differ, largest relative drift 1e-09", message), message
+
+
+def test_mismatch_names_the_stored_and_the_running_core():
+    case = "fcn-magnitude-layerwise"
+    stored = (GOLDEN / f"{case}.csv").read_text(encoding="utf-8")
+    altered = _alter_cell(stored, "norm_diff_l3").encode()
+    with pytest.raises(pytest.fail.Exception) as failed:
+        _check(case, "csv", CASES[case][2], altered, "Haswell")
+    first, _, diff = str(failed.value).partition("\n")
+    assert first == f"report differs from {case}.csv, stored on OpenBLAS core SkylakeX, run on Haswell:"
+    assert diff.startswith("norm_diff_l3: 1 cells differ")
 
 
 def test_mismatch_names_a_changed_summary_entry():

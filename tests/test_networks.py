@@ -7,6 +7,10 @@ from prunelab.circulant import build_full_map, flatten_maps, pad_kernel
 from prunelab.networks import (
     _CONV_BLOCK_BYTES,
     _GAP_CHUNK,
+    _ConvStep,
+    _first_input,
+    _layer_steps,
+    _run_convs,
     Activation,
     CnnModel,
     FcnModel,
@@ -341,6 +345,28 @@ def test_sup_gap_peak_does_not_grow_with_samples():
     small = traced_gap_peak(model, mask, 1000)
     large = traced_gap_peak(model, mask, 8000)
     assert large - small <= 2**20, (small, large)
+
+
+@pytest.mark.parametrize("last", [True, False])
+def test_one_block_batches_fill_one_reused_array(last):
+    """Batches of one conv block, as every chunk of a narrow CNN's estimate
+    is, land in the rows of one array of the `buffers` dict, as batches of
+    many blocks do, so no chunk allocates its result afresh.  With the
+    model's last conv layer the result is the dense operand, without it the
+    next conv layer's spectrum."""
+    model, _ = cnn_case(4, 3, seed=4)
+    convs = [step for step in _layer_steps(model) if isinstance(step, _ConvStep)]
+    convs = convs if last else convs[:1]
+    rng = np.random.default_rng(5)
+    xs = [_first_input(model, rng.random((n, model.input_dim))) for n in (200, 150)]
+    buffers = {}
+    first = _run_convs(convs, xs[0], buffers)
+    first_bits = first.copy()
+    second = _run_convs(convs, xs[1], buffers)
+    assert np.shares_memory(first, second)
+    assert len(buffers) == 1
+    np.testing.assert_array_equal(first_bits, _run_convs(convs, xs[0], {}))
+    np.testing.assert_array_equal(second, _run_convs(convs, xs[1], {}))
 
 
 def pre_change_forward(model, xs, mask):

@@ -9,7 +9,7 @@ silently shifts to its neighbour.
 import numpy as np
 import pytest
 
-from prunelab.harness import load_config, run_experiment
+from prunelab.harness import Report, load_config, render_report, run_experiment
 
 
 def _run(kind: str, overrides: dict, workers: int = 1):
@@ -20,6 +20,26 @@ def _width_values(report, d: int):
     """name -> the values of column `name` in width d's rows."""
     picked = [i for i, w in enumerate(report.column("d")) if w == d]
     return lambda name: [report.column(name)[i] for i in picked]
+
+
+# numpy scalars as the runners' arithmetic leaves them: float64s of short
+# and of 17-digit repr, -0.0, a subnormal, non-finite values, an int64 past
+# 2^53 and both bools
+NUMPY_SCALARS = [
+    np.float64(0.1), np.float64(1 / 3), np.float64(-0.0), np.float64(5e-324), np.float64("inf"),
+    np.float64("nan"), np.int64(2**53 + 1), np.int64(-3), np.bool_(True), np.bool_(False),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numpy_scalars_render_as_equal_python_scalars(fmt):
+    def report(values):
+        row = {f"c{i}": v for i, v in enumerate(values)}
+        return Report("bounds", {"a": values[6], "b": list(values)}, [row], {"s": {"t": list(values)}, "u": values[0]})
+
+    as_numpy = render_report(report(NUMPY_SCALARS), fmt)
+    assert as_numpy == render_report(report([v.item() for v in NUMPY_SCALARS]), fmt)
+    assert "np." not in as_numpy and "9007199254740993" in as_numpy
 
 
 def test_column_reads_one_column_by_name():
