@@ -181,8 +181,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "max_channels": (3, _int(1)),
         "max_spatial": (8, _int(2)),
         "seed": _SEED,
-        "forward_tol": (1e-12, _num()),
-        "norm_rel_tol": (1e-8, _num()),
+        "forward_tol": (1e-12, _num(0)),
+        "norm_rel_tol": (1e-8, _num(0)),
     },
     "fcn-sweep": {
         "depth": (4, _count(3)),

@@ -401,6 +401,12 @@ def _check_alpha(alpha: float, cap: float, what: str) -> None:
         raise ConfigError(f"alpha={alpha} inadmissible for {what}: requires 0 < alpha <= {cap:.6f}")
 
 
+def _check_increasing(name: str, sizes: tuple) -> None:
+    """median_gap_strictly_decreasing reads a sweep's sizes in list order."""
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"{name} must be strictly increasing, got {list(sizes)}")
+
+
 def _check_kernel(q: int, p: int) -> None:
     """q x q kernels on p x p wrap-around feature maps need q < p."""
     if q >= p:
@@ -408,6 +414,7 @@ def _check_kernel(q: int, p: int) -> None:
 
 
 def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
+    _check_increasing("widths", s.widths)
     if s.scheme.startswith("random"):
         for d in s.widths:
             with _theory_inputs("thm2_alpha_constraint"):
@@ -450,21 +457,16 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         gw = seed_t.sub(0).generator()
         shapes = shapes_for(d)
         weights = [draw_matrix(dist, m, n, gw) for m, n in shapes]
-        model = networks.FcnModel(tuple(weights), (act,) * (l - 1))
+        model = networks.FcnModel(tuple(weights), act)
         counts = tuple(pruning.prune_count(alpha, m * n) for m, n in shapes[1:-1])
         mask = pruning.build_mask(model, s.scheme, counts, seed_t.sub(1))
+        # the gap estimate is a trial's peak, so it runs before the diffs exist
+        gap = networks.estimate_sup_gap(model, mask, "sphere", s.samples, seed_t.sub(2))
         internal = range(1, l - 1)  # 0-based internal layer indices
-
-        def pruned_away(k: int) -> np.ndarray:
-            return (1.0 - mask[k]) * weights[k]
-
-        diffs = [pruned_away(k) for k in internal]
+        diffs = [(1.0 - mask[k]) * weights[k] for k in internal]
         # the internal d x d weights and their diffs share one grouped SVD
         square = top_singular_values([weights[k] for k in internal] + diffs, d, d).tolist()
         diff_norms = [square[l - 2 + j] if diff.any() else 0.0 for j, diff in enumerate(diffs)]
-        # the gap estimate is a trial's peak, so the diffs are not kept
-        # through it: the payload below computes them again, to the same bits
-        del diffs
         first, last = (float(top_singular_values([w], *w.shape)[0]) for w in (weights[0], weights[-1]))
         layer_norms = [first] + square[: l - 2] + [last]
         layers = [
@@ -472,12 +474,9 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
              "bins_event": _bins_event(mask[k], counts[j]), "diff_event": nd <= float(d) ** event_expo}
             for j, (k, nd) in enumerate(zip(internal, diff_norms))
         ]
-        gap = networks.estimate_sup_gap(model, mask, "sphere", s.samples, seed_t.sub(2))
-        payload = []
-        for k in internal:
-            sq = pruned_away(k)
-            sq *= sq
-            payload.append((sq, sq * sq))
+        for sq in diffs:
+            sq *= sq  # in place: the Latala sums take squares and fourth powers
+        payload = [(sq, sq * sq) for sq in diffs]
         n_caps = [max(1.0, v) for v in layer_norms]
         with _theory_inputs("gap_bound"):
             if magnitude:
@@ -524,6 +523,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
 
 def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     l, p, q, alpha = s.depth, s.spatial, s.kernel, s.alpha
+    _check_increasing("channels", s.channels)
     _check_kernel(q, p)
     # the largest arrays: a kernel transform or a chunk's spectrum (d_k x p x
     # (p // 2 + 1) complex per filter or point), the dense layer, and the

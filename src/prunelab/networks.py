@@ -1,12 +1,12 @@
 """Target network representations, masked forward evaluation, and the
 sampled pruned-vs-target gap estimator.
 
-Networks are bias-free.  FCNs apply a per-layer activation after every
-weight matrix except the last; CNNs share one activation across their conv
-layers and end in a dense layer on the C-order-flattened feature map.  A
-mask is a sequence of 0/1 arrays, one per layer, each of the shape
-`_mask_shapes` gives: elementwise for weight matrices, filter-level
-(d_k x d_{k-1}) for conv layers (see `pruning.build_mask`).
+Networks are bias-free with one activation, which an FCN applies after
+every weight matrix but the last and a CNN after every conv layer, before
+its dense layer on the C-order-flattened feature map.  A mask is a
+sequence of 0/1 arrays, one per layer, each of the shape `_mask_shapes`
+gives: elementwise for weight matrices, filter-level (d_k x d_{k-1}) for
+conv layers (see `pruning.build_mask`).
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ def _check_weight(w, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class FcnModel:
     """Fully connected target of depth l >= 3: weights W_1..W_l with W_k of
-    shape d_k x d_{k-1}, and activations sigma_1..sigma_{l-1}."""
+    shape d_k x d_{k-1}, and one activation after each of W_1..W_{l-1}."""
 
     weights: tuple
-    activations: tuple
+    act: Activation
 
     def __post_init__(self):
         ws = tuple(_check_weight(w, f"W_{k + 1}") for k, w in enumerate(self.weights))
@@ -85,8 +85,6 @@ class FcnModel:
         for k in range(1, len(ws)):
             if ws[k].shape[1] != ws[k - 1].shape[0]:
                 raise ValueError(f"layer {k + 1} expects input dim {ws[k].shape[1]}, got {ws[k - 1].shape[0]}")
-        if len(self.activations) != len(ws) - 1:
-            raise ValueError(f"expected {len(ws) - 1} activations, got {len(self.activations)}")
 
     @property
     def depth(self) -> int:
@@ -278,15 +276,12 @@ def _layer_steps(model, mask: tuple | None = None, target: list | None = None) -
         m = None if mask is None else mask[k]
         if target is not None and np.all(m == 1.0):
             steps.append(target[k])
-        elif isinstance(model, FcnModel):
-            w = model.weights[k] if m is None else m * model.weights[k]
-            steps.append(partial(_dense_layer, w=w, act=model.activations[k] if k < l - 1 else None))
-        elif k < l - 1:
+        elif isinstance(model, CnnModel) and k < l - 1:
             f = model.conv_tensors[k] if m is None else model.conv_tensors[k] * m[:, :, None, None]
             steps.append(_ConvStep(kernel_transform(f, model.p), model.act, model.p, k == l - 2))
         else:
-            w = model.final_dense if m is None else m * model.final_dense
-            steps.append(partial(_dense_layer, w=w, act=None))
+            w = model.weights[k] if isinstance(model, FcnModel) else model.final_dense
+            steps.append(partial(_dense_layer, w=w if m is None else m * w, act=model.act if k < l - 1 else None))
     return steps
 
 

@@ -148,38 +148,39 @@ def mask_magnitude_layerwise(weights, counts) -> tuple:
     return _framed(shapes, internal)
 
 
-def mask_magnitude_global(weights, total_count: int) -> tuple:
-    """Zero the `total_count` smallest-magnitude entries across all internal
-    layers pooled together (first/last layers excluded from the pool).
+def mask_magnitude_global(weights, counts) -> tuple:
+    """Zero the sum of `counts` smallest-magnitude entries across all
+    internal layers pooled together (first/last layers excluded from the
+    pool); each count is checked, so the sum cannot hide a negative one.
 
     Ties break by (layer, row, column)."""
     ws = [np.asarray(w, dtype=np.float64) for w in weights]
-    if len(ws) < 3:
-        raise ValueError("need at least 3 layers")
+    shapes, counts = _check_layers([w.shape for w in ws], counts, replace=True)
     flat = np.concatenate([_magnitudes(w) for w in ws[1:-1]])
-    total_count = int(total_count)
-    if not 0 <= total_count <= flat.size:
+    total_count = sum(counts)
+    if total_count > flat.size:
         raise ValueError(f"total count {total_count} out of range 0..{flat.size}")
     pooled = np.ones(flat.size)
     pooled[_smallest_indices(flat, total_count)] = 0.0
     # each internal layer's mask is a view of its part of the pool
     parts = np.split(pooled, np.cumsum([w.size for w in ws[1:-2]]))
-    return _framed([ws[0].shape, ws[-1].shape], (part.reshape(w.shape) for part, w in zip(parts, ws[1:-1])))
+    return _framed(shapes, (part.reshape(w.shape) for part, w in zip(parts, ws[1:-1])))
 
 
-def mask_filter_random(conv_shapes, dense_shape, counts, seed: SeedSpec) -> tuple:
+def mask_filter_random(shapes, counts, seed: SeedSpec) -> tuple:
     """Random filter pruning for CNNs: draw `count` (out, in) channel pairs
     with replacement per internal conv layer and zero those whole kernels.
-    The first conv layer and the final dense layer are never pruned."""
-    return mask_random_with_replacement([*conv_shapes, dense_shape], counts, seed)
+    `shapes` are the conv layers' (d_k, d_{k-1}), then the dense layer's;
+    the first conv layer and the dense layer are never pruned."""
+    return mask_random_with_replacement(shapes, counts, seed)
 
 
 def build_mask(model, scheme: str, counts, seed: SeedSpec | None = None) -> tuple:
     """The model's masks under `scheme`: filter-random for a CnnModel, one
-    of the four FCN schemes for an FcnModel.  counts holds each internal
-    layer's pruned-entry (for filter-random, pruned-filter) count;
-    magnitude-global prunes their sum over the pooled layers.  The random
-    schemes draw from `seed`.
+    of the four FCN schemes for an FcnModel.  Each scheme gets the mask
+    shapes (or weights) and counts, each internal layer's pruned-entry (for
+    filter-random, pruned-filter) count; magnitude-global prunes their sum
+    over the pooled layers.  The random schemes draw from `seed`.
 
     The result holds one 0/1 array per layer, and the first and last are
     all ones.  For an FCN, mask k matches W_{k+1} elementwise.  For a CNN,
@@ -198,12 +199,11 @@ def build_mask(model, scheme: str, counts, seed: SeedSpec | None = None) -> tupl
         raise ValueError(f"{scheme} does not apply to a {type(model).__name__}")
     shapes = _mask_shapes(model)
     if scheme == "filter-random":
-        return mask_filter_random(shapes[:-1], shapes[-1], counts, seed)
+        return mask_filter_random(shapes, counts, seed)
     if scheme == "magnitude-layerwise":
         return mask_magnitude_layerwise(model.weights, counts)
     if scheme == "magnitude-global":
-        # checked as per-layer counts first, so the sum cannot hide a negative one
-        return mask_magnitude_global(model.weights, sum(_check_layers(shapes, counts, replace=True)[1]))
+        return mask_magnitude_global(model.weights, counts)
     if scheme == "random-with-replacement":
         return mask_random_with_replacement(shapes, counts, seed)
     return mask_random_without_replacement(shapes, counts, seed)

@@ -328,6 +328,16 @@ BAD_CONFIGS = [
     ("fcn-sweep", {"trials": BIG}, f"trials must be an integer >= 1 and < 2^63, got {BIG}"),
     ("cnn-sweep", {"trials": BIG}, f"trials must be an integer >= 1 and < 2^63, got {BIG}"),
     ("circulant-equiv", {"instances": BIG}, f"instances must be an integer >= 1 and < 2^63, got {BIG}"),
+    # median_gap_strictly_decreasing reads the per-width medians in list
+    # order, so [32, 16] reported false where [16, 32] reported true
+    ("fcn-sweep", {"widths": [32, 16]}, "widths must be strictly increasing, got [32, 16]"),
+    ("fcn-sweep", {"widths": [16, 32, 32]}, "widths must be strictly increasing, got [16, 32, 32]"),
+    ("cnn-sweep", {"channels": [32, 16]}, "channels must be strictly increasing, got [32, 16]"),
+    ("cnn-sweep", {"channels": [16, 16]}, "channels must be strictly increasing, got [16, 16]"),
+    # a tolerance of 0 or below failed every instance, and the run exited 2
+    # with "circulant-equiv: FAIL" as if the oracle had failed
+    ("circulant-equiv", {"forward_tol": -1}, "forward_tol must be a number > 0, got -1"),
+    ("circulant-equiv", {"norm_rel_tol": 0}, "norm_rel_tol must be a number > 0, got 0"),
 ] + SCALE_CONFIGS + SIZE_CONFIGS
 
 
@@ -568,7 +578,8 @@ def test_rows_with_other_columns_than_the_first_are_rejected(monkeypatch):
         # one trial: a frequency of 0 or 1 misses the exact probability
         ("balls-bins", {"cases": [[4, 8], [32, 111]], "trials": 1}, False),
         ("balls-bins", {"cases": [[4, 8], [2, 12], [64, 267]], "trials": 2000}, True),
-        ("circulant-equiv", {"instances": 2, "forward_tol": -1.0}, False),
+        # the first instance's forward error is 8.9e-15
+        ("circulant-equiv", {"instances": 2, "forward_tol": 1e-15}, False),
         ("circulant-equiv", {"instances": 2}, True),
     ],
 )

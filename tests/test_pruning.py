@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import prunelab
+from prunelab import pruning
 from prunelab.networks import Activation, CnnModel, FcnModel
 from prunelab.pruning import (
     build_mask,
@@ -55,9 +60,10 @@ def test_global_matches_stable_argsort(kind, seed):
     rng = np.random.default_rng(seed)
     weights = [draw(kind, s, rng) for s in [(5, 3), (6, 5), (4, 6), (2, 4)]]
     pooled = np.concatenate([weights[1].ravel(), weights[2].ravel()])
-    for total in (0, 1, 17, pooled.size):
-        want = argsort_mask(pooled, total)
-        mask = mask_magnitude_global(weights, total)
+    # (40, 0): the pool, not the first layer, bounds a count; (30, 24): every weight
+    for counts in [(0, 0), (0, 1), (9, 8), (40, 0), (30, 24)]:
+        want = argsort_mask(pooled, sum(counts))
+        mask = mask_magnitude_global(weights, counts)
         got = np.concatenate([mask[1].ravel(), mask[2].ravel()])
         np.testing.assert_array_equal(got, want)
 
@@ -70,7 +76,18 @@ def test_non_finite_weights_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         mask_magnitude_layerwise([w, v, w], (1,))
     with pytest.raises(ValueError, match="finite"):
-        mask_magnitude_global([w, v, w], 1)
+        mask_magnitude_global([w, v, w], (1,))
+
+
+def test_global_checks_each_count_before_the_sum():
+    # the sum of (3, -1) is a valid count, but a negative one is not
+    weights = [np.ones(s) for s in [(5, 3), (6, 5), (4, 6), (2, 4)]]
+    with pytest.raises(ValueError, match="nonnegative"):
+        mask_magnitude_global(weights, (3, -1))
+    with pytest.raises(ValueError, match="expected 2 counts"):
+        mask_magnitude_global(weights, (2,))
+    with pytest.raises(ValueError, match="total count 55 out of range 0..54"):
+        mask_magnitude_global(weights, (30, 25))
 
 
 FCN_SHAPES = [(6, 4), (7, 6), (5, 7), (3, 5)]
@@ -79,7 +96,7 @@ FCN_SCHEMES = ["magnitude-layerwise", "magnitude-global", "random-with-replaceme
 
 def fcn_model(rng, shapes=FCN_SHAPES) -> FcnModel:
     weights = tuple(rng.standard_normal(s) for s in shapes)
-    return FcnModel(weights, (Activation("relu"),) * (len(shapes) - 1))
+    return FcnModel(weights, Activation("relu"))
 
 
 def cnn_model(rng) -> CnnModel:
@@ -100,7 +117,7 @@ def test_build_mask_matches_fcn_scheme_function(scheme):
     counts, seed = (9, 12), SeedSpec(17, 2).sub(1)
     want = {
         "magnitude-layerwise": lambda: mask_magnitude_layerwise(model.weights, counts),
-        "magnitude-global": lambda: mask_magnitude_global(model.weights, sum(counts)),
+        "magnitude-global": lambda: mask_magnitude_global(model.weights, counts),
         "random-with-replacement": lambda: mask_random_with_replacement(shapes, counts, seed),
         "random-without-replacement": lambda: mask_random_without_replacement(shapes, counts, seed),
     }[scheme]()
@@ -110,7 +127,7 @@ def test_build_mask_matches_fcn_scheme_function(scheme):
 def test_build_mask_matches_filter_random():
     model = cnn_model(np.random.default_rng(4))
     counts, seed = (5, 3), SeedSpec(17, 2).sub(1)
-    want = mask_filter_random([(4, 2), (4, 4), (4, 4)], (3, 100), counts, seed)
+    want = mask_filter_random([(4, 2), (4, 4), (4, 4), (3, 100)], counts, seed)
     assert_masks_equal(build_mask(model, "filter-random", counts, seed), want)
 
 
@@ -187,4 +204,28 @@ def test_global_equals_layerwise_with_one_internal_layer(kind):
     rng = np.random.default_rng(9)
     weights = [draw(kind, s, rng) for s in [(5, 3), (6, 5), (2, 6)]]
     for count in (0, 1, 13, 30):
-        assert_masks_equal(mask_magnitude_global(weights, count), mask_magnitude_layerwise(weights, (count,)))
+        assert_masks_equal(mask_magnitude_global(weights, (count,)), mask_magnitude_layerwise(weights, (count,)))
+
+
+# `build_mask` is the one mask dispatch: no other module of the package
+# names a scheme's function, as a call, an attribute, a name or an import
+SCHEME_FUNCTIONS = {name for name in pruning.__all__ if name.startswith("mask_")}
+SRC = Path(prunelab.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "pruning.py"))
+def test_no_module_but_pruning_names_a_mask_scheme(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert names & SCHEME_FUNCTIONS == set()
+
+
+def test_the_scheme_functions_are_the_five_schemes():
+    assert len(SCHEME_FUNCTIONS) == 5
