@@ -173,6 +173,12 @@ def run_table2(s: SimpleNamespace, workers: int):
     return rows, {}
 
 
+def _entry_bound(kind: str, v: float, d: int) -> float:
+    """The bound on |entry| of a d x d draw of variance v; 0.0 for a v that
+    underflowed to 0, which the caller's underflow check rejects in one line."""
+    return DistributionSpec(kind, variance=v).bound(d, d) if v > 0 else 0.0
+
+
 def run_table3(s: SimpleNamespace, workers: int):
     # before any trial: the largest arrays, as in table2, must fit numpy, and
     # the fourth-moment sums, of the order of v^2 (v = scale / d) and at most
@@ -181,7 +187,7 @@ def run_table3(s: SimpleNamespace, workers: int):
     for d, kind, scale, _ in s.rows:
         _check_size(f"rows d={d}", svd_group_size(d, d) * d * d * 8)
         v = scale / d
-        b = DistributionSpec(kind, variance=v).bound(d, d) if v > 0 else 0.0
+        b = _entry_bound(kind, v, d)
         if not _normal(v * v, s.trials * d * d * b * b * b * b):
             raise ConfigError(f"scale={scale:g} out of range at d={d}: the fourth-moment sums overflow or underflow")
     rows = []
@@ -328,13 +334,6 @@ def run_circulant_equiv(s: SimpleNamespace, workers: int):
 # ---------------------------------------------------------------------------
 
 
-def _bins_event(mask_matrix: np.ndarray, count: int) -> bool:
-    # the rows, then the columns, are the bins of the balls-into-bins lemma
-    zeros = mask_matrix == 0.0
-    return all(zeros.sum(axis=1 - a).max() <= theory.balls_in_bins_lemma(bins, count)[0]
-               for a, bins in enumerate(zeros.shape))
-
-
 def _gap_sweep(s, widths, workers: int, one_trial, summarize):
     """The width-by-width loop both gap sweeps run; returns the report's
     rows and the per-width part of its summary.
@@ -426,11 +425,6 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
     dist = DistributionSpec("uniform", xavier_k=k_scale)
     act = networks.Activation(s.activation)
     magnitude = s.scheme.startswith("magnitude")
-    # proof-side exponents: the expected difference norm scales as d^(-2 alpha)
-    # for magnitude pruning and d^(-alpha/2) for random pruning; the Markov
-    # events use d^(-alpha) and d^(-alpha/4)
-    mean_expo = -2.0 * alpha if magnitude else -alpha / 2.0
-    event_expo = -alpha if magnitude else -alpha / 4.0
 
     def shapes_for(d: int) -> list:
         dims = [s.d_in] + [d] * (l - 1) + [s.d_out]
@@ -469,22 +463,17 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         diff_norms = [square[l - 2 + j] if diff.any() else 0.0 for j, diff in enumerate(diffs)]
         first, last = (float(top_singular_values([w], *w.shape)[0]) for w in (weights[0], weights[-1]))
         layer_norms = [first] + square[: l - 2] + [last]
+        threshold = theory.fcn_diff_threshold(d, alpha, magnitude)
         layers = [
             {"count": counts[j], "norm_w": layer_norms[k], "norm_diff": nd,
-             "bins_event": _bins_event(mask[k], counts[j]), "diff_event": nd <= float(d) ** event_expo}
+             "bins_event": theory.balls_in_bins_event(mask[k], counts[j]), "diff_event": nd <= threshold}
             for j, (k, nd) in enumerate(zip(internal, diff_norms))
         ]
         for sq in diffs:
             sq *= sq  # in place: the Latala sums take squares and fourth powers
         payload = [(sq, sq * sq) for sq in diffs]
-        n_caps = [max(1.0, v) for v in layer_norms]
-        with _theory_inputs("gap_bound"):
-            if magnitude:
-                c0_t = max(n_caps)
-                gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha) * c0_t ** (l - 1)
-            else:
-                gap_bound = (2 ** (l - 2) - 1) * float(d) ** (-alpha / 4.0) * math.prod(n_caps)
-        # every supported activation is 1-Lipschitz, so the theorem's Lipschitz product is 1
+        with _theory_inputs("gap_bound"):  # every supported activation is 1-Lipschitz
+            gap_bound = theory.fcn_gap_bound(l, d, alpha, magnitude, layer_norms)
         return layers, {"sup_gap": gap, "gap_bound": gap_bound, "gap_event": gap <= gap_bound}, payload
 
     def summarize(d: int, rows: list, sums: list) -> dict:
@@ -492,13 +481,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         for k, (sq, quad) in enumerate(sums, start=2):
             mean_diff = _layer_mean(rows, "norm_diff", k)
             c_hat = latala_ratio(mean_diff, latala_terms(sq / s.trials, quad / s.trials))
-            m, n = shapes_for(d)[k - 1]
-            k1, k2 = dist.moment_constants(m, n)
-            if magnitude:
-                c2_hat = c_hat * k_scale * (2.0 * math.sqrt(2.0) + 24.0**0.25)
-            else:
-                c2_hat = c_hat * (2.0 * math.sqrt(3.0 * k1) + k2**0.25)
-            bound = c2_hat * float(d) ** mean_expo
+            c2_hat, bound = theory.fcn_mean_bound(c_hat, d, alpha, magnitude, k_scale, *dist.moment_constants(*shapes_for(d)[k - 1]))
             layers.append(
                 {
                     "layer": k,
@@ -517,8 +500,8 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         return {"freq_gap_event": float(np.mean([r["gap_event"] for r in rows])), "layers": layers}
 
     rows, sweep = _gap_sweep(s, s.widths, workers, one_trial, summarize)
-    summary = {"scheme": s.scheme, "alpha": alpha, "mean_norm_exponent": mean_expo, "event_exponent": event_expo}
-    return rows, summary | sweep
+    exponents = dict(zip(("mean_norm_exponent", "event_exponent"), theory.fcn_exponents(alpha, magnitude)))
+    return rows, {"scheme": s.scheme, "alpha": alpha} | exponents | sweep
 
 
 def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
@@ -559,9 +542,10 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         dslices = slices * (1.0 - fmask)[None, :, :]
         s_norms = top_singular_values(slices, d, d)
         ds_norms = top_singular_values(dslices, d, d)
+        w_max, diff_max = theory.thm3_event_thresholds(p, d, s.beta1, s.beta2)
         entries = {"count": count, "norm_w_dft": norm_w, "norm_diff_dft": norm_diff, "norm_w_explicit": explicit_norm,
-                   "bins_event": _bins_event(fmask, count), "w_event": norm_w <= p ** (-s.beta1),
-                   "diff_event": norm_diff <= float(d) ** (-s.beta2)}
+                   "bins_event": theory.balls_in_bins_event(fmask, count), "w_event": norm_w <= w_max,
+                   "diff_event": norm_diff <= diff_max}
         payload = (
             (slices * slices).sum(axis=0),
             (slices**4).sum(axis=0),
@@ -590,9 +574,9 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         gap = networks.estimate_sup_gap(model, mask, "cube", s.samples, seed_t.sub(2))
         return layers, {"sup_gap": gap}, payload
 
-    c1_const = s.moment_c1
+    c1 = s.moment_c1
     with _theory_inputs("moment_c1"):
-        c2_const = 3.0 * c1_const**2 if s.weight_kind == "gaussian" else 1.8 * c1_const**2
+        c2 = theory.thm3_moment_c2(s.weight_kind, c1)
 
     # An entry, of variance v = c1 / (p^2 d), lies within b = DistributionSpec.bound.
     # A conv layer's map, q^2 shifted d_k x d_{k-1} blocks, then has norm at most
@@ -601,14 +585,14 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
     # gap norm the estimate sums, at most 4 d_in p^2 prod ||W_k||^2, must not overflow,
     # nor the Latala payload's fourth powers, of the order of v^2 <= c1^2 ~ c2, underflow.
     for d in s.channels:
-        v = c1_const / (p * p * d)
-        b = DistributionSpec(s.weight_kind, variance=v).bound(d, d) if v > 0 else 0.0
+        v = c1 / (p * p * d)
+        b = _entry_bound(s.weight_kind, v, d)
         dims = [s.d_in] + [d] * (l - 1)
         layers = [q**4 * b * b * dims[k + 1] * dims[k] for k in range(l - 1)] + [b * b * s.d_out * d * p * p]
         if not math.isfinite(4.0 * s.d_in * p * p * math.prod(layers)):
-            raise ConfigError(f"moment_c1={c1_const:g} too large at d={d}: the squared gap norm can overflow")
+            raise ConfigError(f"moment_c1={c1:g} too large at d={d}: the squared gap norm can overflow")
         if not _normal(v * v):
-            raise ConfigError(f"moment_c1={c1_const:g} too small at d={d}: the entries' fourth powers underflow")
+            raise ConfigError(f"moment_c1={c1:g} too small at d={d}: the entries' fourth powers underflow")
 
     def summarize(d: int, rows: list, sums: list) -> dict:
         layers = []
@@ -616,14 +600,12 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         for k, (sq_t, quad_t, sum_norm_t, sq_d, quad_d, sum_norm_d) in enumerate(sums, start=2):
             mean_slice_t = sum_norm_t / n_slices
             c_hat_t = latala_ratio(mean_slice_t, latala_terms(sq_t / n_slices, quad_t / n_slices))
-            c3_hat = c_hat_t * (2.0 * math.sqrt(c1_const) + c2_const**0.25)
             mean_slice_d = sum_norm_d / n_slices
             c_hat_d = latala_ratio(mean_slice_d, latala_terms(sq_d / n_slices, quad_d / n_slices))
-            c4_hat = c_hat_d * (2.0 * math.sqrt(3.0 * c1_const) + c2_const**0.25)
+            c3_hat, c4_hat, w_bound, diff_bound, slice_bound, slice_diff_bound = theory.thm3_layer_bounds(
+                c_hat_t, c_hat_d, c1, c2, p, q, d, alpha)
             mean_w = _layer_mean(rows, "norm_w_dft", k)
             mean_diff = _layer_mean(rows, "norm_diff_dft", k)
-            w_bound = c3_hat * q * q / p
-            diff_bound = c4_hat * (q * q / p) * float(d) ** (-alpha / 4.0)
             layers.append(
                 {
                     "layer": k,
@@ -635,9 +617,9 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
                     "diff_bound": diff_bound,
                     "mean_diff_le_bound": mean_diff <= diff_bound,
                     "mean_slice_norm": mean_slice_t,
-                    "slice_bound_c3_over_p": c3_hat / p,
+                    "slice_bound_c3_over_p": slice_bound,
                     "mean_slice_diff_norm": mean_slice_d,
-                    "slice_diff_bound": (c4_hat / p) * float(d) ** (-alpha / 4.0),
+                    "slice_diff_bound": slice_diff_bound,
                     "c3_hat": c3_hat,
                     "c4_hat": c4_hat,
                     "freq_bins_event": _layer_mean(rows, "bins_event", k),

@@ -78,6 +78,8 @@ class FcnModel:
     act: Activation
 
     def __post_init__(self):
+        if not isinstance(self.act, Activation):
+            raise ValueError(f"act must be one Activation, got {type(self.act).__name__}")
         ws = tuple(_check_weight(w, f"W_{k + 1}") for k, w in enumerate(self.weights))
         object.__setattr__(self, "weights", ws)
         if len(ws) < 3:
@@ -111,6 +113,8 @@ class CnnModel:
     p: int
 
     def __post_init__(self):
+        if not isinstance(self.act, Activation):
+            raise ValueError(f"act must be one Activation, got {type(self.act).__name__}")
         fs = tuple(map(as_conv_tensor, self.conv_tensors))
         for f in fs:
             if f.shape[2] >= self.p:

@@ -1,15 +1,15 @@
-"""Closed-form moments, balls-into-bins probabilities, and theorem-side
-bound calculators.
+"""Closed-form moments, balls-into-bins probabilities, and every theorem
+bound, exponent, constant map and event: the sweeps and `bounds` call these
+and state no theorem formula of their own.
 
 Everything here is a pure function of its arguments.  The theorems only
 prove that their constants exist, so nothing is hardcoded: callers pass
-measured or assumed constants as plain floats, and every calculator
-returns a float (or a dict of named floats).  A probability is returned
-as-is and is vacuous when <= 0.  The `*_alpha_constraint` functions give
-the largest alpha Theorems 2 and 3 admit at width d; callers check
-0 < alpha <= that cap.  `balls_in_bins_lemma` states the lemma they rest
-on for every caller.  The balls-into-bins check returns the balls-bins
-report's row, a dict from column name to value.
+measured or assumed constants as plain floats.  A probability is returned
+as-is and is vacuous when <= 0; `thm2_factors` and `thm3_factors` give its
+per-event factors.  The `*_alpha_constraint` functions give the largest
+alpha Theorems 2 and 3 admit at width d; callers check 0 < alpha <= cap.
+`balls_in_bins_lemma` states the lemma they rest on for every caller.  The
+balls-into-bins check returns the balls-bins report's row.
 
 Natural logarithms throughout.
 """
@@ -24,17 +24,12 @@ import numpy as np
 from .sampling import SeedSpec
 
 __all__ = [
-    "order_stat_moment_exact",
-    "order_stat_moment",
-    "balls_in_bins_exact",
-    "balls_in_bins_lemma",
-    "balls_in_bins_check",
-    "thm1_width_terms",
-    "thm2_alpha_constraint",
-    "thm2_probability",
-    "thm3_alpha_constraint",
-    "thm3_rhs",
-    "thm3_probability",
+    "order_stat_moment_exact", "order_stat_moment",
+    "balls_in_bins_exact", "balls_in_bins_lemma", "balls_in_bins_check", "balls_in_bins_event",
+    "latala_constant", "fcn_exponents", "fcn_diff_threshold", "fcn_mean_bound", "fcn_gap_bound",
+    "thm1_width_terms", "thm2_alpha_constraint", "thm2_factors", "thm2_probability",
+    "thm3_alpha_constraint", "thm3_moment_c2", "thm3_layer_bounds", "thm3_event_thresholds",
+    "thm3_rhs", "thm3_factors", "thm3_probability",
 ]
 
 
@@ -155,21 +150,60 @@ def balls_in_bins_check(bins: int, balls: int, trials: int, seed: SeedSpec) -> d
     }
 
 
+def balls_in_bins_event(mask: np.ndarray, count: int) -> bool:
+    """The lemma's event on a pruned layer's 0/1 mask, `count` the balls N
+    pruned: every row, then every column, a bin, holds at most its cap 3N/n."""
+    zeros = mask == 0.0
+    return all(zeros.sum(axis=1 - a).max() <= balls_in_bins_lemma(bins, count)[0]
+               for a, bins in enumerate(zeros.shape))
+
+
 # ---------------------------------------------------------------------------
-# Width bounds and probability expressions
+# Theorems 1-3: bounds, exponents, constant maps, events and probabilities
 # ---------------------------------------------------------------------------
 
 
-def thm1_width_terms(
-    c0: float,
-    c2: float,
-    delta0: float,
-    l: int,
-    lipschitz: tuple[float, ...],
-    alpha: float,
-    eps: float,
-    delta: float,
-) -> dict[str, float]:
+def latala_constant(c_hat: float, second: float, fourth: float) -> float:
+    """A Latala ratio mapped to a theorem's norm constant, c_hat (2 sqrt(second)
+    + fourth^(1/4)), by the entries' scaled second and fourth moments."""
+    return c_hat * (2.0 * math.sqrt(second) + fourth**0.25)
+
+
+def fcn_exponents(alpha: float, magnitude: bool) -> tuple[float, float]:
+    """The exponents of d in a pruned FCN layer's expected difference norm,
+    -2 alpha under magnitude pruning (Theorem 1) and -alpha/2 under random
+    pruning (Theorem 2), and in its Markov event's threshold, -alpha and -alpha/4."""
+    return (-2.0 * alpha, -alpha) if magnitude else (-alpha / 2.0, -alpha / 4.0)
+
+
+def fcn_diff_threshold(d: int, alpha: float, magnitude: bool) -> float:
+    """The threshold of a pruned FCN layer's Markov event on its difference norm."""
+    return float(d) ** fcn_exponents(alpha, magnitude)[1]
+
+
+def fcn_mean_bound(c_hat: float, d: int, alpha: float, magnitude: bool, k_scale: float, k1: float, k2: float):
+    """(c2, c2 d^mean_exponent): a pruned layer's constant from its Latala
+    ratio, by K (2 sqrt 2 + 24^(1/4)) under magnitude pruning of Xavier(K)
+    entries or 2 sqrt(3 k1) + k2^(1/4) under random pruning, and the bound
+    on its mean difference norm.  Under random pruning the bound over
+    `fcn_diff_threshold` is a layer's `thm2_factors` Markov term, to rounding."""
+    c2 = latala_constant(c_hat * k_scale, 2.0, 24.0) if magnitude else latala_constant(c_hat, 3.0 * k1, k2)
+    return c2, c2 * float(d) ** fcn_exponents(alpha, magnitude)[0]
+
+
+def fcn_gap_bound(l: int, d: int, alpha: float, magnitude: bool, norms) -> float:
+    """A trial's sup-gap bound at 1-Lipschitz activations and caps max(1, ||W_k||):
+    (2^(l-2) - 1) d^(-alpha) (largest cap)^(l-1) under magnitude pruning
+    (Theorem 1), (2^(l-2) - 1) d^(-alpha/4) prod(caps) under random pruning
+    (Theorem 2).  The first is `thm1_width_terms`'s C2 d^(-alpha), factors
+    reordered: its eps_term at eps = this bound is d, to rounding."""
+    caps = [max(1.0, v) for v in norms]
+    scale = (2 ** (l - 2) - 1) * fcn_diff_threshold(d, alpha, magnitude)
+    return scale * (max(caps) ** (l - 1) if magnitude else math.prod(caps))
+
+
+def thm1_width_terms(c0: float, c2: float, delta0: float, l: int, lipschitz: tuple[float, ...], alpha: float,
+                     eps: float, delta: float) -> dict[str, float]:
     """The four width lower-bound terms for magnitude pruning of uniform nets;
     the width bound is the ceiling of their max.
 
@@ -205,30 +239,29 @@ def thm2_alpha_constraint(d: int) -> float:
     return 1.0 - (math.log(d + 1) - math.log(math.log(d))) / (2.0 * math.log(d))
 
 
-def thm2_probability(
-    l: int,
-    d: int,
-    alpha: float,
-    c2: float,
-    deltas: tuple[float, ...],
-) -> float:
-    """Success probability of random pruning:
+def _mask_factor(d: int, l: int) -> float:  # the lemma's floor for the l - 2 pruned layers' rows and columns
+    return balls_in_bins_lemma(d, 0)[2] ** (2 * (l - 2))
 
-        (1 - d^(-1/3))^(2(l-2)) * (1 - delta_l)
-          * [1 - (l-2) c2 d^(-alpha/4) - sum_{i<l} (l-i) delta_i]
 
-    deltas supplies delta_1..delta_l.  The value is returned as-is; it is
-    vacuous when <= 0.
-    """
+def thm2_factors(l: int, d: int, alpha: float, c2: float, deltas: tuple[float, ...]) -> dict[str, float]:
+    """Theorem 2's per-event factors: the mask factor (1 - d^(-1/3))^(2(l-2)),
+    the Markov term (l-2) c2 d^(-alpha/4) of the difference events, and the
+    delta tail sum_{i<l} (l-i) delta_i.  deltas supplies delta_1..delta_l."""
     if l < 3 or d < 1:
         raise ValueError("need l >= 3 and d >= 1")
     if len(deltas) != l:
         raise ValueError(f"expected {l} per-layer probabilities, got {len(deltas)}")
     if c2 <= 0:
         raise ValueError("c2 must be positive")
-    tail = sum((l - i) * deltas[i - 1] for i in range(1, l))
-    bracket = 1.0 - (l - 2) * c2 * d ** (-alpha / 4.0) - tail
-    return balls_in_bins_lemma(d, 0)[2] ** (2 * (l - 2)) * (1.0 - deltas[l - 1]) * bracket
+    return {"mask": _mask_factor(d, l), "markov": (l - 2) * c2 * d ** (-alpha / 4.0),
+            "delta_tail": sum((l - i) * deltas[i - 1] for i in range(1, l))}
+
+
+def thm2_probability(l: int, d: int, alpha: float, c2: float, deltas: tuple[float, ...]) -> float:
+    """Success probability of random pruning from `thm2_factors`, returned as-is:
+    mask (1 - delta_l) (1 - markov - delta_tail)."""
+    f = thm2_factors(l, d, alpha, c2, deltas)
+    return f["mask"] * (1.0 - deltas[l - 1]) * (1.0 - f["markov"] - f["delta_tail"])
 
 
 def thm3_alpha_constraint(d: int) -> float:
@@ -239,17 +272,31 @@ def thm3_alpha_constraint(d: int) -> float:
     return 2.0 - (math.log(d + 1) + math.log(math.log(d))) / math.log(d)
 
 
-def thm3_rhs(
-    p: int,
-    d: int,
-    p0: int,
-    lipschitz: float,
-    l: int,
-    beta1: float,
-    beta2: float,
-    alpha: float,
-) -> float:
-    """Gap upper bound for filter-pruned CNNs:
+def thm3_moment_c2(weight_kind: str, c1: float) -> float:
+    """The fourth-moment constant of entries of variance c1/(p^2 d): 3 c1^2 gaussian, 1.8 c1^2 uniform."""
+    return 3.0 * c1**2 if weight_kind == "gaussian" else 1.8 * c1**2
+
+
+def thm3_layer_bounds(c_hat_w: float, c_hat_diff: float, c1: float, c2: float, p: int, q: int, d: int, alpha: float):
+    """(c3, c4, c3 q^2/p, c4 (q^2/p) d^(-alpha/4), c3/p, (c4/p) d^(-alpha/4)):
+    Theorem 3's constants from the Latala ratios of a pruned conv layer's
+    kernel slices and their pruned-away parts, then the bounds on the mean
+    norms of the layer, its difference, and one slice of each.  The layer
+    bounds over `thm3_event_thresholds` are `thm3_factors`' per-layer Markov
+    terms, to rounding."""
+    c3, c4 = latala_constant(c_hat_w, c1, c2), latala_constant(c_hat_diff, 3.0 * c1, c2)
+    decay = float(d) ** (-alpha / 4.0)
+    return c3, c4, c3 * q * q / p, c4 * (q * q / p) * decay, c3 / p, (c4 / p) * decay
+
+
+def thm3_event_thresholds(p: int, d: int, beta1: float, beta2: float) -> tuple[float, float]:
+    """The thresholds of Theorem 3's per-layer events ||W_k|| <= p^(-beta1)
+    and ||W_k - W~_k|| <= d^(-beta2)."""
+    return p ** (-beta1), float(d) ** (-beta2)
+
+
+def thm3_rhs(p: int, d: int, p0: int, lipschitz: float, l: int, beta1: float, beta2: float, alpha: float) -> float:
+    """Gap upper bound for filter-pruned CNNs, on `thm3_event_thresholds`:
 
         p^(-b1) L^(l-1) p0 sqrt(d) [p^(-b1) (p^(-b1) + d^(-b2))^(l-2)
                                      - p^(-(l-1) b1)]
@@ -267,40 +314,31 @@ def thm3_rhs(
         raise ValueError("beta2 must be below alpha/4")
     if p < 2 or d < 1 or p0 < 1 or lipschitz <= 0:
         raise ValueError("need p >= 2, d >= 1, p0 >= 1, positive Lipschitz constant")
-    pb = p ** (-beta1)
-    bracket = pb * (pb + d ** (-beta2)) ** (l - 2) - p ** (-(l - 1) * beta1)
+    pb, db = thm3_event_thresholds(p, d, beta1, beta2)
+    bracket = pb * (pb + db) ** (l - 2) - p ** (-(l - 1) * beta1)
     value = pb * lipschitz ** (l - 1) * p0 * math.sqrt(d) * bracket
     if value <= 0:
         raise ArithmeticError("bound evaluated non-positive; inputs out of range")
     return value
 
 
-def thm3_probability(
-    l: int,
-    d: int,
-    p: int,
-    q: int,
-    alpha: float,
-    beta1: float,
-    beta2: float,
-    c3: float,
-    c4: float,
-    c5: float,
-) -> float:
-    """Success probability of filter pruning: (1 - d^(-1/3))^(2(l-2)) * pbar,
-
-        pbar = 1 - (l-2) c4 (q^2/p) d^(-alpha/4 + beta2)
-                 - ((l^2 - l - 2)/2) c3 q^2 / p^(1-beta1)
-                 - c5 / p^(1-beta1).
-    """
+def thm3_factors(l: int, d: int, p: int, q: int, alpha: float, beta1: float, beta2: float,
+                 c3: float, c4: float, c5: float) -> dict[str, float]:
+    """Theorem 3's per-event factors: the mask factor (1 - d^(-1/3))^(2(l-2)),
+    the Markov terms (l-2) c4 (q^2/p) d^(-alpha/4 + beta2) of the difference
+    events and ((l^2 - l - 2)/2) c3 q^2 / p^(1-beta1) of the weight events,
+    and the c5 tail c5 / p^(1-beta1)."""
     if l < 3 or d < 1 or p < 2 or q < 1:
         raise ValueError("need l >= 3, d >= 1, p >= 2, q >= 1")
     if min(c3, c4, c5) < 0:
         raise ValueError("constants must be nonnegative")
-    pbar = (
-        1.0
-        - (l - 2) * c4 * (q * q / p) * d ** (-alpha / 4.0 + beta2)
-        - ((l * l - l - 2) / 2.0) * c3 * q * q / p ** (1.0 - beta1)
-        - c5 / p ** (1.0 - beta1)
-    )
-    return balls_in_bins_lemma(d, 0)[2] ** (2 * (l - 2)) * pbar
+    return {"mask": _mask_factor(d, l), "markov_diff": (l - 2) * c4 * (q * q / p) * d ** (-alpha / 4.0 + beta2),
+            "markov_w": ((l * l - l - 2) / 2.0) * c3 * q * q / p ** (1.0 - beta1), "c5_tail": c5 / p ** (1.0 - beta1)}
+
+
+def thm3_probability(l: int, d: int, p: int, q: int, alpha: float, beta1: float, beta2: float,
+                     c3: float, c4: float, c5: float) -> float:
+    """Success probability of filter pruning from `thm3_factors`,
+    mask (1 - markov_diff - markov_w - c5_tail), returned as-is."""
+    f = thm3_factors(l, d, p, q, alpha, beta1, beta2, c3, c4, c5)
+    return f["mask"] * (1.0 - f["markov_diff"] - f["markov_w"] - f["c5_tail"])

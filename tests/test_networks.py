@@ -92,6 +92,11 @@ class TestFcnModel:
         want = ws[2] @ np.tanh(ws[1] @ np.tanh(ws[0] @ x))
         np.testing.assert_allclose(forward_fcn(FcnModel(ws, Activation("tanh")), x), want, rtol=1e-12)
 
+    def test_rejects_an_act_that_is_not_one_activation(self):
+        # the old per-layer tuple built a model that failed at its first forward pass
+        with pytest.raises(ValueError, match="act must be one Activation, got tuple"):
+            FcnModel((np.eye(2),) * 3, (RELU, RELU))
+
 
 class TestForwardFcn:
     def test_identity_network(self):
@@ -139,6 +144,12 @@ def test_cnn_model_rejects_an_empty_kernel():
     tensors = (np.zeros((3, 2, 0, 0)), np.zeros((3, 3, 0, 0)))
     with pytest.raises(ValueError, match="kernels must be square and nonempty"):
         CnnModel(tensors, np.zeros((2, 3 * 4 * 4)), RELU, 4)
+
+
+def test_cnn_model_rejects_an_act_that_is_not_one_activation():
+    m = small_cnn()
+    with pytest.raises(ValueError, match="act must be one Activation, got str"):
+        CnnModel(m.conv_tensors, m.final_dense, "relu", m.p)
 
 
 class TestForwardCnn:
