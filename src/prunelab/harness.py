@@ -437,7 +437,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
     # squared gap norm the estimate sums is then at most 4 prod K^2 min(m, n),
     # checked so it cannot overflow.  The Latala payload's fourth powers, of
     # the order of (K^2 / max(m, n))^2, are checked at the largest layer so
-    # they cannot underflow.
+    # they cannot underflow.  The gap bound is checked at unit norms too.
     for d in s.widths:
         largest = max(max(m * n for m, n in shapes_for(d)), networks._GAP_CHUNK * max(s.d_in, d, s.d_out))
         _check_size(f"widths d={d} with d_in={s.d_in}, d_out={s.d_out}", largest * 8)
@@ -446,6 +446,8 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
         b2 = k_scale * k_scale / max(map(max, shapes_for(d)))
         if not _normal(b2 * b2):
             raise ConfigError(f"xavier_k={k_scale:g} too small at width d={d}: the entries' fourth powers underflow")
+        with _theory_inputs("gap_bound"):
+            theory.fcn_gap_bound(l, d, alpha, magnitude, [1.0])
 
     def one_trial(d: int, seed_t: SeedSpec):
         gw = seed_t.sub(0).generator()

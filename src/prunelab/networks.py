@@ -12,7 +12,6 @@ conv layers (see `pruning.build_mask`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -146,9 +145,11 @@ class CnnModel:
 def _mask_shapes(model) -> list:
     """The shape of each layer's mask: W_k's for an FCN; for a CNN,
     (d_k, d_{k-1}) per conv layer and the dense layer's shape."""
-    if isinstance(model, FcnModel):
-        return [w.shape for w in model.weights]
-    return [f.shape[:2] for f in model.conv_tensors] + [model.final_dense.shape]
+    return [w.shape[:2] for w in _layer_weights(model)]
+
+
+def _layer_weights(model) -> tuple:
+    return model.weights if isinstance(model, FcnModel) else (*model.conv_tensors, model.final_dense)
 
 
 def all_ones_masks(model) -> tuple:
@@ -164,26 +165,6 @@ def _check_mask(model, mask) -> tuple:
     if len(mask) != len(shapes) or any(m.shape != shape for m, shape in zip(mask, shapes)):
         raise ValueError("mask does not match the model")
     return mask
-
-
-def _dense_layer(h: np.ndarray, w: np.ndarray, act: Activation | None) -> np.ndarray:
-    """One dense layer on row vectors: act(h W^T), or h W^T for an output
-    layer (act None)."""
-    z = h @ w.T
-    return z if act is None else act.apply_inplace(z)
-
-
-@dataclass(frozen=True, eq=False)
-class _ConvStep:
-    """One conv layer of a CNN's steps: the kernel transform of its
-    (masked) filters, the shared activation and the spatial size.  The last
-    conv layer's output maps go to the dense layer flattened; every other
-    conv layer's go to the next conv layer as their rfft2."""
-
-    khat: np.ndarray
-    act: Activation
-    p: int
-    last: bool
 
 
 # The conv runner's blocks hold as many points as give about this many
@@ -202,19 +183,11 @@ _CONV_BLOCK_BYTES = 4 * 2**20
 _CONV_BLOCK_ALIGN = 64
 
 
-def _conv_block(convs: list, xhat: np.ndarray) -> np.ndarray:
-    """Run the conv steps on one block of points from xhat, the rfft2 of
-    their input maps; returns the last step's output maps, or their rfft2
-    when the last step is not the model's last conv layer."""
-    for conv in convs:
-        maps = conv.act.apply_inplace(apply_kernel_transform(xhat, conv.khat, conv.p))
-        xhat = maps if conv.last else rfft2_inplace(maps)
-    return xhat
-
-
-def _run_convs(convs: list, xhat: np.ndarray, buffers: dict) -> np.ndarray:
-    """Run consecutive conv steps on a batch from xhat, the rfft2 of its
-    input maps, one block of points at a time.
+def _run_convs(khats: list, act: Activation, p: int, last: bool, xhat: np.ndarray, buffers: dict) -> np.ndarray:
+    """Run consecutive conv layers, given by the kernel transforms of their
+    (masked) filters, each followed by `act`, on a batch from xhat, the
+    rfft2 of its p x p input maps, one block of points at a time.  `last`
+    says whether the last of them is the model's last conv layer.
 
     A block holds the largest multiple of `_CONV_BLOCK_ALIGN` points
     whose einsum output fits in `_CONV_BLOCK_BYTES`, one multiple at
@@ -225,31 +198,29 @@ def _run_convs(convs: list, xhat: np.ndarray, buffers: dict) -> np.ndarray:
     exists.
 
     The result is the first rows of an array in `buffers`, keyed by the
-    last step's channel count and whether it is the model's last conv
-    layer, allocated on first use and reused by later calls with the same
-    dict, also for a batch of one block.  The sup-gap estimate passes one
-    dict for all its chunks, so no result is allocated and freed chunk by
-    chunk, which let glibc trim the heap and fault it back in every chunk:
-    per-call results took a 1000-point d = 32 estimate 20k minor faults
-    against 2.5k and 1.3x the time, and one-block batches that returned
-    their own output took a d = 16 one of as many points 8.1k against 2.5k.
+    last layer's channel count and `last`, allocated on first use and
+    reused by later calls with the same dict, also for a batch of one
+    block.  The sup-gap estimate passes one dict for all its chunks, so no
+    result is allocated and freed chunk by chunk, which let glibc trim the
+    heap and fault it back in every chunk: per-call results took a
+    1000-point d = 32 estimate 20k minor faults against 2.5k and 1.3x the
+    time, and one-block batches that returned their own output took a
+    d = 16 one of as many points 8.1k against 2.5k.
 
-    After the last conv layer the result is the dense layer's operand: the
-    flattened output maps in C order, one row per point, as the dense
-    matmul takes them.  Otherwise it is the rfft2 of the output maps, laid
-    out frequency-major with the points fastest, as an einsum output is,
-    so a block of its rows is a matmul operand with unit stride for the
-    next conv step.
+    With `last` the result is the dense layer's operand: the flattened
+    output maps in C order, one row per point, as the dense matmul takes
+    them.  Otherwise it is the rfft2 of the output maps, laid out
+    frequency-major with the points fastest, as an einsum output is, so a
+    block of its rows is a matmul operand with unit stride for the next
+    conv layer.
     """
-    n = xhat.shape[0]
-    d, p = convs[-1].khat.shape[0], convs[-1].p
+    n, d = xhat.shape[0], khats[-1].shape[0]
     # one point's einsum output in the widest layer: d_out x p x (p // 2 + 1) complex
-    point_bytes = max(conv.khat.shape[0] for conv in convs) * p * (p // 2 + 1) * 16
+    point_bytes = max(khat.shape[0] for khat in khats) * p * (p // 2 + 1) * 16
     block = max(1, _CONV_BLOCK_BYTES // (point_bytes * _CONV_BLOCK_ALIGN)) * _CONV_BLOCK_ALIGN
     # a lone last point joins the block before it: a one-point block makes
     # the einsum's matmul a matrix-vector product, which rounds differently
     stops = [*range(block, n - 1, block), n]
-    last = convs[-1].last
     out = buffers.get((d, last))
     if out is None or len(out) < n:
         if last:
@@ -259,52 +230,53 @@ def _run_convs(convs: list, xhat: np.ndarray, buffers: dict) -> np.ndarray:
         buffers[(d, last)] = out
     out = out[:n]
     for lo, hi in zip([0] + stops, stops):
-        y = _conv_block(convs, xhat[lo:hi])
+        y = xhat[lo:hi]
+        for k, khat in enumerate(khats):
+            y = act.apply_inplace(apply_kernel_transform(y, khat, p))
+            if not (last and k == len(khats) - 1):
+                y = rfft2_inplace(y)
         out[lo:hi].reshape(y.shape)[...] = y
         del y  # freed before the next block starts
     return out
 
 
 def _layer_steps(model, mask: tuple | None = None, target: list | None = None) -> list:
-    """One step per layer of the model, masked by `mask` when given: a
-    `_ConvStep` per conv layer, a callable per dense layer.
+    """Each layer's operand, masked by `mask` when given: the kernel
+    transform of a conv layer's filters, a dense layer's weight matrix.
 
-    The masked weights and, for conv layers, the kernel transforms are
-    computed here, once per call.  With `target`, the model's unmasked
-    steps, a layer whose mask is all ones reuses the target's step object:
-    1.0 * w is bitwise w, so both would compute the same bits.
+    The masked weights and the kernel transforms are computed here, once
+    per call.  With `target`, the model's unmasked operands, a layer whose
+    mask is all ones reuses the target's array: 1.0 * w is bitwise w, so
+    both would compute the same bits.
     """
-    l = model.depth
-    steps = []
-    for k in range(l):
+    ops = []
+    for k, w in enumerate(_layer_weights(model)):
         m = None if mask is None else mask[k]
         if target is not None and np.all(m == 1.0):
-            steps.append(target[k])
-        elif isinstance(model, CnnModel) and k < l - 1:
-            f = model.conv_tensors[k] if m is None else model.conv_tensors[k] * m[:, :, None, None]
-            steps.append(_ConvStep(kernel_transform(f, model.p), model.act, model.p, k == l - 2))
+            ops.append(target[k])
+        elif w.ndim == 4:
+            ops.append(kernel_transform(w if m is None else w * m[:, :, None, None], model.p))
         else:
-            w = model.weights[k] if isinstance(model, FcnModel) else model.final_dense
-            steps.append(partial(_dense_layer, w=w if m is None else m * w, act=model.act if k < l - 1 else None))
-    return steps
+            ops.append(w if m is None else m * w)
+    return ops
 
 
-def _first_input(model, h: np.ndarray) -> np.ndarray:
-    """What the first layer step takes from a batch of flattened inputs: the
-    batch itself for an FCN, the rfft2 of its feature maps for a CNN."""
-    if isinstance(model, FcnModel):
-        return h
-    return rfft2_inplace(unflatten_maps(h, model.channels[0], model.p))
-
-
-def _run(steps: list, h: np.ndarray, buffers: dict) -> np.ndarray:
-    """Run consecutive layer steps on a batch: the conv steps, which come
-    first, through `_run_convs` with its `buffers`, then the dense steps."""
-    convs = [step for step in steps if isinstance(step, _ConvStep)]
+def _run(model, steps: list, first: int, h: np.ndarray, buffers: dict) -> np.ndarray:
+    """Run the model's layers first, first + 1, ... on a batch, one per
+    operand in `steps`, with `model.act` after each but the model's last.
+    From layer 0, h is the flattened inputs, of which a CNN takes the rfft2
+    of the feature maps; else it is what the run up to layer first returned.
+    The conv layers run through `_run_convs` with `buffers`."""
+    n_convs = model.depth - 1 if isinstance(model, CnnModel) else 0
+    if first == 0 and steps and n_convs:
+        h = rfft2_inplace(unflatten_maps(h, model.channels[0], model.p))
+    convs = min(max(n_convs - first, 0), len(steps))
     if convs:
-        h = _run_convs(convs, h, buffers)
-    for step in steps[len(convs) :]:
-        h = step(h)
+        h = _run_convs(steps[:convs], model.act, model.p, first + convs == n_convs, h, buffers)
+    for k, w in enumerate(steps[convs:], start=first + convs):
+        h = h @ w.T
+        if k < model.depth - 1:
+            h = model.act.apply_inplace(h)
     return h
 
 
@@ -316,7 +288,7 @@ def _forward(model, x, mask, dim_name: str) -> np.ndarray:
     h = a[None, :] if single else a
     if h.ndim != 2 or h.shape[1] != model.input_dim:
         raise ValueError(f"input dim {h.shape[-1]} does not match {dim_name}={model.input_dim}")
-    out = _run(_layer_steps(model, mask), _first_input(model, h), {})
+    out = _run(model, _layer_steps(model, mask), 0, h, {})
     return out[0] if single else out
 
 
@@ -349,17 +321,17 @@ def estimate_sup_gap(model, mask, domain: str, n: int, seed: SeedSpec) -> float:
     shape, or the estimate raises ValueError rather than broadcast it.
 
     Both networks are evaluated in one pass over chunks of `_GAP_CHUNK`
-    points.  The masked weights and, for CNNs, the kernel transforms of the
-    target and the pruned conv layers are computed once, before the chunk
-    loop.  The leading layers whose masks are all ones (at least the
-    first, which no scheme of `pruning.build_mask` prunes) are the same in
-    both networks: each chunk runs them once, and for a CNN also the rfft2
-    of their output.  The pruned and then the target layers after them run
-    from those shared activations one after the other, so only one
-    branch's intermediates are alive at a time.  Every FFT, einsum and
-    matmul has the operands it has in `forward_fcn` / `forward_cnn`, so the
-    estimate is bitwise the max over chunks of
-    norm(forward(x, mask) - forward(x)).
+    points.  Each network's layer operands (`_layer_steps`: the masked
+    weight matrices and the kernel transforms of the masked conv filters)
+    are computed once, before the chunk loop.  The leading layers whose
+    masks are all ones (at least the first, which no scheme of
+    `pruning.build_mask` prunes) share the target's operands: each chunk
+    runs them once, and for a CNN also the rfft2 of their output.  The
+    pruned and then the target layers after them run from those shared
+    activations one after the other, so only one branch's intermediates
+    are alive at a time.  Every FFT, einsum and matmul has the operands it
+    has in `forward_fcn` / `forward_cnn`, so the estimate is bitwise the
+    max over chunks of norm(forward(x, mask) - forward(x)).
 
     Each chunk's points are drawn from the seed's one generator when the
     loop reaches the chunk; the samplers' draws are chunk-invariant, so
@@ -392,8 +364,8 @@ def estimate_sup_gap(model, mask, domain: str, n: int, seed: SeedSpec) -> float:
     best = 0.0
     for lo in range(0, n, _GAP_CHUNK):
         pts = sample(model.input_dim, min(_GAP_CHUNK, n - lo), rng)
-        shared = _run(target[:split], _first_input(model, pts), buffers)
-        diff = _run(pruned[split:], shared, buffers) - _run(target[split:], shared, buffers)
+        shared = _run(model, target[:split], 0, pts, buffers)
+        diff = _run(model, pruned[split:], split, shared, buffers) - _run(model, target[split:], split, shared, buffers)
         del pts, shared  # dropped before the next chunk's arrays are made
         best = max(best, float(np.linalg.norm(diff, axis=1).max()))
     return best

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from prunelab import cli, harness
+from prunelab import cli, harness, networks
 from prunelab.cli import main
 from prunelab.harness import EXPERIMENT_KINDS, ConfigError, default_config, load_config, run_experiment
 
@@ -451,6 +451,24 @@ def test_thm3_rhs_out_of_range_in_bounds_exits_1(tmp_path, capsys):
     thm3 = default_config("bounds")["thm3"] | UNDERFLOW
     assert main(["bounds", "--config", _config(tmp_path, {"thm3": thm3})]) == 1
     assert "bounds: bound evaluated non-positive" in _one_line_error(capsys)
+
+
+def test_fcn_gap_bound_out_of_range_exits_1_before_any_gap_estimate(tmp_path, capsys, monkeypatch):
+    # (2^(l-2) - 1) overflows a double at this depth; the bound's factor was
+    # first evaluated after a trial's gap estimate had run
+    calls = []
+    estimate = networks.estimate_sup_gap
+
+    def spy(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.delenv("PRUNELAB_WORKERS", raising=False)
+    monkeypatch.setattr(networks, "estimate_sup_gap", spy)
+    body = {"depth": 1100, "widths": [8], "trials": 2, "samples": 5, "xavier_k": 0.3}
+    assert main(["fcn-sweep", "--config", _config(tmp_path, body)]) == 1
+    assert _one_line_error(capsys) == "error: gap_bound: value out of floating-point range\n"
+    assert calls == []
 
 
 def _fields(cfg: dict, prefix=()):

@@ -3,12 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prunelab.circulant import build_full_map, flatten_maps, pad_kernel
+from prunelab.circulant import build_full_map, flatten_maps, pad_kernel, rfft2_inplace, unflatten_maps
 from prunelab.networks import (
     _CONV_BLOCK_BYTES,
     _GAP_CHUNK,
-    _ConvStep,
-    _first_input,
     _layer_steps,
     _run_convs,
     Activation,
@@ -373,18 +371,19 @@ def test_one_block_batches_fill_one_reused_array(last):
     model's last conv layer the result is the dense operand, without it the
     next conv layer's spectrum."""
     model, _ = cnn_case(4, 3, seed=4)
-    convs = [step for step in _layer_steps(model) if isinstance(step, _ConvStep)]
-    convs = convs if last else convs[:1]
+    khats = _layer_steps(model)[: model.depth - 1]
+    khats = khats if last else khats[:1]
     rng = np.random.default_rng(5)
-    xs = [_first_input(model, rng.random((n, model.input_dim))) for n in (200, 150)]
+    xs = [rfft2_inplace(unflatten_maps(rng.random((n, model.input_dim)), model.channels[0], model.p)) for n in (200, 150)]
+    args = (khats, model.act, model.p, last)
     buffers = {}
-    first = _run_convs(convs, xs[0], buffers)
+    first = _run_convs(*args, xs[0], buffers)
     first_bits = first.copy()
-    second = _run_convs(convs, xs[1], buffers)
+    second = _run_convs(*args, xs[1], buffers)
     assert np.shares_memory(first, second)
     assert len(buffers) == 1
-    np.testing.assert_array_equal(first_bits, _run_convs(convs, xs[0], {}))
-    np.testing.assert_array_equal(second, _run_convs(convs, xs[1], {}))
+    np.testing.assert_array_equal(first_bits, _run_convs(*args, xs[0], {}))
+    np.testing.assert_array_equal(second, _run_convs(*args, xs[1], {}))
 
 
 def pre_change_forward(model, xs, mask):
@@ -416,8 +415,11 @@ def pre_change_sup_gap(model, mask, domain, n, seed, chunk_size=256):
 def oracle_case(kind, depth, pattern, seed):
     """A small model and a mask of the given pattern: "random" (random zeros
     in every internal layer), "ones", "zero-internal" (the first internal
-    layer fully pruned) or "last-internal" (only the last internal layer
-    pruned, so the networks share every layer before it)."""
+    layer fully pruned), "last-internal" (only the last internal layer
+    pruned, so the networks share every layer before it), "last" (only the
+    output layer pruned, so the estimate's split lands on it: for a CNN,
+    right after the last conv layer) or "first" (only the first layer
+    pruned, so the networks share no layer)."""
     rng = np.random.default_rng(seed)
     if kind == "fcn":
         widths = [5, 7, 6, 8, 3][: depth + 1]
@@ -442,12 +444,19 @@ def oracle_case(kind, depth, pattern, seed):
         masks[1] = np.zeros_like(masks[1])
     elif pattern == "last-internal":
         masks[depth - 2] = some_zeros(masks[depth - 2])
+    elif pattern == "last":
+        masks[-1] = some_zeros(masks[-1])
+    elif pattern == "first":
+        masks[0] = some_zeros(masks[0])
     return model, tuple(masks)
+
+
+PATTERNS = ["random", "ones", "zero-internal", "last-internal", "last", "first"]
 
 
 class TestSupGapOracle:
     @pytest.mark.parametrize("n", [1, 256, 300])
-    @pytest.mark.parametrize("pattern", ["random", "ones", "zero-internal", "last-internal"])
+    @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("depth", [3, 4])
     @pytest.mark.parametrize("kind, domain", [("fcn", "sphere"), ("cnn", "cube")])
     def test_bitwise_equal_to_pre_change_loop(self, kind, domain, depth, pattern, n):
@@ -458,7 +467,7 @@ class TestSupGapOracle:
         if pattern != "ones":
             assert want > 0.0
 
-    @pytest.mark.parametrize("pattern", ["random", "ones", "zero-internal", "last-internal"])
+    @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("depth", [3, 4])
     @pytest.mark.parametrize("kind", ["fcn", "cnn"])
     def test_forward_bitwise_equal_to_pre_change_passes(self, kind, depth, pattern):
@@ -467,6 +476,16 @@ class TestSupGapOracle:
         fwd = forward_fcn if kind == "fcn" else forward_cnn
         np.testing.assert_array_equal(fwd(model, xs, mask), pre_change_forward(model, xs, mask))
         np.testing.assert_array_equal(fwd(model, xs), pre_change_forward(model, xs, None))
+
+    @pytest.mark.parametrize("kind", ["fcn", "cnn"])
+    def test_layer_operands_are_arrays_shared_up_to_the_pruned_layer(self, kind):
+        # with only the output layer pruned the estimate's split is the
+        # output layer: for a CNN, the first layer after the last conv layer
+        model, mask = oracle_case(kind, 4, "last", seed=4)
+        target = _layer_steps(model)
+        pruned = _layer_steps(model, mask, target)
+        assert all(type(op) is np.ndarray for op in target + pruned)
+        assert [op is t for op, t in zip(pruned, target)] == [True] * (model.depth - 1) + [False]
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 232, 256, 325])
     @pytest.mark.parametrize("depth", [3, 4])
@@ -493,3 +512,82 @@ class TestSupGapOracle:
         for model, mask in [(fcn, cnn_mask), (cnn, fcn_mask), (fcn, fcn_mask[:-1])]:
             with pytest.raises(ValueError, match="mask does not match"):
                 estimate_sup_gap(model, mask, "sphere", 8, SEED)
+
+
+FCN_SCHEMES = ["magnitude-layerwise", "magnitude-global", "random-with-replacement", "random-without-replacement"]
+
+
+def identity_fcn_case(scheme, d_in, depth, seed):
+    """An identity-activation FCN, d_in -> 6 -> ... -> 3, and its mask under
+    `scheme`, which prunes every internal layer."""
+    rng = np.random.default_rng(seed)
+    dims = [d_in] + [6] * (depth - 1) + [3]
+    model = FcnModel(tuple(rng.standard_normal((dims[k + 1], dims[k])) for k in range(depth)), IDENT)
+    counts = tuple(prune_count(0.4, w.size) for w in model.weights[1:-1])
+    return model, build_mask(model, scheme, counts, SEED.sub(seed))
+
+
+def identity_cnn_case(depth, seed):
+    """An identity-activation CNN on one 3 x 3 input map (2 x 2 kernels, two
+    channels, 3 outputs), filter-pruned, so its cube has 2^9 vertices."""
+    rng = np.random.default_rng(seed)
+    p, chans = 3, [1] + [2] * (depth - 1)
+    tensors = tuple(rng.standard_normal((chans[k + 1], chans[k], 2, 2)) for k in range(depth - 1))
+    model = CnnModel(tensors, rng.standard_normal((3, chans[-1] * p * p)), IDENT, p)
+    return model, build_mask(model, "filter-random", (2,) * (depth - 2), SEED.sub(seed))
+
+
+def linear_map(model, mask=None) -> np.ndarray:
+    """The matrix of an identity-activation network, masked by `mask`: the
+    product of its layers' matrices, a conv layer's being the explicit
+    doubly block circulant map of its masked filters."""
+    mask = all_ones_masks(model) if mask is None else mask
+    if isinstance(model, FcnModel):
+        layers = [m * w for m, w in zip(mask, model.weights)]
+    else:
+        convs = zip(model.conv_tensors, mask)
+        layers = [build_full_map(pad_kernel(f * m[:, :, None, None], model.p)) for f, m in convs]
+        layers.append(mask[-1] * model.final_dense)
+    out = np.eye(model.input_dim)
+    for w in layers:
+        out = w @ out
+    return out
+
+
+class TestIdentityOracle:
+    """With the identity activation the gap is linear, D(x) = (prod of the
+    masked layers - prod of the layers) x, so its exact sup is known: the
+    top singular value of D on the unit sphere, its largest norm at a
+    vertex on the unit cube, where the convex norm peaks.  A sampled
+    estimate can only fall short of it."""
+
+    @pytest.mark.parametrize("n", [1, 256, 1000, 10_000])
+    @pytest.mark.parametrize("d_in", [2, 5])
+    @pytest.mark.parametrize("depth", [3, 4])
+    @pytest.mark.parametrize("scheme", FCN_SCHEMES)
+    def test_fcn_sphere_estimate_at_most_top_singular_value(self, scheme, depth, d_in, n):
+        model, mask = identity_fcn_case(scheme, d_in, depth, seed=depth * 10 + d_in)
+        exact = np.linalg.svd(linear_map(model, mask) - linear_map(model), compute_uv=False)[0]
+        assert exact > 0.0
+        gap = estimate_sup_gap(model, mask, "sphere", n, SEED.sub(n))
+        assert gap <= exact * (1 + 1e-12)
+        if d_in == 2 and n == 10_000:
+            # points 2 pi / 10^4 apart leave a relative shortfall near 1e-8
+            assert gap >= exact * (1 - 1e-6), (gap, exact)
+
+    @pytest.mark.parametrize("n", [1, 256, 1000, 10_000])
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_cnn_cube_estimate_at_most_largest_vertex_norm(self, depth, n):
+        model, mask = identity_cnn_case(depth, seed=depth)
+        assert model.input_dim <= 9
+        diff = linear_map(model, mask) - linear_map(model)
+        vertices = (np.arange(2**model.input_dim)[:, None] >> np.arange(model.input_dim) & 1).astype(float)
+        exact = np.linalg.norm(vertices @ diff.T, axis=1).max()
+        assert exact > 0.0
+        assert estimate_sup_gap(model, mask, "cube", n, SEED.sub(n)) <= exact * (1 + 1e-12)
+
+    def test_cnn_linear_map_is_the_forward_pass(self):
+        model, mask = identity_cnn_case(4, seed=4)
+        xs = np.random.default_rng(0).random((5, model.input_dim))
+        np.testing.assert_allclose(forward_cnn(model, xs, mask), xs @ linear_map(model, mask).T, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(forward_cnn(model, xs), xs @ linear_map(model).T, rtol=1e-12, atol=1e-12)
