@@ -1,8 +1,9 @@
 """Command line entry point.
 
-One subcommand per experiment kind; common flags select the config file,
-seed, trial count, output path, and format.  The PRUNELAB_WORKERS
-environment variable sets the worker count and never affects results.
+The experiment kind is the one positional argument; flags, the same for
+every kind, select the config file, seed, trial count, output path, and
+format.  The PRUNELAB_WORKERS environment variable sets the worker count
+and never affects results.
 
 Exit codes: 0 success, 1 usage or config error, unwritable report path or
 a config too large for memory (one `error:` line on stderr), 2 oracle or
@@ -30,7 +31,7 @@ from .parallel import resolve_workers
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors (a bad flag value, an unknown
     or missing kind) exit 1 with one line, like a config error, instead of
-    argparse's usage block and exit 2; its subparsers are of this class too."""
+    argparse's usage block and exit 2."""
 
     def error(self, message):
         raise ConfigError(message)
@@ -41,14 +42,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="prunelab",
         description="Prune randomly synthesized networks and verify the bound machinery empirically.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        p.add_argument("--config", metavar="PATH", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="base seed override")
-        p.add_argument("--trials", type=int, default=None, help="trial count override")
-        p.add_argument("--out", metavar="PATH", default=None, help="report file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    # every kind takes the same flags, so one parser serves them all
+    parser.add_argument("kind", choices=EXPERIMENT_KINDS, help="the experiment to run")
+    parser.add_argument("--config", metavar="PATH", default=None, help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="base seed override")
+    parser.add_argument("--trials", type=int, default=None, help="trial count override")
+    parser.add_argument("--out", metavar="PATH", default=None, help="report file (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -130,13 +130,15 @@ def estimate_latala(
         norms = top_singular_values(draws(sq, quad), d, d)
         return sq, quad, norms
 
-    sq_total = np.zeros((d, d))
-    quad_total = np.zeros((d, d))
+    sq_total = quad_total = 0.0
     all_norms = []
-    # each block's sums are added as the block arrives, in block order
+    # each block's sums are added as the block arrives, in block order, into
+    # the block's own arrays, which become the totals: addition commutes, so
+    # these are the additions of a fold from 0.0, and no total is copied
     for sq, quad, norms in ordered_imap(block_stats, trial_blocks(trials), workers):
-        sq_total += sq
-        quad_total += quad
+        sq += sq_total
+        quad += quad_total
+        sq_total, quad_total = sq, quad
         all_norms.append(norms)
     term1, term2, term3 = terms = latala_terms(sq_total / trials, quad_total / trials)
     mean_norm = float(np.concatenate(all_norms).mean())

@@ -343,11 +343,11 @@ def _gap_sweep(s, widths, workers: int, one_trial, summarize):
     tuple of arrays and floats.  A row is the d/trial/base_seed/stream
     columns, pruned layer k's entries named `<column>_l<k>`, then the tail.
     Each task is one trial, so two workers share even a short sweep, and
-    each trial is folded as it arrives and its payload then dropped, so
-    memory does not grow with the trial count.  Per width the rows keep
-    trial order, each payload component is summed over the trials in trial
-    order, starting from 0.0, and summarize(d, rows, sums) adds its fields
-    to the sup_gap quantiles.
+    each trial is folded as it arrives, its payload arrays becoming the
+    running sums, so memory does not grow with the trial count.  Per width
+    the rows keep trial order, each payload component is summed over the
+    trials in trial order, starting from 0.0, and summarize(d, rows, sums)
+    adds its fields to the sup_gap quantiles.
     """
 
     def trial_run(t: int, d: int):
@@ -367,11 +367,15 @@ def _gap_sweep(s, widths, workers: int, one_trial, summarize):
             rows.append(row | tail)
             if sums is None:
                 sums = [[0.0] * len(layer) for layer in payload]
-            # 0.0 + c for the first trial, then in place: the additions of
-            # a left fold from 0.0, in trial order
+            # the additions of a left fold from 0.0 in trial order, each
+            # written into the new payload's own component, which becomes
+            # the sum: addition commutes, and c + 0.0 turns -0.0 into +0.0
+            # as 0.0 + c does.  So no array is copied, and the older sum is
+            # freed.
             for acc, layer in zip(sums, payload):
                 for i, c in enumerate(layer):
-                    acc[i] += c
+                    c += acc[i]
+                    acc[i] = c
         all_rows.extend(rows)
         gaps = np.array([r["sup_gap"] for r in rows])
         per_width.append(
@@ -471,6 +475,7 @@ def run_fcn_gap_sweep(s: SimpleNamespace, workers: int):
              "bins_event": theory.balls_in_bins_event(mask[k], counts[j]), "diff_event": nd <= threshold}
             for j, (k, nd) in enumerate(zip(internal, diff_norms))
         ]
+        del model, weights  # read for the last time: freed before the Latala payload exists
         for sq in diffs:
             sq *= sq  # in place: the Latala sums take squares and fourth powers
         payload = [(sq, sq * sq) for sq in diffs]

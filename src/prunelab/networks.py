@@ -154,14 +154,17 @@ def _layer_weights(model) -> tuple:
 
 def all_ones_masks(model) -> tuple:
     """The masks that prune nothing."""
-    return tuple(np.ones(shape) for shape in _mask_shapes(model))
+    return tuple(np.ones(shape, dtype=bool) for shape in _mask_shapes(model))
 
 
 def _check_mask(model, mask) -> tuple:
-    """The mask as float arrays, one per layer of the model, each of the
-    layer's mask shape; anything else is a ValueError."""
+    """The mask as arrays, one per layer of the model, each of the layer's
+    mask shape; anything else is a ValueError.  A 0/1 mask is used in the
+    dtype it comes in, bool as `pruning.build_mask` builds it or float:
+    a weight times True or 1.0 is the weight's own bits, so no mask is
+    copied to float64."""
     shapes = _mask_shapes(model)
-    mask = tuple(np.asarray(m, dtype=np.float64) for m in mask)
+    mask = tuple(map(np.asarray, mask))
     if len(mask) != len(shapes) or any(m.shape != shape for m, shape in zip(mask, shapes)):
         raise ValueError("mask does not match the model")
     return mask

@@ -3,10 +3,10 @@
 Random with replacement, random without replacement, layer-wise magnitude,
 global magnitude (all four for FCN weight matrices), and random filter
 pruning for CNN conv layers.  Every scheme leaves the first and last layers
-untouched.  A mask is a tuple of 0/1 float arrays, one per layer, that the
-gap estimator and the forward passes check against the model's layer
-shapes.  `build_mask` is the one dispatch from a model, a scheme name and
-per-layer counts to the scheme's function.
+untouched.  A mask is a tuple of bool arrays, one per layer, True where a
+weight is kept, that the gap estimator and the forward passes check
+against the model's layer shapes.  `build_mask` is the one dispatch from a
+model, a scheme name and per-layer counts to the scheme's function.
 """
 
 from __future__ import annotations
@@ -78,16 +78,17 @@ def _check_layers(shapes, counts, replace: bool):
 
 def _zero_random_pairs(a: np.ndarray, count: int, rng: np.random.Generator) -> None:
     """Zero `count` uniform (row, column) pairs of `a` in place, drawn with
-    replacement from `rng`, rows then columns: at most `count` zeros."""
+    replacement from `rng`, rows then columns: at most `count` zeros.  `a`
+    is a bool mask or a float matrix."""
     m, n = a.shape
     rows = rng.integers(0, m, size=count)
     cols = rng.integers(0, n, size=count)
-    a[rows, cols] = 0.0
+    a[rows, cols] = 0
 
 
 def _framed(shapes, internal) -> tuple:
     """The internal layers' masks between the all-ones first and last ones."""
-    return (np.ones(shapes[0]), *internal, np.ones(shapes[-1]))
+    return (np.ones(shapes[0], dtype=bool), *internal, np.ones(shapes[-1], dtype=bool))
 
 
 def mask_random_with_replacement(shapes, counts, seed: SeedSpec) -> tuple:
@@ -96,7 +97,7 @@ def mask_random_with_replacement(shapes, counts, seed: SeedSpec) -> tuple:
     `_zero_random_pairs`, every layer drawing from one stream."""
     shapes, counts = _check_layers(shapes, counts, replace=True)
     rng = seed.generator()
-    internal = [np.ones(shape) for shape in shapes[1:-1]]
+    internal = [np.ones(shape, dtype=bool) for shape in shapes[1:-1]]
     for mask, c in zip(internal, counts):
         _zero_random_pairs(mask, c, rng)
     return _framed(shapes, internal)
@@ -108,9 +109,9 @@ def mask_random_without_replacement(shapes, counts, seed: SeedSpec) -> tuple:
     rng = seed.generator()
     internal = []
     for (m, n), c in zip(shapes[1:-1], counts):
-        mask = np.ones(m * n)
+        mask = np.ones(m * n, dtype=bool)
         if c > 0:
-            mask[rng.choice(m * n, size=c, replace=False)] = 0.0
+            mask[rng.choice(m * n, size=c, replace=False)] = False
         internal.append(mask.reshape(m, n))
     return _framed(shapes, internal)
 
@@ -142,8 +143,8 @@ def mask_magnitude_layerwise(weights, counts) -> tuple:
     shapes, counts = _check_layers([w.shape for w in ws], counts, replace=False)
     internal = []
     for w, c in zip(ws[1:-1], counts):
-        mask = np.ones(w.size)
-        mask[_smallest_indices(_magnitudes(w), c)] = 0.0
+        mask = np.ones(w.size, dtype=bool)
+        mask[_smallest_indices(_magnitudes(w), c)] = False
         internal.append(mask.reshape(w.shape))
     return _framed(shapes, internal)
 
@@ -160,8 +161,8 @@ def mask_magnitude_global(weights, counts) -> tuple:
     total_count = sum(counts)
     if total_count > flat.size:
         raise ValueError(f"total count {total_count} out of range 0..{flat.size}")
-    pooled = np.ones(flat.size)
-    pooled[_smallest_indices(flat, total_count)] = 0.0
+    pooled = np.ones(flat.size, dtype=bool)
+    pooled[_smallest_indices(flat, total_count)] = False
     # each internal layer's mask is a view of its part of the pool
     parts = np.split(pooled, np.cumsum([w.size for w in ws[1:-2]]))
     return _framed(shapes, (part.reshape(w.shape) for part, w in zip(parts, ws[1:-1])))
@@ -182,12 +183,12 @@ def build_mask(model, scheme: str, counts, seed: SeedSpec | None = None) -> tupl
     filter-random, pruned-filter) count; magnitude-global prunes their sum
     over the pooled layers.  The random schemes draw from `seed`.
 
-    The result holds one 0/1 array per layer, and the first and last are
-    all ones.  For an FCN, mask k matches W_{k+1} elementwise.  For a CNN,
-    a conv layer's mask is filter-level (d_k x d_{k-1}): zeroing entry
-    (s, t) removes the whole kernel, hence the whole doubly block circulant
-    block of the layer's linear map; the last mask is elementwise on the
-    dense layer.
+    The result holds one bool array per layer, True where a weight is
+    kept, and the first and last are all True.  For an FCN, mask k matches
+    W_{k+1} elementwise.  For a CNN, a conv layer's mask is filter-level
+    (d_k x d_{k-1}): zeroing entry (s, t) removes the whole kernel, hence
+    the whole doubly block circulant block of the layer's linear map; the
+    last mask is elementwise on the dense layer.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -241,6 +241,29 @@ def test_mask_of_wrong_layer_shape_is_rejected(kind, domain, forward):
         forward(model, RNG.standard_normal((2, model.input_dim)), mask)
 
 
+@pytest.mark.parametrize("kind", ["fcn", "cnn"])
+def test_bool_and_float_masks_give_the_same_bits(kind):
+    """`build_mask` builds bool masks, one byte per weight.  A weight times
+    True has the bits of the weight times 1.0, and times False those of
+    times 0.0, so the estimate and the forward passes give the same bits
+    for one 0/1 mask in either dtype."""
+    if kind == "fcn":
+        model = small_fcn(l=4, d=8)
+        mask = build_mask(model, "random-without-replacement", (20, 20), SEED.sub(1))
+        domain, forward = "sphere", forward_fcn
+    else:
+        model = small_cnn(d=4, l=4)
+        mask = build_mask(model, "filter-random", (5, 5), SEED.sub(1))
+        domain, forward = "cube", forward_cnn
+    assert [m.dtype for m in mask] == [np.dtype(bool)] * model.depth
+    as_float = tuple(m.astype(np.float64) for m in mask)
+    x = RNG.standard_normal((300, model.input_dim))
+    assert forward(model, x, mask).tobytes() == forward(model, x, as_float).tobytes()
+    gap = estimate_sup_gap(model, mask, domain, 300, SEED)
+    assert gap > 0.0
+    assert gap.hex() == estimate_sup_gap(model, as_float, domain, 300, SEED).hex()
+
+
 class TestEstimateSupGap:
     def test_identity_mask_gives_zero(self):
         m = small_fcn()

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import math
+import operator
 import re
 import time
 import tracemalloc
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -280,10 +283,14 @@ def test_peak_memory_does_not_grow_with_trials(kind, workers):
 
 # kind: (config, traced peak bound).  A trial peaks in its sup-gap estimate;
 # the arrays only its norm and Latala steps read die before it.  While they
-# were kept through it, these runs peaked at 12.6 and 40.6 MB; now they peak
-# at 9.6 and 36.3 MB.
+# were kept through it, these runs peaked at 12.6 and 40.6 MB, and then at
+# 9.6 and 36.3 MB.  The fcn-sweep run peaked at 9.46 MiB while its masks
+# were float64, a trial's weights lived until it returned and the running
+# sums were a copy beside the last trial's payload; with bool masks, the
+# weights freed before the payload and each payload becoming the sums, it
+# peaks at 6.53 MiB.
 GAP_PEAK_CASES = {
-    "fcn-sweep": ({"widths": [256], "trials": 3}, 11 * 2**20),
+    "fcn-sweep": ({"widths": [256], "trials": 3}, 7.5 * 2**20),
     "cnn-sweep": ({"channels": [64], "trials": 1}, 38.5 * 2**20),
 }
 
@@ -303,6 +310,48 @@ def test_cnn_trial_peak_with_blocked_conv_layers():
     cfg, _ = GAP_PEAK_CASES["cnn-sweep"]
     peak = _traced_peak("cnn-sweep", cfg, 1)
     assert peak <= 32 * 2**20, peak / 2**20
+
+
+def _stub_payload(d: int, seed_t: SeedSpec) -> list:
+    """Two pruned layers' payload components, arrays and floats, among them
+    ones whose every entry is -0.0 and an array with some -0.0 entries."""
+    rng = seed_t.generator()
+    mixed = rng.standard_normal(d)
+    mixed[rng.random(d) < 0.5] = -0.0
+    return [(rng.standard_normal((d, d)), float(rng.standard_normal()), np.full(d, -0.0)), (-0.0, mixed)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gap_sweep_sums_are_the_last_payload_folded_from_zero(workers):
+    """Each payload component is added into the new trial's own component,
+    which becomes the running sum: the bits of a left fold from 0.0 in
+    trial order (+0.0 where every term is -0.0), with no array copied."""
+    s = SimpleNamespace(seed=31, trials=5)
+    made, seen = {}, {}
+
+    def one_trial(d, seed_t):
+        made[seed_t] = _stub_payload(d, seed_t)
+        return [{"x": 0.0}, {"x": 1.0}], {"sup_gap": 1.0}, made[seed_t]
+
+    def summarize(d, rows, sums):
+        seen[d] = sums
+        return {}
+
+    harness._gap_sweep(s, (3, 4), workers, one_trial, summarize)
+    assert sorted(seen) == [3, 4]
+    for d, sums in seen.items():
+        payloads = [_stub_payload(d, SeedSpec(s.seed, t).sub(d)) for t in range(s.trials)]
+        last = made[SeedSpec(s.seed, s.trials - 1).sub(d)]
+        assert [len(layer) for layer in sums] == [3, 2]
+        for k, layer in enumerate(sums):
+            for i, got in enumerate(layer):
+                want = functools.reduce(operator.add, [p[k][i] for p in payloads], 0.0)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                if isinstance(want, np.ndarray):
+                    assert got is last[k][i]
+    for sums in seen.values():  # every term -0.0, the sum +0.0
+        assert not np.signbit(sums[0][2]).any() and math.copysign(1.0, sums[1][0]) == 1.0
 
 
 class TestEstimatorsAcrossWorkers:

@@ -6,7 +6,7 @@ import pytest
 
 import prunelab
 from prunelab import pruning
-from prunelab.networks import Activation, CnnModel, FcnModel
+from prunelab.networks import Activation, CnnModel, FcnModel, all_ones_masks
 from prunelab.pruning import (
     build_mask,
     mask_filter_random,
@@ -197,6 +197,17 @@ def test_first_and_last_layers_never_pruned(scheme):
     assert np.all(mask[0] == 1.0) and np.all(mask[-1] == 1.0)
     cnn = build_mask(cnn_model(np.random.default_rng(7)), "filter-random", (16, 16), SeedSpec(8))
     assert np.all(cnn[0] == 1.0) and np.all(cnn[-1] == 1.0)
+
+
+@pytest.mark.parametrize("scheme", FCN_SCHEMES + ["filter-random"])
+def test_every_scheme_builds_bool_masks(scheme):
+    # one byte per weight, True where the weight is kept
+    rng = np.random.default_rng(10)
+    model = cnn_model(rng) if scheme == "filter-random" else fcn_model(rng)
+    mask = build_mask(model, scheme, (9, 12), SeedSpec(8))
+    assert [m.dtype for m in mask] == [np.dtype(bool)] * len(mask)
+    assert zeros_per_layer(mask)[1:-1] != [0, 0]
+    assert [m.dtype for m in all_ones_masks(model)] == [np.dtype(bool)] * len(mask)
 
 
 @pytest.mark.parametrize("kind", KINDS)
