@@ -94,6 +94,15 @@ CASES = {
         {"depth": 4, "channels": [64], "spatial": 8, "trials": 1, "samples": 325},
         "26b94c76e424f84b590cb457a5db89de5c2d2545ddea3cfa27dd76c3c6f78301",
     ),
+    # d = 16 at p = 8: p^2 d = 1024 <= 1500, so each row's explicit map is
+    # a 1024 x 1024 SVD, past n = 768, where its last bits depend on the
+    # BLAS thread count; taken from the code before that SVD moved out of
+    # the mapped trials
+    "cnn-16-explicit": (
+        "cnn-sweep",
+        {"channels": [16], "spatial": 8, "trials": 2, "samples": 64},
+        "f77edc0f8cd2e6ec7d5350ec16a949922662402bab0bb79384932de4569ca356",
+    ),
     # integer K: the config block shows 1, the rows 1.0
     "table2": (
         "table2",
