@@ -158,16 +158,16 @@ def conv2d_wrap(x, f) -> np.ndarray:
         raise ValueError(f"feature maps of shape {x.shape} are not (..., d_in, p, p)")
     p = x.shape[-1]
     khat = kernel_transform(f, p)  # checks f and q <= p
-    if x.shape[-3] != khat.shape[1]:
-        raise ValueError(f"feature maps of shape {x.shape} do not match {khat.shape[1]} input channels")
+    if x.shape[-3] != khat.shape[2]:
+        raise ValueError(f"feature maps of shape {x.shape} do not match {khat.shape[2]} input channels")
     return apply_kernel_transform(rfft2_inplace(x), khat, p)
 
 
 def kernel_transform(f, p: int) -> np.ndarray:
     """Kernel-transform step of :func:`conv2d_wrap`: the conjugated rfft2
-    of each kernel zero-padded to p x p, shape (d_out, d_in, p, p // 2 + 1).
-    It depends on the filters only, so a caller that convolves many batches
-    computes it once."""
+    of each kernel zero-padded to p x p, laid out as the step's left matmul
+    operand, (p * (p // 2 + 1), d_out, d_in) in C order.  It depends on the
+    filters only, so a caller that convolves many batches computes it once."""
     f = as_conv_tensor(f)
     d_out, d_in, q, _ = f.shape
     if q > p:
@@ -175,15 +175,27 @@ def kernel_transform(f, p: int) -> np.ndarray:
     kpad = np.zeros((d_out, d_in, p, p))
     kpad[:, :, :q, :q] = f
     # not rfft2_inplace, which raised cnn-sweep peak RSS by 0.6 MB (numpy 2.4.6, x86-64)
-    return np.fft.rfft2(kpad, axes=(-2, -1)).conj()
+    spectrum = np.fft.rfft2(kpad, axes=(-2, -1))
+    khat = np.empty((p * (p // 2 + 1), d_out, d_in), dtype=complex)
+    np.conjugate(spectrum.transpose(2, 3, 0, 1), out=khat.reshape(p, -1, d_out, d_in))
+    return khat
 
 
 def apply_kernel_transform(xhat, khat, p: int) -> np.ndarray:
     """Apply step of :func:`conv2d_wrap`: the (..., d_out, p, p) output maps
     from xhat, the rfft2 over the last two axes of the (..., d_in, p, p)
-    input maps, and khat = :func:`kernel_transform`."""
-    yhat = np.einsum("...tuv,stuv->...suv", xhat, khat, optimize=True)
-    return irfft2_inplace(yhat, p)
+    input maps, and khat = :func:`kernel_transform`.  The product is the
+    matmul numpy's einsum ``"...tuv,stuv->...suv"`` hands to BLAS, khat by
+    xhat's (frequencies, d_in, points) view, with frequency-major output.
+    With one point, input or output channel that einsum makes no matrix
+    product and a matmul rounds otherwise, so it runs as that einsum."""
+    freqs, d_out, d_in = khat.shape
+    x = xhat.reshape(-1, d_in, freqs).transpose(2, 1, 0)
+    if min(d_out, d_in, x.shape[2]) > 1:
+        yhat = np.matmul(khat, x).reshape(p, p // 2 + 1, d_out, *xhat.shape[:-3])
+        return irfft2_inplace(np.moveaxis(yhat, (0, 1, 2), (-2, -1, -3)), p)
+    kernel = khat.reshape(p, p // 2 + 1, d_out, d_in).transpose(2, 3, 0, 1).copy()
+    return irfft2_inplace(np.einsum("...tuv,stuv->...suv", xhat, kernel, optimize=True), p)
 
 
 def rfft2_inplace(x) -> np.ndarray:

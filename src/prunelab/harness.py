@@ -32,7 +32,7 @@ from . import circulant, networks, pruning, theory
 from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config, parse_config
 from .estimators import estimate_lemma3, estimate_latala, latala_ratio, latala_terms
 from .linalg import spectral_norm, svd_group_size, top_singular_values
-from .parallel import ordered_imap, ordered_map, startup_blas_threads
+from .parallel import ordered_imap, ordered_map
 from .sampling import DistributionSpec, SeedSpec, draw_matrix
 
 __all__ = [
@@ -228,24 +228,28 @@ def run_order_stats(s: SimpleNamespace, workers: int):
         rng = base.child(case_index).generator()
         total = 0.0
         total_sq = 0.0
-        # The sums run over chunks of up to 4M entries; the draws and the
-        # selection run over tiles of whole rows within a chunk, so no
-        # chunk-sized array is made.  The bits are those of drawing,
-        # squaring and partitioning a whole chunk at once: PCG64 yields one
-        # double per uniform, so the tiles read the same stream values in
-        # the same order; squaring in place gives the same products as
-        # u * u; min, max and partition each return an exact element of a
-        # row, the r-th smallest square; and each chunk sum adds the same
-        # values in the same order.
+        # The sums run over chunks of up to 4M entries; the draws, into one
+        # reused buffer, and the selection run over tiles of whole rows, so
+        # no chunk-sized array is made.  The bits are those of a whole chunk
+        # drawn by rng.uniform(-a, a), squared and partitioned: PCG64 yields
+        # one double per uniform, so the tiles read the same stream values
+        # in the same order; uniform rounds low + (high - low) * u as the
+        # in-place steps do; squaring in place gives u * u; min, max and
+        # partition return an exact element of a row, the r-th smallest
+        # square; and each chunk sum adds the same values in the same order.
         chunk = max(1, 4_000_000 // n)
         tile = max(1, _ORDER_STAT_TILE // n)
         x = np.empty(min(chunk, trials))
+        buffer = np.empty((min(tile, trials), n))
         done = 0
         while done < trials:
             b = min(chunk, trials - done)
             for lo in range(0, b, tile):
                 hi = min(lo + tile, b)
-                u = rng.uniform(-a, a, size=(hi - lo, n))
+                u = buffer[: hi - lo]
+                rng.random(out=u)
+                np.multiply(u, a - (-a), out=u)
+                np.add(u, -a, out=u)
                 np.multiply(u, u, out=u)
                 if r == 1:
                     u.min(axis=1, out=x[lo:hi])
@@ -529,28 +533,21 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         rhs_by_d = {d: theory.thm3_rhs(p, d, p, 1.0, l, s.beta1, s.beta2, alpha) for d in s.channels}
     act = networks.Activation("relu")
 
-    def layer_entries(kernel: np.ndarray, fmask: np.ndarray, count: int, d: int):
+    def layer_entries(kernel: np.ndarray, fmask: np.ndarray, count: int, d: int, norm_w_explicit: float | None):
         """One internal conv layer's row entries and Latala payload.  The
-        padded kernels, the slices and the explicit map die on return, so
-        they are not alive through the trial's gap estimate, its peak."""
+        padded kernels and the slices die on return, so they are not alive
+        through the trial's gap estimate, its peak."""
         kpad = circulant.pad_kernel(kernel, p)
         norm_w = circulant.spectral_norm_via_dft(kpad)
         diff_pad = kpad * (1.0 - fmask)[:, :, None, None]
         norm_diff = circulant.spectral_norm_via_dft(diff_pad) if diff_pad.any() else 0.0
-        explicit_norm = None
-        if p * p * d <= s.explicit_norm_limit:
-            w_full = circulant.build_full_map(kpad)
-            # the one SVD off the one-thread rule: from n=768 its bits
-            # depend on the thread count (see the parallel module)
-            with startup_blas_threads():
-                explicit_norm = float(top_singular_values([w_full], *w_full.shape)[0])
         # per-kernel-position slices of the target and difference tensors
         slices = kernel.transpose(2, 3, 0, 1).reshape(q * q, d, d)
         dslices = slices * (1.0 - fmask)[None, :, :]
         s_norms = top_singular_values(slices, d, d)
         ds_norms = top_singular_values(dslices, d, d)
         w_max, diff_max = theory.thm3_event_thresholds(p, d, s.beta1, s.beta2)
-        entries = {"count": count, "norm_w_dft": norm_w, "norm_diff_dft": norm_diff, "norm_w_explicit": explicit_norm,
+        entries = {"count": count, "norm_w_dft": norm_w, "norm_diff_dft": norm_diff, "norm_w_explicit": norm_w_explicit,
                    "bins_event": theory.balls_in_bins_event(fmask, count), "w_event": norm_w <= w_max,
                    "diff_event": norm_diff <= diff_max}
         payload = (
@@ -563,21 +560,26 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
         )
         return entries, payload
 
-    def one_trial(d: int, seed_t: SeedSpec):
+    def draw_weights(d: int, seed_t: SeedSpec):
+        """A trial's conv filter banks and dense layer, drawn from its seed."""
         gw = seed_t.sub(0).generator()
-        variance = s.moment_c1 / (p * p * d)
-        dist = DistributionSpec(s.weight_kind, variance=variance)
+        dist = DistributionSpec(s.weight_kind, variance=s.moment_c1 / (p * p * d))
         chans = [s.d_in] + [d] * (l - 1)
-        tensors = []
-        for k in range(l - 1):
-            flat = draw_matrix(dist, chans[k + 1], chans[k] * q * q, gw)
-            tensors.append(flat.reshape(chans[k + 1], chans[k], q, q))
-        dense = draw_matrix(dist, s.d_out, d * p * p, gw)
-        model = networks.CnnModel(tuple(tensors), dense, act, p)
+        tensors = tuple(draw_matrix(dist, m, n * q * q, gw).reshape(m, n, q, q) for n, m in zip(chans, chans[1:]))
+        return tensors, draw_matrix(dist, s.d_out, d * p * p, gw)
+
+    def explicit_norm(kernel: np.ndarray) -> float:
+        w_full = circulant.build_full_map(circulant.pad_kernel(kernel, p))
+        return float(top_singular_values([w_full], *w_full.shape)[0])
+
+    def one_trial(d: int, seed_t: SeedSpec):
+        tensors, dense = draw_weights(d, seed_t)
+        model = networks.CnnModel(tensors, dense, act, p)
         counts = tuple(pruning.filter_prune_count(alpha, d) for _ in range(l - 2))
         mask = pruning.build_mask(model, "filter-random", counts, seed_t.sub(1))
+        norms = explicit_norms.get(seed_t, [None] * (l - 2))
         # an (entries, payload) pair per internal conv layer, k 0-based
-        layers, payload = zip(*(layer_entries(tensors[k], mask[k], counts[k - 1], d) for k in range(1, l - 1)))
+        layers, payload = zip(*(layer_entries(tensors[k], mask[k], counts[k - 1], d, norms[k - 1]) for k in range(1, l - 1)))
         gap = networks.estimate_sup_gap(model, mask, "cube", s.samples, seed_t.sub(2))
         return layers, {"sup_gap": gap}, payload
 
@@ -636,6 +638,13 @@ def run_cnn_gap_sweep(s: SimpleNamespace, workers: int):
             )
         return {"thm3_rhs": rhs_by_d[d], "layers": layers}
 
+    # the explicit-map SVDs, whose bits depend on the BLAS thread count from n = 768,
+    # run before the trials, outside every map, at the caller's count
+    explicit_norms = {
+        seed_t: [explicit_norm(f) for f in draw_weights(d, seed_t)[0][1:]]
+        for d in s.channels if p * p * d <= s.explicit_norm_limit
+        for seed_t in (SeedSpec(s.seed, t).sub(d) for t in range(s.trials))
+    }
     rows, sweep = _gap_sweep(s, s.channels, workers, one_trial, summarize)
     return rows, {"alpha": alpha} | sweep
 

@@ -171,18 +171,18 @@ def _check_mask(model, mask) -> tuple:
 
 
 # The conv runner's blocks hold as many points as give about this many
-# bytes of einsum output in the widest conv layer of the run: 64 points at
+# bytes of product output in the widest conv layer of the run: 64 points at
 # d = 64, p = 8.  A layer small enough runs the whole batch as one block
 # (1600 points at d = 4), so the block count, and with it the per-block
 # call overhead, grows only with the width.
 _CONV_BLOCK_BYTES = 4 * 2**20
 # Blocks hold a multiple of this many points, so each starts at a multiple
-# of it.  The einsum is a batched matmul whose zgemm calls tile the points,
-# and a block that starts where a tile of the whole-batch product starts
-# gives each point the bits it gets in that product.  With OpenBLAS 0.3.31
-# (SkylakeX kernels), blocks of 4, 8, 16, 32, 64, 100 and 128 points gave
-# bit-identical forward passes and estimates; blocks of 2, 3, 5, 7, 13 and
-# 50 points did not.  64 keeps a margin over the 4-point tile.
+# of it.  The conv product is a batched matmul whose zgemm calls tile the
+# points, and a block that starts where a tile of the whole-batch product
+# starts gives each point the bits it gets in that product.  With OpenBLAS
+# 0.3.31 (SkylakeX kernels), blocks of 4, 8, 16, 32, 64, 100 and 128 points
+# gave bit-identical forward passes and estimates; blocks of 2, 3, 5, 7, 13
+# and 50 points did not.  64 keeps a margin over the 4-point tile.
 _CONV_BLOCK_ALIGN = 64
 
 
@@ -193,11 +193,11 @@ def _run_convs(khats: list, act: Activation, p: int, last: bool, xhat: np.ndarra
     says whether the last of them is the model's last conv layer.
 
     A block holds the largest multiple of `_CONV_BLOCK_ALIGN` points
-    whose einsum output fits in `_CONV_BLOCK_BYTES`, one multiple at
+    whose product output fits in `_CONV_BLOCK_BYTES`, one multiple at
     least, so every block starts at a multiple of 64 points and keeps the
     bits of one product over the whole batch; the last block holds the
     rest.  Each block's output is copied into its rows of the result and
-    freed, so no einsum or inverse-FFT output of more than one block
+    freed, so no product or inverse-FFT output of more than one block
     exists.
 
     The result is the first rows of an array in `buffers`, keyed by the
@@ -213,16 +213,16 @@ def _run_convs(khats: list, act: Activation, p: int, last: bool, xhat: np.ndarra
     With `last` the result is the dense layer's operand: the flattened
     output maps in C order, one row per point, as the dense matmul takes
     them.  Otherwise it is the rfft2 of the output maps, laid out
-    frequency-major with the points fastest, as an einsum output is, so a
+    frequency-major with the points fastest, as a product output is, so a
     block of its rows is a matmul operand with unit stride for the next
     conv layer.
     """
-    n, d = xhat.shape[0], khats[-1].shape[0]
-    # one point's einsum output in the widest layer: d_out x p x (p // 2 + 1) complex
-    point_bytes = max(khat.shape[0] for khat in khats) * p * (p // 2 + 1) * 16
+    n, d = xhat.shape[0], khats[-1].shape[1]
+    # one point's product output in the widest layer: d_out x p x (p // 2 + 1) complex
+    point_bytes = max(khat.shape[1] for khat in khats) * p * (p // 2 + 1) * 16
     block = max(1, _CONV_BLOCK_BYTES // (point_bytes * _CONV_BLOCK_ALIGN)) * _CONV_BLOCK_ALIGN
     # a lone last point joins the block before it: a one-point block makes
-    # the einsum's matmul a matrix-vector product, which rounds differently
+    # the conv product a matrix-vector product, which rounds differently
     stops = [*range(block, n - 1, block), n]
     out = buffers.get((d, last))
     if out is None or len(out) < n:
@@ -332,7 +332,7 @@ def estimate_sup_gap(model, mask, domain: str, n: int, seed: SeedSpec) -> float:
     runs them once, and for a CNN also the rfft2 of their output.  The
     pruned and then the target layers after them run from those shared
     activations one after the other, so only one branch's intermediates
-    are alive at a time.  Every FFT, einsum and matmul has the operands it
+    are alive at a time.  Every FFT and matmul has the operands it
     has in `forward_fcn` / `forward_cnn`, so the estimate is bitwise the
     max over chunks of norm(forward(x, mask) - forward(x)).
 
@@ -344,7 +344,7 @@ def estimate_sup_gap(model, mask, domain: str, n: int, seed: SeedSpec) -> float:
     that every chunk reuses (`_run_convs`), so memory depends on the chunk
     and the layer widths, not on n.  The peak is in a branch's last conv
     layer, with the shared spectrum, the branch's dense operand and one
-    block's einsum output and real maps alive: 10.5 + 8.4 + 2.6 + 2.1 MB
+    block's product output and real maps alive: 10.5 + 8.4 + 2.6 + 2.1 MB
     at d = 64, p = 8.
 
     Nested runs with the same seed sample prefix-identical points, so the

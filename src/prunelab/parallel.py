@@ -14,7 +14,10 @@ over the finished list would, so the bits do not depend on when a result
 arrives.  At most `2 * workers` tasks run or wait ahead of the consumer,
 so a consumer that falls behind holds that many finished results at most.
 
-Threading policy: every mapped task runs on one BLAS thread.
+Threading policy, one rule: every mapped task runs on one BLAS thread,
+and code outside a map runs at the thread count of its caller, as
+cnn-sweep's explicit-map SVDs do before its trials: from n=768 an SVD's
+last bits depend on that count, the same at every worker count.
 `ordered_imap` runs the whole map under `single_threaded_blas`, at every
 worker count, so parallelism comes only from the worker threads, and the
 BLAS thread count a task runs at never depends on PRUNELAB_WORKERS.
@@ -28,28 +31,16 @@ SVD gives the same bits at 1 and 2 BLAS threads and is faster at 1 (1.1 vs
 2.2 ms at n=128, 37 vs 43 ms at n=512).  cnn-sweep, the last kind to run on
 all BLAS threads, went from 4.16 to 2.97 s of CPU per pass of the
 benchmark's cnn-sweep workload at 1 worker on a 2-core host (medians of
-10 alternating pairs), at 2.15 vs 2.26 s wall: its conv einsum's complex products lost
+10 alternating pairs), at 2.15 vs 2.26 s wall: its conv products lost
 their second thread.  Its default config at 2 workers went from 32-34 to
 23-24 s wall.
 `np.linalg.svd` releases the interpreter lock only when one call returns
 more than 500 singular values, so every SVD is a call of the one kernel,
 `linalg.top_singular_values`, which stacks the matrices into calls past
-that count.  Numpy's FFT and einsum release the lock: two threads of
+that count.  Numpy's FFT and matmul release the lock: two threads of
 `np.fft.rfft2` on a (256, 64, 8, 8) batch, one BLAS thread, ran at 1.9
-times the speed of one, and the conv einsum on the same shapes at 2.1
+times the speed of one, and the conv product on the same shapes at 2.1
 times, so cnn-sweep's trials overlap in all three kernels.
-
-The one exception is cnn-sweep's explicit-map SVD, a single 1024 x 1024
-call in the default config.  From n=768 the SVD's last bits depend on the
-BLAS thread count, so it runs inside `startup_blas_threads`, at the count
-OpenBLAS had when this module first looked it up, before any cap: its
-value is then the same at every worker count.  A module lock serialises
-these calls and every change of the count, so only the lock holder changes
-the count while workers run.  The other workers' BLAS calls in that window
-may run at the start-up count too; their SVDs are all far below n=768, and
-the cnn-sweep reports, one with a 1024 x 1024 explicit map among them, are
-byte-identical at 1 and 2 workers.  The exception leaves with the
-explicit-map column.
 """
 
 from __future__ import annotations
@@ -57,12 +48,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from .config import ConfigError
 
@@ -72,7 +61,6 @@ __all__ = [
     "ordered_imap",
     "trial_blocks",
     "single_threaded_blas",
-    "startup_blas_threads",
     "BLOCK_SIZE",
 ]
 
@@ -140,17 +128,6 @@ def ordered_map(fn, items, workers: int) -> list:
     return list(ordered_imap(fn, items, workers))
 
 
-class _Blas(NamedTuple):
-    get: Callable[[], int]
-    set: Callable[[int], None]
-    startup: int  # the count at the first lookup, before any cap
-
-
-# Held while the thread count is read and set, and for the whole block of
-# `startup_blas_threads`, so only the lock holder changes the count.
-_BLAS_LOCK = threading.Lock()
-
-
 @functools.cache
 def _openblas() -> ctypes.CDLL | None:
     """The OpenBLAS library bundled with numpy, or None when there is none.
@@ -168,9 +145,9 @@ def _openblas() -> ctypes.CDLL | None:
 
 
 @functools.cache
-def _openblas_threads() -> _Blas | None:
-    """Thread-count functions of the OpenBLAS bundled with numpy and the
-    count it had at this first lookup, or None when there is none."""
+def _openblas_threads() -> tuple | None:
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, or None when there is none."""
     lib = _openblas()
     if lib is None:
         return None
@@ -181,7 +158,7 @@ def _openblas_threads() -> _Blas | None:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return _Blas(get, set_, get())
+        return get, set_
     return None
 
 
@@ -191,42 +168,17 @@ def single_threaded_blas():
     previous thread count afterwards, also when the block raises.
 
     The count is process-wide: `ordered_imap` enters this from the thread
-    that starts the workers, so no worker changes it but the holder of the
-    module lock.  A no-op when numpy carries no OpenBLAS this can find.
+    that starts the workers, so no worker changes it.  A no-op when numpy
+    carries no OpenBLAS this can find.
     """
     blas = _openblas_threads()
     if blas is None:
         yield
         return
-    with _BLAS_LOCK:
-        previous = blas.get()
-        blas.set(1)
+    get, set_ = blas
+    previous = get()
+    set_(1)
     try:
         yield
     finally:
-        with _BLAS_LOCK:
-            blas.set(previous)
-
-
-@contextmanager
-def startup_blas_threads():
-    """Run the block at the thread count numpy's OpenBLAS had at start-up,
-    holding the module lock, and restore the previous count afterwards,
-    also when the block raises.
-
-    The one exception to the one-thread rule: cnn-sweep's explicit-map SVD,
-    whose last bits depend on the thread count from n=768 (see the module
-    docstring).  The block must not change the count itself.  A no-op when
-    numpy carries no OpenBLAS this can find.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    with _BLAS_LOCK:
-        previous = blas.get()
-        blas.set(blas.startup)
-        try:
-            yield
-        finally:
-            blas.set(previous)
+        set_(previous)

@@ -1,9 +1,10 @@
 """Session header: the numpy and BLAS build the reports' bits depend on.
 
-The golden digests hold for one numpy build and one OpenBLAS core type, and
-cnn-sweep's widest explicit-map SVDs for one start-up thread count too, so
-the header names all three, read through ctypes from the OpenBLAS that
-numpy bundles, as `prunelab.parallel` finds it.
+The golden digests hold for one numpy build and one OpenBLAS core type.
+cnn-sweep's widest explicit-map SVDs run outside every map, at the thread
+count the process runs at, so their digests hold for one start-up thread
+count too.  The header names all three, read through ctypes from the
+OpenBLAS that numpy bundles, as `prunelab.parallel` finds it.
 """
 
 import ctypes

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prunelab.circulant import (
+    apply_kernel_transform,
     build_block,
     build_full_map,
     circ,
@@ -211,12 +212,49 @@ class TestConv2dWrap:
             kernel_transform(np.zeros((1, 1, 4, 4)), 3)
 
 
-def einsum_spectrum(batch, d, p):
-    """The einsum's output as apply_kernel_transform gets it: memory laid
-    out frequency-major, not in C order."""
+def einsum_conv(xhat, f, p):
+    """The apply step before it ran as one matmul: numpy's einsum on the
+    C-order (d_out, d_in, p, p // 2 + 1) conjugated kernel spectrum."""
+    kpad = np.zeros(f.shape[:2] + (p, p))
+    kpad[:, :, : f.shape[2], : f.shape[3]] = f
+    khat = np.fft.rfft2(kpad, axes=(-2, -1)).conj()
+    return irfft2_inplace(np.einsum("...tuv,stuv->...suv", xhat, khat, optimize=True), p)
+
+
+# (batch shape, d_out, d_in, p): matrix products, and products with a unit
+# dimension (one point, one input or one output channel), which numpy runs
+# outside BLAS or as a broadcast product
+APPLY_SHAPES = [
+    ((64,), 64, 64, 8), ((69,), 16, 16, 8), ((7,), 2, 3, 6), ((2, 7), 2, 3, 6),
+    ((1,), 3, 4, 5), ((), 2, 3, 6), ((5,), 1, 3, 4), ((5,), 3, 1, 4), ((3,), 1, 1, 3), ((300,), 16, 1, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "batch, d_out, d_in, p, layout",
+    [(*shape, layout) for shape in APPLY_SHAPES for layout in ("c-order", "frequency-major")
+     if layout == "c-order" or len(shape[0]) == 1],
+)
+def test_apply_step_is_the_einsum_product(batch, d_out, d_in, p, layout):
+    # bit for bit, on C-order spectra and on the frequency-major ones, with
+    # one batch axis, that the conv runner hands the next layer
+    f = RNG.standard_normal((d_out, d_in, min(3, p - 1), min(3, p - 1)))
+    xhat = rfft2_inplace(RNG.standard_normal(batch + (d_in, p, p)))
+    if layout == "frequency-major":
+        spread = np.empty((p, p // 2 + 1, d_in) + batch, dtype=complex).transpose(3, 2, 0, 1)
+        spread[...] = xhat
+        xhat = spread
+    got = apply_kernel_transform(xhat, kernel_transform(f, p), p)
+    assert np.array_equal(got.view(np.int64), einsum_conv(xhat, f, p).view(np.int64))
+
+
+def product_spectrum(batch, d, p):
+    """The conv product's output as apply_kernel_transform hands it to the
+    inverse transform: memory laid out frequency-major, not in C order."""
     xhat = np.fft.rfft2(RNG.standard_normal((batch, 3, p, p)), axes=(-2, -1))
     khat = kernel_transform(RNG.standard_normal((d, 3, min(3, p - 1), min(3, p - 1))), p)
-    yhat = np.einsum("...tuv,stuv->...suv", xhat, khat, optimize=True)
+    yhat = np.matmul(khat, xhat.reshape(batch, 3, -1).transpose(2, 1, 0))
+    yhat = yhat.reshape(p, p // 2 + 1, d, batch).transpose(3, 2, 0, 1)
     assert not yhat.flags.c_contiguous
     return yhat
 
@@ -224,13 +262,13 @@ def einsum_spectrum(batch, d, p):
 class TestInplaceTransforms:
     """The conv step's 2-d transforms run their second pass in place; they
     must give numpy's 2-d transforms bit for bit, on C-order arrays and on
-    the einsum's output."""
+    the conv product's output."""
 
     @pytest.mark.parametrize("batch, d, p", [(3, 4, 4), (5, 2, 5), (16, 8, 8)])
     def test_forward_equals_rfft2(self, batch, d, p):
         c_order = RNG.standard_normal((batch, d, p, p))
-        # the real maps the irfft pass leaves, laid out like the einsum output
-        strided = np.fft.irfft(einsum_spectrum(batch, d, p), n=p, axis=-1)
+        # the real maps the irfft pass leaves, laid out like the product output
+        strided = np.fft.irfft(product_spectrum(batch, d, p), n=p, axis=-1)
         assert not strided.flags.c_contiguous
         for x in (c_order, strided):
             want = np.fft.rfft2(x, axes=(-2, -1))
@@ -240,8 +278,8 @@ class TestInplaceTransforms:
 
     @pytest.mark.parametrize("batch, d, p", [(3, 4, 4), (5, 2, 5), (16, 8, 8)])
     def test_inverse_equals_irfft2(self, batch, d, p):
-        strided = einsum_spectrum(batch, d, p)
-        c_order = np.ascontiguousarray(einsum_spectrum(batch, d, p))
+        strided = product_spectrum(batch, d, p)
+        c_order = np.ascontiguousarray(product_spectrum(batch, d, p))
         for yhat in (c_order, strided):
             want = np.fft.irfft2(yhat, s=(p, p), axes=(-2, -1))
             np.testing.assert_array_equal(irfft2_inplace(yhat, p), want)

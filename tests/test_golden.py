@@ -78,7 +78,7 @@ CASES = {
         "8fec6cae3a9d564b747bc80ba29968a723c12f2202fa17a9f5508be191dfe09f",
     ),
     # the benchmark's widest CNN shape, d = 64 at p = 8: 256-point chunks
-    # through the einsum's frequency-major spectra and the in-place FFT
+    # through the conv product's frequency-major spectra and the in-place FFT
     # passes; 64 * 64 > 1500, so the explicit column is N/A
     "cnn-64": (
         "cnn-sweep",

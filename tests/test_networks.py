@@ -513,7 +513,7 @@ class TestSupGapOracle:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 232, 256, 325])
     @pytest.mark.parametrize("depth", [3, 4])
     def test_conv_blocks_bitwise_equal_to_pre_change_loop(self, blas_core, depth, n):
-        # at d = 64, p = 8 a chunk's einsum output (256 x 64 x 8 x 5 complex)
+        # at d = 64, p = 8 a chunk's product output (256 x 64 x 8 x 5 complex)
         # is past the block size, so the conv runner splits each chunk into
         # 64-point blocks, the last one partial when n is not a multiple of
         # 64; at 65 and 129 a lone last point joins the block before it.

@@ -3,7 +3,9 @@
 The kernel draws and selects in cache-sized tiles.  The oracle below is the
 loop it replaced, which drew, squared and partitioned a whole summation
 chunk at once; the kernel must give the same mc_mean, stderr and z bit for
-bit, and must not allocate chunk-sized arrays.
+bit, and must not allocate chunk-sized arrays.  The kernel draws each tile
+with `rng.random` into one reused buffer and scales it in place, which must
+give `rng.uniform(-a, a)` bit for bit.
 """
 
 import math
@@ -74,3 +76,17 @@ def test_kernel_peak_memory_is_tile_sized():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("a", [1.0, 0.37, 3.3, 1e-3])
+def test_scaled_random_draw_is_the_uniform_draw(a):
+    # uniform computes low + (high - low) * u: the same two roundings as the
+    # kernel's in-place multiply and add, on the same stream values
+    want_rng, got_rng = (SeedSpec(11).child(i).generator() for i in (0, 0))
+    want = want_rng.uniform(-a, a, size=(1000, 1000))
+    got = np.empty((1000, 1000))
+    got_rng.random(out=got)
+    np.multiply(got, a - (-a), out=got)
+    np.add(got, -a, out=got)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import re
+import threading
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -15,7 +16,7 @@ from prunelab import estimators, harness, networks, parallel
 from prunelab.config import ConfigError, default_config
 from prunelab.estimators import estimate_latala, estimate_lemma3
 from prunelab.harness import load_config, run_experiment
-from prunelab.parallel import ordered_imap, ordered_map, single_threaded_blas, startup_blas_threads, trial_blocks
+from prunelab.parallel import ordered_imap, ordered_map, single_threaded_blas, trial_blocks
 from prunelab.sampling import DistributionSpec, SeedSpec
 
 # table2's default quantiles
@@ -36,9 +37,10 @@ def blas_threads():
     blas = parallel._openblas_threads()
     if blas is None:
         pytest.skip("numpy carries no OpenBLAS with a thread-count API")
-    before = blas.get()
-    yield blas.get, blas.set
-    blas.set(before)
+    get, set_ = blas
+    before = get()
+    yield get, set_
+    set_(before)
 
 
 class TestSingleThreadedBlas:
@@ -76,52 +78,6 @@ class TestSingleThreadedBlas:
         with pytest.raises(RuntimeError, match="boom"):
             with single_threaded_blas():
                 raise RuntimeError("boom")
-
-
-class TestStartupBlasThreads:
-    def test_startup_count_inside_previous_count_after(self, blas_threads):
-        get, set_ = blas_threads
-        startup = parallel._openblas_threads().startup
-        set_(startup + 1)
-        with startup_blas_threads():
-            assert get() == startup
-        assert get() == startup + 1
-
-    def test_restores_when_block_raises(self, blas_threads):
-        get, set_ = blas_threads
-        set_(1)
-        with pytest.raises(RuntimeError, match="boom"):
-            with startup_blas_threads():
-                raise RuntimeError("boom")
-        assert get() == 1
-
-    def test_holds_the_lock_for_the_whole_block(self, blas_threads):
-        # no other thread can change the count while the block runs
-        with startup_blas_threads():
-            assert not parallel._BLAS_LOCK.acquire(blocking=False)
-        assert parallel._BLAS_LOCK.acquire(blocking=False)
-        parallel._BLAS_LOCK.release()
-
-    def test_startup_is_the_count_at_the_first_lookup(self, blas_threads):
-        get, set_ = blas_threads
-        original = parallel._openblas_threads().startup
-        set_(original + 1)
-        parallel._openblas_threads.cache_clear()
-        try:
-            assert parallel._openblas_threads().startup == original + 1
-            with single_threaded_blas():  # a later cap does not move it
-                assert parallel._openblas_threads().startup == original + 1
-        finally:
-            set_(original)
-            parallel._openblas_threads.cache_clear()
-        assert parallel._openblas_threads().startup == original
-
-    def test_no_library_is_a_no_op(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
-        ran = []
-        with startup_blas_threads():
-            ran.append(True)
-        assert ran == [True]
 
 
 class TestOrderedMap:
@@ -493,25 +449,25 @@ SVD_KINDS = {
 
 
 class TestBlasThreadsPerKind:
-    """Every SVD of every kind runs on one BLAS thread at workers 1 and 2,
-    bar cnn-sweep's explicit-map SVD, which runs at the start-up count; the
+    """Every SVD of every kind inside a map runs on one BLAS thread at
+    workers 1 and 2.  cnn-sweep's explicit-map SVDs run before its trials, on
+    the thread that called `run_experiment`, at that caller's count; the
     count after a run is the count before it."""
 
     @staticmethod
     def _spy_svd(monkeypatch, get, explicit_n=None):
-        """Records the count each np.linalg.svd call sees, the explicit-map
-        call apart.  The others read it under the module lock, so they see
-        the count outside any explicit-map SVD another worker runs."""
+        """Records the count each np.linalg.svd call sees and whether it ran
+        on the calling thread, the explicit-map calls apart."""
         seen = {"explicit": [], "other": []}
+        caller = threading.get_ident()
         svd = np.linalg.svd
 
         def spy(a, *args, **kwargs):
             # the explicit map arrives alone, or stacked as (1, n, n)
             if explicit_n is not None and np.shape(a)[-2:] == (explicit_n, explicit_n):
-                seen["explicit"].append(get())
+                seen["explicit"].append((get(), threading.get_ident() == caller))
             else:
-                with parallel._BLAS_LOCK:
-                    seen["other"].append(get())
+                seen["other"].append(get())
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
@@ -521,8 +477,7 @@ class TestBlasThreadsPerKind:
     @pytest.mark.parametrize("kind", SVD_KINDS)
     def test_every_svd_runs_on_one_blas_thread(self, blas_threads, monkeypatch, kind, workers):
         get, set_ = blas_threads
-        startup = parallel._openblas_threads().startup
-        before = startup + 1  # neither the cap nor the start-up count
+        before = get() + 1  # neither the cap nor the count the process started at
         set_(before)
         cfg = SVD_KINDS[kind]
         explicit_n = cfg["spatial"] ** 2 * cfg["channels"][0] if kind == "cnn-sweep" else None
@@ -530,7 +485,7 @@ class TestBlasThreadsPerKind:
         run_experiment(kind, load_config(kind, overrides=cfg), workers)
         assert seen["other"] and set(seen["other"]) == {1}
         if kind == "cnn-sweep":
-            assert seen["explicit"] == [startup] * cfg["trials"]
+            assert seen["explicit"] == [(before, True)] * cfg["trials"]
         else:
             assert seen["explicit"] == []
         assert get() == before
@@ -550,8 +505,6 @@ class TestBlasThreadsPerKind:
         with pytest.raises(RuntimeError, match="boom"):
             run_experiment("cnn-sweep", load_config("cnn-sweep", overrides=SVD_KINDS["cnn-sweep"]), workers)
         assert get() == 3
-        assert parallel._BLAS_LOCK.acquire(blocking=False)
-        parallel._BLAS_LOCK.release()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["table3", "fcn-sweep"])
