@@ -20,6 +20,12 @@ Threading.  Each estimator folds fixed 25-trial blocks in block order, so
 its result does not depend on the worker count; the blocks run on one BLAS
 thread, as every mapped task does (see `parallel` for the policy), and
 within a block the norms go through `linalg.top_singular_values`.
+
+Memory.  Each block allocates its own matrix buffers (table3 also one for
+the squares) and draws every trial into them with `draw_matrix(..., out)`,
+so no two worker threads share a buffer and no trial allocates a
+matrix-sized array; `top_singular_values` reads each matrix before the
+next is drawn.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ def estimate_lemma3(
     dist = DistributionSpec("uniform", xavier_k=k_scale)
 
     def block_norms(block: range) -> np.ndarray:
-        draws = (draw_matrix(dist, n1, n2, seed.child(t).generator()) for t in block)
+        a = np.empty((n1, n2))  # the task's own buffer, drawn into by every trial
+        draws = (draw_matrix(dist, n1, n2, seed.child(t).generator(), a) for t in block)
         return top_singular_values(draws, n1, n2)
 
     norms = np.concatenate(ordered_map(block_norms, trial_blocks(trials), workers))
@@ -114,15 +121,18 @@ def estimate_latala(
     n_prune = filter_prune_count(prune_alpha, d) if prune_alpha is not None else 0
 
     def block_stats(block: range):
+        a, a2 = np.empty((d, d)), np.empty((d, d))  # the task's own buffers
+
         def draws(sq, quad):
             # the moment sums take each trial in trial order as it is drawn
             for t in block:
                 rng = seed.child(t).generator()
-                a = draw_matrix(dist, d, d, rng)
+                draw_matrix(dist, d, d, rng, a)
                 _zero_random_pairs(a, n_prune, rng)
-                a2 = a * a
+                np.multiply(a, a, out=a2)
                 sq += a2
-                quad += a2 * a2
+                np.multiply(a2, a2, out=a2)
+                quad += a2
                 yield a
 
         sq = np.zeros((d, d))

@@ -33,7 +33,7 @@ from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config, 
 from .estimators import estimate_lemma3, estimate_latala, latala_ratio, latala_terms
 from .linalg import spectral_norm, svd_group_size, top_singular_values
 from .parallel import ordered_imap, ordered_map
-from .sampling import DistributionSpec, SeedSpec, draw_matrix
+from .sampling import DistributionSpec, SeedSpec, draw_matrix, fill_uniform
 
 __all__ = [
     "ConfigError",
@@ -233,10 +233,10 @@ def run_order_stats(s: SimpleNamespace, workers: int):
         # no chunk-sized array is made.  The bits are those of a whole chunk
         # drawn by rng.uniform(-a, a), squared and partitioned: PCG64 yields
         # one double per uniform, so the tiles read the same stream values
-        # in the same order; uniform rounds low + (high - low) * u as the
-        # in-place steps do; squaring in place gives u * u; min, max and
-        # partition return an exact element of a row, the r-th smallest
-        # square; and each chunk sum adds the same values in the same order.
+        # in the same order; `fill_uniform` rounds as uniform does; squaring
+        # in place gives u * u; min, max and partition return an exact
+        # element of a row, the r-th smallest square; and each chunk sum adds
+        # the same values in the same order.
         chunk = max(1, 4_000_000 // n)
         tile = max(1, _ORDER_STAT_TILE // n)
         x = np.empty(min(chunk, trials))
@@ -246,10 +246,7 @@ def run_order_stats(s: SimpleNamespace, workers: int):
             b = min(chunk, trials - done)
             for lo in range(0, b, tile):
                 hi = min(lo + tile, b)
-                u = buffer[: hi - lo]
-                rng.random(out=u)
-                np.multiply(u, a - (-a), out=u)
-                np.add(u, -a, out=u)
+                u = fill_uniform(buffer[: hi - lo], a, rng)
                 np.multiply(u, u, out=u)
                 if r == 1:
                     u.min(axis=1, out=x[lo:hi])

@@ -56,6 +56,11 @@ def top_singular_values(mats, m: int, n: int) -> np.ndarray:
     (`zgesdd` if complex) call as a lone matrix gets, so each value has the
     bits of `np.linalg.svd(a, compute_uv=False)[0]`.  `mats` is consumed in
     order, one group ahead of the SVDs at most.
+
+    Each matrix is read before the next one is asked for: copied into the
+    stack, or, when a group is one matrix, SVD'd at once.  So `mats` may
+    yield one buffer refilled for every matrix, as the estimators do; a
+    change that holds a yielded matrix past the next draw breaks them.
     """
     k = svd_group_size(m, n)
     # a group of one is the matrix itself, with no buffer to copy it into;

@@ -16,6 +16,7 @@ __all__ = [
     "SeedSpec",
     "DistributionSpec",
     "draw_matrix",
+    "fill_uniform",
     "sample_unit_sphere",
     "sample_unit_cube",
 ]
@@ -112,14 +113,38 @@ class DistributionSpec:
         return ex2 * mx, ex4 * mx * mx
 
 
-def draw_matrix(dist: DistributionSpec, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an i.i.d. rows x cols matrix from an existing generator."""
+def fill_uniform(out: np.ndarray, a: float, rng: np.random.Generator) -> np.ndarray:
+    """Fill `out` with U[-a, a] draws and return it: the values, and the
+    generator state after, of `rng.uniform(-a, a, out.shape)`.  uniform
+    rounds low + (high - low) * u twice, as the in-place multiply and add
+    do, on the same stream values."""
+    rng.random(out=out)
+    np.multiply(out, a - (-a), out=out)
+    np.add(out, -a, out=out)
+    return out
+
+
+def draw_matrix(
+    dist: DistributionSpec, rows: int, cols: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw an i.i.d. rows x cols matrix from an existing generator into
+    `out`, a C-order rows x cols float64 array, or into a new array when
+    `out` is None, and return it.  The values and the generator state after
+    the draw are those of `rng.uniform(-a, a, (rows, cols))` or
+    `rng.normal(0.0, sd, (rows, cols))`, whichever array they land in."""
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
+    if out is None:
+        out = np.empty((rows, cols))
+    elif out.shape != (rows, cols) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-order {rows} x {cols} float64 array, got {out.dtype} of shape {out.shape}")
     if dist.kind == "uniform":
-        a = dist.bound(rows, cols)
-        return rng.uniform(-a, a, size=(rows, cols))
-    return rng.normal(0.0, np.sqrt(dist.variance), size=(rows, cols))
+        return fill_uniform(out, dist.bound(rows, cols), rng)
+    # normal computes loc + scale * z: adding 0.0 turns -0.0 into +0.0 as it does
+    rng.standard_normal(out=out)
+    np.multiply(out, np.sqrt(dist.variance), out=out)
+    np.add(out, 0.0, out=out)
+    return out
 
 
 def sample_unit_sphere(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -310,6 +310,13 @@ def test_gap_sweep_sums_are_the_last_payload_folded_from_zero(workers):
         assert not np.signbit(sums[0][2]).any() and math.copysign(1.0, sums[1][0]) == 1.0
 
 
+def _state_key(rng: np.random.Generator) -> tuple:
+    """A PCG64 generator's position, hashable: a fresh generator's key names
+    its stream."""
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
 class TestEstimatorsAcrossWorkers:
     def test_lemma3_identical_at_one_and_two_workers(self):
         seed = SeedSpec(2024)
@@ -323,6 +330,37 @@ class TestEstimatorsAcrossWorkers:
         one = estimate_latala(128, dist, 100, seed, prune_alpha=0.5, workers=1)
         two = estimate_latala(128, dist, 100, seed, prune_alpha=0.5, workers=2)
         assert one == two
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["lemma3", "latala"])
+    def test_each_block_draws_into_its_own_buffer(self, monkeypatch, kind, workers):
+        # every draw of a block fills one array, and no two blocks share
+        # one: each task allocates its buffer, none lives at module level
+        seed, trials = SeedSpec(5), 125
+        trial_of = {_state_key(seed.child(t).generator()): t for t in range(trials)}
+        buffers = {}  # block -> the arrays its draws received, kept alive
+        draw = estimators.draw_matrix
+
+        def spy(*args, **kwargs):
+            t = trial_of[_state_key(args[3])]
+            buffers.setdefault(t // parallel.BLOCK_SIZE, []).append(args[4] if len(args) > 4 else kwargs.get("out"))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "draw_matrix", spy)
+        if kind == "lemma3":
+            shape = (16, 24)
+            estimate_lemma3(*shape, 1.0, trials, seed, QUANTILES, workers=workers)
+        else:
+            shape = (16, 16)
+            estimate_latala(16, DistributionSpec("gaussian", variance=1.0 / 16), trials, seed, prune_alpha=0.5,
+                            workers=workers)
+        assert sorted(buffers) == list(range(len(trial_blocks(trials))))
+        assert all(len(outs) == parallel.BLOCK_SIZE for outs in buffers.values())
+        for outs in buffers.values():
+            assert isinstance(outs[0], np.ndarray) and outs[0].shape == shape
+            assert all(out is outs[0] for out in outs)
+        assert len({id(outs[0]) for outs in buffers.values()}) == len(buffers)
+        assert not any(isinstance(v, np.ndarray) for v in vars(estimators).values())
 
     @staticmethod
     def _thread_counts(get, monkeypatch, workers) -> list:

@@ -5,6 +5,7 @@ from prunelab.sampling import (
     DistributionSpec,
     SeedSpec,
     draw_matrix,
+    fill_uniform,
     sample_unit_cube,
     sample_unit_sphere,
 )
@@ -122,6 +123,98 @@ class TestDrawMatrix:
         for rows, cols in ((0, 4), (4, 0), (-1, 4)):
             with pytest.raises(ValueError, match="matrix dimensions must be positive"):
                 draw_matrix(dist, rows, cols, SEED.generator())
+
+
+DRAWS = [
+    (DistributionSpec("uniform", xavier_k=1.0), 512, 512),
+    (DistributionSpec("uniform", xavier_k=2.5), 40, 300),
+    (DistributionSpec("uniform", xavier_k=0.37), 1, 7),
+    (DistributionSpec("uniform", variance=1.0), 128, 128),
+    (DistributionSpec("uniform", variance=1e-6), 33, 17),
+    (DistributionSpec("uniform", variance=7.3), 200, 64),
+    (DistributionSpec("gaussian", variance=1.0 / 128), 128, 128),
+    (DistributionSpec("gaussian", variance=1.0), 300, 41),
+    (DistributionSpec("gaussian", variance=1e-4), 1, 1),
+    (DistributionSpec("gaussian", variance=5.0), 64, 512),
+]
+
+
+def _numpy_draw(dist, rows, cols, rng) -> np.ndarray:
+    """The draw as numpy's own samplers make it."""
+    if dist.kind == "uniform":
+        a = dist.bound(rows, cols)
+        return rng.uniform(-a, a, size=(rows, cols))
+    return rng.normal(0.0, np.sqrt(dist.variance), size=(rows, cols))
+
+
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).view(np.int64).tobytes()
+
+
+def _case_id(case) -> str:
+    dist, rows, cols = case
+    scale = f"k{dist.xavier_k}" if dist.xavier_k is not None else f"v{dist.variance:g}"
+    return f"{dist.kind}-{scale}-{rows}x{cols}"
+
+
+@pytest.mark.parametrize("dist, rows, cols", DRAWS, ids=[_case_id(c) for c in DRAWS])
+class TestDrawRoute:
+    """draw_matrix gives numpy's uniform and normal draws bit for bit, into a
+    new array or into the caller's, and leaves the generator where they do."""
+
+    @pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+    def test_is_the_numpy_draw(self, dist, rows, cols, into):
+        want_rng, got_rng = SEED.child(3).generator(), SEED.child(3).generator()
+        want = _numpy_draw(dist, rows, cols, want_rng)
+        out = np.full((rows, cols), np.nan) if into else None
+        got = draw_matrix(dist, rows, cols, got_rng, out)
+        if into:
+            assert got is out
+        assert got.shape == (rows, cols) and got.dtype == np.float64 and got.flags.c_contiguous
+        assert _bits(got) == _bits(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_successive_draws_into_one_buffer(self, dist, rows, cols):
+        want_rng, got_rng = SEED.child(4).generator(), SEED.child(4).generator()
+        buffer = np.empty((rows, cols))
+        for _ in range(2):
+            want = _numpy_draw(dist, rows, cols, want_rng)
+            assert draw_matrix(dist, rows, cols, got_rng, buffer) is buffer
+            assert _bits(buffer) == _bits(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("a", [1.0, 0.37, 3.3, 1e-3])
+def test_fill_uniform_is_the_uniform_draw(a):
+    want_rng, got_rng = SEED.child(6).generator(), SEED.child(6).generator()
+    buffer = np.empty((40, 50))
+    for rows in (40, 7):  # a whole buffer, then a leading slice of it
+        want = want_rng.uniform(-a, a, size=(rows, 50))
+        got = fill_uniform(buffer[:rows], a, got_rng)
+        assert _bits(got) == _bits(want)
+        assert np.shares_memory(got, buffer)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((8, 8)),
+    np.empty((9, 8)),
+    np.empty(72),
+    np.empty((1, 8, 9)),
+    np.empty((8, 9), dtype=np.float32),
+    np.empty((8, 9), dtype=np.complex128),
+    np.empty((8, 9), dtype=np.int64),
+    np.empty((9, 8)).T,
+    np.empty((8, 18))[:, ::2],
+], ids=["narrow", "transposed-shape", "flat", "stacked", "float32", "complex", "int", "fortran", "strided"])
+@pytest.mark.parametrize("dist", [DistributionSpec("uniform", xavier_k=1.0), DistributionSpec("gaussian", variance=1.0)],
+                         ids=["uniform", "gaussian"])
+def test_draw_rejects_a_wrong_buffer(dist, out):
+    rng = SEED.generator()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="out must be"):
+        draw_matrix(dist, 8, 9, rng, out)
+    assert rng.bit_generator.state == state
 
 
 class TestSphere:
